@@ -360,8 +360,10 @@ class LoopbackRemoteBackend final : public ShardBackend {
     std::mutex& mu = data_channel ? shard.data_mu : shard.control_mu;
     const int fd = data_channel ? shard.server->data_fd()
                                 : shard.server->control_fd();
-    const auto t0 = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mu);
+    // Timed from the write, like tcp: waiting for the channel is not part
+    // of the round trip.
+    const auto t0 = std::chrono::steady_clock::now();
     Status s = wire::WriteFrameFd(fd, type, payload);
     if (!s.ok()) return TransportFailure(shard, s);
     shard.frames_out.Inc();

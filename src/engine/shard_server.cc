@@ -200,11 +200,21 @@ void ShardServer::Serve(int fd) {
 void ShardServer::Dispatch(uint8_t type, std::string_view payload,
                            std::string* resp) {
   wire::Writer w;
-  // One mutex across both channels: an apply and a snapshot request are
-  // serialized exactly like worker-vs-query access to a local shard slot.
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (ShardRequestTakesCellLock(type)) lock.lock();
   DispatchShardRequest(*shard_, num_sketches_, type, payload, &w);
   *resp = w.Take();
+}
+
+bool ShardRequestTakesCellLock(uint8_t type) {
+  switch (type) {
+    case wire::kReqEpoch:
+    case wire::kReqSnapshot:
+    case wire::kReqMetrics:
+      return false;
+    default:
+      return true;
+  }
 }
 
 void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
@@ -283,8 +293,8 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
     case wire::kReqHeartbeat: {
       // Liveness probe: answering at all is the signal; the epoch rides
       // along so supervisors can watch progress for free. Deliberately
-      // served through the same mutex as every other request — a shard
-      // wedged inside Dispatch fails its heartbeat deadline too.
+      // served under the cell lock (ShardRequestTakesCellLock) — a shard
+      // wedged inside an apply fails its heartbeat deadline too.
       PutStatus(Status::OK(), &w);
       w.U64(shard_->Epoch(0).value_or(0));
       break;

@@ -16,12 +16,15 @@
 //   * the CONTROL channel carries kReqFlush/kReqEpoch/kReqSnapshot/
 //     kReqSummary/kReqSpaceBits — called by query threads at any time.
 //
-// Both channels are served by their own thread against one shared shard
-// state under a mutex, so a snapshot request racing an apply sees either
-// the pre- or post-batch published state, never a torn one — the same
-// guarantee the in-process snap_mu gives. Internally the shard state IS an
-// InProcessBackend with a single shard, so apply/publish/epoch semantics
-// are identical to local shards by construction.
+// Each channel is served by its own thread against one shared shard state.
+// Requests that change the cell or read its live state take a per-cell
+// mutex; epoch, snapshot and metrics reads do not (ShardRequestTakesCellLock
+// below), so a query never queues behind an apply. A snapshot request
+// racing an apply still sees either the pre- or post-batch published state,
+// never a torn one: the cell publishes (snapshot, epoch) pairs under its
+// own snap_mu. Internally the shard state IS an InProcessBackend with a
+// single shard, so apply/publish/epoch semantics are identical to local
+// shards by construction.
 //
 // Response frames carry a Status first; a request that fails (bad frame,
 // unknown sketch index, serialization error) answers with that Status and
@@ -53,11 +56,22 @@ class Writer;
 /// response payload (Status first, then request-specific data) to `w`. This
 /// is the transport-agnostic half of the shard protocol: ShardServer calls
 /// it behind its socketpairs, TcpShardHost (tcp_transport.h) behind real
-/// TCP connections. The caller owns serialization — requests against one
-/// cell must not run concurrently (both servers hold a per-shard mutex).
+/// TCP connections. The caller owns serialization: a request for which
+/// ShardRequestTakesCellLock() is true must hold the cell's lock, the rest
+/// may run at any time.
 void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
                           uint8_t type, std::string_view payload,
                           wire::Writer* w);
+
+/// Whether a request of `type` must hold the cell's lock around
+/// DispatchShardRequest. True for the requests that change the cell or read
+/// its live, worker-owned state (apply / apply-seq, import, flush, summary,
+/// space-bits) and for the heartbeat — on purpose, so a shard wedged inside
+/// a locked request also fails its liveness probe. False for kReqEpoch,
+/// kReqSnapshot and kReqMetrics: the ShardBackend contract already lets any
+/// thread read the epoch, the published snapshot and the metric samples
+/// concurrently with ApplyBatch. Unknown types take the lock.
+bool ShardRequestTakesCellLock(uint8_t type);
 
 /// Parses a WBS_ENGINE_CRASH value of the form "after=N[,torn]" into an
 /// armed crash spec. Returns false (outputs untouched) for any other value
@@ -130,7 +144,7 @@ class ShardServer {
 
   std::unique_ptr<ShardBackend> shard_;  // 1-shard InProcessBackend
   size_t num_sketches_ = 0;
-  std::mutex mu_;  // serializes Dispatch across the two channel threads
+  std::mutex mu_;  // the cell lock (see ShardRequestTakesCellLock)
 
   int server_data_fd_ = -1;
   int server_control_fd_ = -1;

@@ -392,7 +392,8 @@ void TcpShardHost::ServeConn(Conn* conn) {
       break;
     }
     {
-      std::lock_guard<std::mutex> lock(session->mu);
+      std::unique_lock<std::mutex> lock(session->mu, std::defer_lock);
+      if (ShardRequestTakesCellLock(type)) lock.lock();
       wire::Writer w;
       if (type == wire::kReqApplySeq) {
         wire::Reader r(payload);

@@ -162,7 +162,10 @@ class TcpShardHost {
   struct Session {
     std::unique_ptr<ShardBackend> cell;
     size_t num_sketches = 0;
-    std::mutex mu;  ///< serializes dispatch across this session's channels
+    /// The cell lock: held for the requests ShardRequestTakesCellLock
+    /// names (shard_server.h) and for the apply-sequence cursor below.
+    /// Epoch, snapshot and metrics reads run without it.
+    std::mutex mu;
     uint64_t last_applied_seq = 0;
     Status last_apply_status;  ///< answered again on a replayed sequence
   };

@@ -28,6 +28,31 @@ uint32_t ReadU32Le(const char* p) {
          uint32_t(uint8_t(p[2])) << 16 | uint32_t(uint8_t(p[3])) << 24;
 }
 
+/// Slicing-by-8 tables for CRC-32 (IEEE, reflected). Row 0 is the bytewise
+/// table; row k carries a byte's contribution k bytes further, so one step
+/// folds eight input bytes with eight independent lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    tables.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
+
 }  // namespace
 
 void Writer::U32(uint32_t v) {
@@ -134,22 +159,18 @@ Status Reader::ExpectEnd() const {
 }
 
 uint32_t Crc32(const void* data, size_t len) {
-  // Software CRC-32 (IEEE, reflected), table built on first use.
-  static const auto table = [] {
-    std::vector<uint32_t> t(256);
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrc32.t;
+  const auto* p = static_cast<const char*>(data);
   uint32_t crc = 0xffffffffu;
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = crc ^ ReadU32Le(p);
+    const uint32_t hi = ReadU32Le(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ uint8_t(*p)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

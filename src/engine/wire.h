@@ -118,7 +118,11 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) of `len` bytes.
+/// CRC-32 (IEEE 802.3 polynomial, bit-reflected — the zlib/PNG checksum,
+/// so Crc32("123456789", 9) == 0xCBF43926 and the empty input gives 0) of
+/// `len` bytes at any alignment. Slicing-by-8 over compile-time tables:
+/// eight bytes per step, no heap, no first-use initialization — it runs
+/// over every framed byte on both sides of a shard boundary.
 uint32_t Crc32(const void* data, size_t len);
 
 /// Wraps `payload` in a checksummed frame of the given type.

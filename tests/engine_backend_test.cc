@@ -12,13 +12,17 @@
 //     wire (the TSan target for the socket path);
 //   * ticket-aware flow control: the max_inflight_bytes valve blocks
 //     Submit and fails TrySubmit fast, deterministically pinned with a
-//     gate sketch that parks the worker inside ApplyBatch.
+//     gate sketch that parks the worker inside ApplyBatch;
+//   * no head-of-line blocking on remote shards: with an apply parked in
+//     the shard host, Epoch / Snapshot / Metrics still answer promptly
+//     (loopback and tcp).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -513,6 +517,120 @@ TEST(FlowControlTest, InlineModeTrySubmitAppliesSynchronously) {
   EXPECT_EQ(t.value().seq, 0u);  // inline: applied before returning
   ASSERT_TRUE(client.value()->Finish().ok());
 }
+
+// ------------------------------------------------- head-of-line blocking --
+
+// A remote shard answers Epoch, Snapshot and Metrics from its published
+// state, so none of them may wait for an apply the shard host is still
+// running: the gate parks an apply inside the host while the reads go out
+// on the control channel with a 1 s budget each. Once the gate opens, the
+// remote answers must be bit-identical to an in-process cell fed the same
+// batches.
+class HeadOfLineTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
+  ASSERT_TRUE(RegisterGateSketch());
+  auto factory = BackendFactoryByName(GetParam());
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  BackendOptions bopts;
+  bopts.sketches = {"gate_sketch", "ams_f2"};
+  bopts.config = TestConfig(1 << 10, 29);
+  bopts.snapshot_min_updates = 0;  // every batch publishes
+  auto remote = factory.value()(bopts);
+  auto reference = InProcessBackendFactory()(bopts);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ShardBackend& shard = *remote.value();
+  const stream::TurnstileStream first{{1, 1}, {2, 1}, {3, 2}, {4, 1}};
+  const stream::TurnstileStream second{{1, -1}, {4, 5}, {5, 1}, {6, 3}};
+  const size_t kF2 = 1;  // ams_f2's index in the group
+
+  // Gate open: the first batch lands and publishes epoch 1 on both sides.
+  ASSERT_TRUE(shard.ApplyBatch(0, first.data(), first.size()).ok());
+  ASSERT_TRUE(reference.value()->ApplyBatch(0, first.data(), first.size()).ok());
+  auto want_parked = reference.value()->Snapshot(0, kF2);
+  ASSERT_TRUE(want_parked.ok() && want_parked.value().sketch != nullptr);
+  ASSERT_TRUE(
+      reference.value()->ApplyBatch(0, second.data(), second.size()).ok());
+  // Opens the control channel while the cell is idle: a tcp handshake reads
+  // the apply cursor under the cell lock, so a first dial would wait.
+  ASSERT_TRUE(shard.Epoch(0).ok());
+
+  // Declared before the guard below, so they are destroyed after it: a
+  // read still blocked at scope exit finishes once the gate is open.
+  std::future<Result<uint64_t>> epoch;
+  std::future<Result<ShardSnapshot>> snap;
+  std::future<Result<std::vector<MetricSample>>> metrics;
+  Gate().Close();
+  std::thread applier([&] {
+    EXPECT_TRUE(shard.ApplyBatch(0, second.data(), second.size()).ok());
+  });
+  struct Release {
+    std::thread& applier;
+    ~Release() {
+      Gate().Open();
+      if (applier.joinable()) applier.join();
+    }
+  } release{applier};
+  Gate().AwaitWaiter();  // the second apply is parked inside the host
+
+  const auto kBudget = std::chrono::seconds(1);
+  epoch = std::async(std::launch::async, [&] { return shard.Epoch(0); });
+  EXPECT_EQ(epoch.wait_for(kBudget), std::future_status::ready)
+      << "Epoch queued behind the parked apply";
+  snap = std::async(std::launch::async,
+                    [&] { return shard.Snapshot(0, kF2); });
+  EXPECT_EQ(snap.wait_for(kBudget), std::future_status::ready)
+      << "Snapshot(ams_f2) queued behind the parked apply";
+  metrics = std::async(std::launch::async, [&] { return shard.Metrics(0); });
+  EXPECT_EQ(metrics.wait_for(kBudget), std::future_status::ready)
+      << "Metrics queued behind the parked apply";
+
+  Gate().Open();
+  applier.join();
+
+  // While parked, the reads saw the state published by the first batch.
+  auto parked_epoch = epoch.get();
+  ASSERT_TRUE(parked_epoch.ok()) << parked_epoch.status().ToString();
+  EXPECT_EQ(parked_epoch.value(), 1u);
+  auto parked = snap.get();
+  ASSERT_TRUE(parked.ok()) << parked.status().ToString();
+  EXPECT_EQ(parked.value().epoch, 1u);
+  ASSERT_NE(parked.value().sketch, nullptr);
+  EXPECT_EQ(parked.value().sketch->Summary().scalar,
+            want_parked.value().sketch->Summary().scalar);
+  auto parked_metrics = metrics.get();
+  ASSERT_TRUE(parked_metrics.ok()) << parked_metrics.status().ToString();
+  bool has_epoch_sample = false;
+  for (const MetricSample& m : parked_metrics.value()) {
+    if (m.name == "epoch") {
+      has_epoch_sample = true;
+      EXPECT_EQ(m.gauge_value(), 1);
+    }
+  }
+  EXPECT_TRUE(has_epoch_sample);
+
+  // After the gate opens, the remote cell answers like the in-process one.
+  auto final_epoch = shard.Epoch(0);
+  ASSERT_TRUE(final_epoch.ok()) << final_epoch.status().ToString();
+  EXPECT_EQ(final_epoch.value(), 2u);
+  auto got = shard.Snapshot(0, kF2);
+  auto want = reference.value()->Snapshot(0, kF2);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok() && want.value().sketch != nullptr);
+  ASSERT_NE(got.value().sketch, nullptr);
+  EXPECT_EQ(got.value().epoch, want.value().epoch);
+  const SketchSummary got_summary = got.value().sketch->Summary();
+  const SketchSummary want_summary = want.value().sketch->Summary();
+  EXPECT_EQ(got_summary.scalar, want_summary.scalar);
+  EXPECT_EQ(got_summary.updates, want_summary.updates);
+  auto live = shard.LiveSummary(0, 0);  // gate_sketch counts applied updates
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(live.value().updates, uint64_t(first.size() + second.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(RemoteBackends, HeadOfLineTest,
+                         ::testing::Values("loopback", "tcp"));
 
 }  // namespace
 }  // namespace wbs::engine

@@ -132,6 +132,63 @@ TEST(WireFrameTest, WrongFormatVersionIsRejectedWithVersionError) {
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.ToString();
 }
 
+// --------------------------------------------------------------- CRC-32 --
+
+/// Bitwise CRC-32 (IEEE, reflected): the reference the table-driven
+/// wire::Crc32 must match at every length and alignment.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t len) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(WireCrc32Test, KnownAnswers) {
+  EXPECT_EQ(wire::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(wire::Crc32("", 0), 0u);
+  EXPECT_EQ(wire::Crc32(nullptr, 0), 0u);
+}
+
+TEST(WireCrc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  uint64_t state = 0xc5c32;
+  std::vector<uint8_t> buf(8 + 100);
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t& b : buf) b = uint8_t(SplitMix64(&state));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 100; ++len) {
+        const uint8_t* p = buf.data() + offset;
+        ASSERT_EQ(wire::Crc32(p, len), BitwiseCrc32(p, len))
+            << "round " << round << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(WireCrc32Test, GoldenFrameBytesAreStable) {
+  // Running engine_shardd daemons accept exactly these bytes: a change to
+  // the checksum or the frame layout must bump kFormatVersion, not
+  // silently alter them.
+  ASSERT_EQ(wire::kFormatVersion, 1);
+  const std::vector<stream::TurnstileUpdate> updates{{7, 1}, {9, -1}};
+  wire::Writer w;
+  wire::EncodeUpdates(updates.data(), updates.size(), &w);
+  const std::string frame = wire::EncodeFrame(wire::kUpdateBatch, w.data());
+  static const char kGoldenHex[] =
+      "2a00000001020200000000000000070000000000000001000000000000000900"
+      "000000000000ffffffffffffffffc0d05d6b";
+  std::string hex;
+  for (unsigned char c : frame) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  EXPECT_EQ(hex, kGoldenHex);
+}
+
 TEST(WireCodecTest, UpdateBatchRoundTrip) {
   std::vector<stream::TurnstileUpdate> in{{1, 5}, {42, -3}, {7, 0}};
   wire::Writer w;
