@@ -19,7 +19,6 @@
 
 #include "bench/bench_util.h"
 #include "common/modmath.h"
-#include "common/numa.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "counter/morris.h"
@@ -612,14 +611,16 @@ void RunEngineTcpBench(uint64_t num_updates) {
       return query_us[std::min(query_us.size() - 1,
                                size_t(q * double(query_us.size())))];
     };
-    // Control-plane RTT: a bare heartbeat probe against shard 0.
-    auto probe = opts.ingest.backend(wbs::engine::BackendOptions{
-        1, opts.ingest.sketches, opts.ingest.config, 1024, false});
+    // Control-plane RTT: a bare heartbeat probe against a shard-0 cell.
+    wbs::engine::BackendOptions probe_opts;
+    probe_opts.sketches = opts.ingest.sketches;
+    probe_opts.config = wbs::engine::ShardConfigFor(opts.ingest.config, 0);
+    auto probe = opts.ingest.backend(probe_opts);
     if (!probe.ok()) return;
     const size_t kProbes = 2000;
     const auto h0 = clock::now();
     for (size_t i = 0; i < kProbes; ++i) {
-      if (!probe.value()->Heartbeat(0, 1000).ok()) return;
+      if (!probe.value()->Heartbeat(1000).ok()) return;
     }
     const auto h1 = clock::now();
     const double heartbeat_us =
@@ -1557,7 +1558,7 @@ void RunBarrettKernels() {
 // speedup, the lane utilization (speedup / vector lanes — how much of the
 // theoretical lane win survives memory traffic and tails), and an inline
 // bit-identity check on the outputs. updates_per_sec_per_core is the
-// single-threaded kernel rate, the number NUMA placement multiplies.
+// single-threaded kernel rate.
 
 void EmitKernelRow(const char* op, const wbs::simd::KernelDispatch& k,
                    double scalar_ns, double simd_ns, bool identical) {
@@ -1813,51 +1814,6 @@ void RunKernelScatter(uint64_t num_updates) {
       .Emit();
 }
 
-// ---------------------------------------------------------- NUMA placement --
-//
-// Reports the discovered topology and A/Bs worker-thread ingest with NUMA
-// pinning on vs off. On single-node machines (most CI boxes) pinning is a
-// no-op by design and the row documents exactly that (nodes=1,
-// pinning_active=false) rather than claiming a win that cannot exist.
-
-void RunNumaPlacement(uint64_t num_updates) {
-  wbs::bench::Banner("numa_placement",
-                     "NUMA topology and pinned vs unpinned worker ingest");
-  using clock = std::chrono::steady_clock;
-  const auto& nodes = wbs::numa::Topology();
-  size_t cpus = 0;
-  for (const auto& n : nodes) cpus += n.cpus.size();
-
-  const uint64_t universe = uint64_t{1} << 20;
-  wbs::RandomTape tape(47);
-  auto zipf = wbs::stream::ZipfStream(universe, num_updates, 1.2, &tape);
-  auto run = [&](bool pin) -> double {
-    auto opts = EngineClientOptions(universe, /*shards=*/4, /*threads=*/2);
-    opts.ingest.numa_pin_workers = pin;
-    auto client = wbs::engine::Client::Create(opts);
-    if (!client.ok()) return 0;
-    const auto t0 = clock::now();
-    wbs::Status st = ReplayItems(client.value().get(), zipf, 32768);
-    if (st.ok()) st = client.value()->Finish();
-    const auto t1 = clock::now();
-    if (!st.ok()) return 0;
-    return double(zipf.size()) / std::chrono::duration<double>(t1 - t0).count();
-  };
-  const double ups_pinned = run(true);
-  const double ups_unpinned = run(false);
-  wbs::bench::JsonRow()
-      .Field("bench", "numa_placement")
-      .Field("nodes", uint64_t(nodes.size()))
-      .Field("cpus", uint64_t(cpus))
-      .Field("pinning_active", nodes.size() > 1)
-      .Field("threads", uint64_t(2))
-      .Field("updates", uint64_t(zipf.size()))
-      .Field("updates_per_sec_pinned", ups_pinned)
-      .Field("updates_per_sec_unpinned", ups_unpinned)
-      .Field("speedup", ups_unpinned > 0 ? ups_pinned / ups_unpinned : 0)
-      .Emit();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1895,7 +1851,6 @@ int main(int argc, char** argv) {
     RunBarrettKernels();
     RunKernelSimd();
     RunKernelScatter(engine_updates);
-    RunNumaPlacement(engine_updates);
   }
   if (engine_only) return 0;
   int pargc = int(passthrough.size());

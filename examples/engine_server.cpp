@@ -577,7 +577,7 @@ int main(int argc, char** argv) {
       "3 producer threads, %s backend)\n",
       (unsigned long long)client->updates_submitted(),
       client->ingestor().num_shards(), client->ingestor().num_threads(),
-      client->ingestor().backend().name().c_str());
+      backend_name.c_str());
   auto topo = client->Topology();
   std::printf(
       "live reshard: AddShards(2) + MoveShard(0 -> %s cell) mid-traffic; "

@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "engine/registry.h"
+#include "engine/wire.h"
 
 namespace wbs::engine {
 namespace {
@@ -25,26 +26,19 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t salt, uint64_t index) {
 }
 
 /// The engine's original process-local shard code behind the ShardBackend
-/// interface: raw-pointer apply, shared per-shard aggregation scratch,
-/// clone-based snapshot slots with an atomic epoch.
+/// interface: raw-pointer apply, aggregation scratch shared by the group,
+/// clone-based snapshot slot with an atomic epoch.
 class InProcessBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
       const BackendOptions& options) {
-    std::unique_ptr<InProcessBackend> backend(new InProcessBackend(options));
-    for (size_t shard = 0; shard < options.num_shards; ++shard) {
-      auto sh = std::make_unique<Shard>();
-      sh->cfg = options.shard_seeds_resolved
-                    ? options.config
-                    : ShardConfigFor(options.config, shard);
-      for (const std::string& name : options.sketches) {
-        auto sketch = SketchRegistry::Global().Create(name, sh->cfg);
-        if (!sketch.ok()) return sketch.status();
-        sh->sketches.push_back(std::move(sketch).value());
-      }
-      backend->shards_.push_back(std::move(sh));
+    std::unique_ptr<InProcessBackend> cell(new InProcessBackend(options));
+    for (const std::string& name : options.sketches) {
+      auto sketch = SketchRegistry::Global().Create(name, options.config);
+      if (!sketch.ok()) return sketch.status();
+      cell->sketches_.push_back(std::move(sketch).value());
     }
-    return Result<std::unique_ptr<ShardBackend>>(std::move(backend));
+    return Result<std::unique_ptr<ShardBackend>>(std::move(cell));
   }
 
   const std::string& name() const override {
@@ -52,69 +46,47 @@ class InProcessBackend final : public ShardBackend {
     return kName;
   }
 
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*zero_copy=*/true,
-                               /*crosses_process_boundary=*/false,
-                               wire::kFormatVersion};
-  }
-
-  size_t num_shards() const override { return shards_.size(); }
-
-  Status ApplyBatch(size_t shard_index, const stream::TurnstileUpdate* data,
+  Status ApplyBatch(const stream::TurnstileUpdate* data,
                     size_t count) override {
-    if (shard_index >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
-    Shard& shard = *shards_[shard_index];
-    // Aggregate once per shard batch; every weight-equivalent sketch in the
-    // shard's group consumes the shared result instead of re-hashing the
-    // batch, which is where most of the engine's batching win comes from.
+    // Aggregate once per batch; every weight-equivalent sketch in the group
+    // consumes the shared result instead of re-hashing the batch, which is
+    // where most of the engine's batching win comes from.
     auto [effective, has_negative] =
-        AggregateUpdates(data, count, &shard.agg, &shard.agg_index);
-    UpdateBatch batch{data,           count,     shard.agg.data(),
-                      shard.agg.size(), effective, has_negative};
-    for (auto& sketch : shard.sketches) {
+        AggregateUpdates(data, count, &agg_, &agg_index_);
+    UpdateBatch batch{data,        count,     agg_.data(),
+                      agg_.size(), effective, has_negative};
+    for (auto& sketch : sketches_) {
       Status s = sketch->ApplyBatch(batch);
       if (!s.ok()) return s;
     }
     // Relaxed: the applier is the only writer; concurrent Metrics() readers
     // just want a recent value for the snapshot-lag gauge.
     const uint64_t since =
-        shard.updates_since_publish.load(std::memory_order_relaxed) + count;
-    shard.updates_since_publish.store(since, std::memory_order_relaxed);
-    if (since >= options_.snapshot_min_updates) {
-      PublishShard(shard);
-    }
+        updates_since_publish_.load(std::memory_order_relaxed) + count;
+    updates_since_publish_.store(since, std::memory_order_relaxed);
+    if (since >= options_.snapshot_min_updates) Publish();
     return Status::OK();
   }
 
-  Result<uint64_t> Epoch(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
-    return shards_[shard]->epoch.load(std::memory_order_acquire);
+  Result<uint64_t> Epoch() const override {
+    return epoch_.load(std::memory_order_acquire);
   }
 
-  Result<ShardSnapshot> Snapshot(size_t shard_index,
-                                 size_t sketch_index) const override {
-    if (shard_index >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
+  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("inprocess backend: sketch out of range");
     }
-    Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> lock(shard.snap_mu);
-    if (!shard.snap_error.ok()) return shard.snap_error;
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    if (!snap_error_.ok()) return snap_error_;
     ShardSnapshot snap;
-    snap.sketch = shard.snaps.empty() ? nullptr : shard.snaps[sketch_index];
-    snap.epoch = shard.epoch.load(std::memory_order_relaxed);
+    snap.sketch = snaps_.empty() ? nullptr : snaps_[sketch_index];
+    snap.epoch = epoch_.load(std::memory_order_relaxed);
     return snap;
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
-      size_t shard, size_t sketch_index) const override {
-    auto snap = Snapshot(shard, sketch_index);
+      size_t sketch_index) const override {
+    auto snap = Snapshot(sketch_index);
     if (!snap.ok()) return snap.status();
     SerializedSnapshot out;
     out.epoch = snap.value().epoch;
@@ -122,7 +94,7 @@ class InProcessBackend final : public ShardBackend {
     const auto t0 = std::chrono::steady_clock::now();
     auto frame = SerializeSketch(*snap.value().sketch);
     if (!frame.ok()) return frame.status();
-    shards_[shard]->serialize_us.Record(uint64_t(
+    serialize_us_.Record(uint64_t(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
@@ -130,303 +102,126 @@ class InProcessBackend final : public ShardBackend {
     return out;
   }
 
-  Status Flush(size_t shard) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
-    if (shards_[shard]->updates_since_publish.load(
-            std::memory_order_relaxed) > 0) {
-      PublishShard(*shards_[shard]);
+  Status Flush() override {
+    if (updates_since_publish_.load(std::memory_order_relaxed) > 0) {
+      Publish();
     }
     return Status::OK();
   }
 
-  Status ImportShardState(size_t shard_index,
-                          const std::vector<std::string>& frames) override {
-    if (shard_index >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
+  Status ImportShardState(const std::vector<std::string>& frames) override {
     if (frames.size() != options_.sketches.size()) {
       return Status::InvalidArgument(
           "inprocess backend: handoff frame count does not match the "
           "configured sketch group");
     }
-    Shard& shard = *shards_[shard_index];
     // Decode everything into fresh instances BEFORE touching the live
-    // group, so a bad frame leaves the shard exactly as it was.
+    // group, so a bad frame leaves the cell exactly as it was.
     std::vector<std::unique_ptr<Sketch>> imported;
     imported.reserve(frames.size());
     for (size_t i = 0; i < frames.size(); ++i) {
       auto sketch =
-          DeserializeSketch(options_.sketches[i], shard.cfg, frames[i]);
+          DeserializeSketch(options_.sketches[i], options_.config, frames[i]);
       if (!sketch.ok()) return sketch.status();
       imported.push_back(std::move(sketch).value());
     }
-    shard.sketches = std::move(imported);
-    shard.updates_since_publish.store(0, std::memory_order_relaxed);
+    sketches_ = std::move(imported);
+    updates_since_publish_.store(0, std::memory_order_relaxed);
     // Publish immediately: the imported history must be merge-visible the
     // moment the new placement is routed to, or the shard's entire past
     // would vanish from answers until its first post-handoff batch.
-    PublishShard(shard);
-    std::lock_guard<std::mutex> lock(shard.snap_mu);
-    return shard.snap_error;
+    Publish();
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return snap_error_;
   }
 
-  Result<std::vector<MetricSample>> Metrics(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
-    const Shard& sh = *shards_[shard];
+  Result<std::vector<MetricSample>> Metrics() const override {
     std::vector<MetricSample> out;
-    out.push_back(GaugeSample(
-        "epoch", int64_t(sh.epoch.load(std::memory_order_relaxed))));
+    out.push_back(
+        GaugeSample("epoch", int64_t(epoch_.load(std::memory_order_relaxed))));
     out.push_back(GaugeSample(
         "snapshot_lag_updates",
-        int64_t(sh.updates_since_publish.load(std::memory_order_relaxed))));
-    out.push_back(HistogramSample("serialize_us", sh.serialize_us));
+        int64_t(updates_since_publish_.load(std::memory_order_relaxed))));
+    out.push_back(HistogramSample("serialize_us", serialize_us_));
     return out;
   }
 
-  Result<SketchSummary> LiveSummary(size_t shard,
-                                    size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("inprocess backend: shard out of range");
-    }
+  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("inprocess backend: sketch out of range");
     }
-    return shards_[shard]->sketches[sketch_index]->Summary();
+    return sketches_[sketch_index]->Summary();
   }
 
   uint64_t SpaceBits() const override {
     uint64_t bits = 0;
-    for (const auto& shard : shards_) {
-      for (const auto& sketch : shard->sketches) bits += sketch->SpaceBits();
-    }
+    for (const auto& sketch : sketches_) bits += sketch->SpaceBits();
     return bits;
   }
 
  private:
-  struct Shard {
-    std::vector<std::unique_ptr<Sketch>> sketches;
-    SketchConfig cfg;  ///< per-shard config (shard_seed resolved)
-    // Aggregation scratch, computed once per shard batch and shared with
-    // every weight-equivalent sketch via UpdateBatch. Touched only by the
-    // shard's single applier (see the ShardBackend contract).
-    std::vector<stream::TurnstileUpdate> agg;
-    std::unordered_map<uint64_t, size_t> agg_index;
-
-    // Snapshot slot. `snaps` are clones published at batch boundaries;
-    // `epoch` counts publications and is bumped (release) inside snap_mu,
-    // so (snaps, epoch) always read as a consistent pair under the mutex
-    // while lock-free epoch loads give cheap dirty checks.
-    // updates_since_publish is written only by the applier thread; the
-    // atomic exists so the snapshot-lag gauge can read it from any thread.
-    // Both hot atomics live on their own cache lines: updates_since_publish
-    // is bumped by the applier on every batch while epoch is polled by
-    // reader threads for dirty checks, and letting them (or the cold
-    // members around them) share a line puts the applier's RMW traffic on
-    // the readers' line.
-    alignas(64) std::atomic<uint64_t> updates_since_publish{0};
-    alignas(64) std::atomic<uint64_t> epoch{0};
-    mutable Histogram serialize_us;  ///< SnapshotSerialized encode latency
-    mutable std::mutex snap_mu;
-    std::vector<std::shared_ptr<const Sketch>> snaps;  // per sketch index
-    Status snap_error;  // first failed publish, under snap_mu
-  };
-
   explicit InProcessBackend(BackendOptions options)
       : options_(std::move(options)) {}
 
-  /// Clones every sketch of the shard into its snapshot slot and bumps the
-  /// epoch. Called by the shard's applier (or Flush at quiescence);
-  /// failures are stashed in the slot (they poison snapshot queries, not
-  /// ingestion).
-  void PublishShard(Shard& shard) {
+  /// Clones every sketch of the group into the snapshot slot and bumps the
+  /// epoch. Called by the applier (or Flush at quiescence); failures are
+  /// stashed in the slot (they poison snapshot queries, not ingestion).
+  void Publish() {
     // Clone = fresh registry instance + MergeFrom(live). State-mergeable
     // sketches copy their state; answer-level sketches fold their current
     // summary — exactly the representation the merge path consumes. Cloning
     // happens outside the lock so readers are never blocked on it.
-    std::vector<std::shared_ptr<const Sketch>> snaps(shard.sketches.size());
-    for (size_t i = 0; i < shard.sketches.size(); ++i) {
-      auto fresh =
-          SketchRegistry::Global().Create(options_.sketches[i], shard.cfg);
-      Status s = fresh.ok() ? fresh.value()->MergeFrom(*shard.sketches[i])
+    std::vector<std::shared_ptr<const Sketch>> snaps(sketches_.size());
+    for (size_t i = 0; i < sketches_.size(); ++i) {
+      auto fresh = SketchRegistry::Global().Create(options_.sketches[i],
+                                                   options_.config);
+      Status s = fresh.ok() ? fresh.value()->MergeFrom(*sketches_[i])
                             : fresh.status();
       if (!s.ok()) {
-        // Bump the epoch so queries see the shard as dirty and surface the
+        // Bump the epoch so queries see the cell as dirty and surface the
         // stashed error rather than silently serving the stale snapshot; a
         // later successful publish clears it and recovers.
-        std::lock_guard<std::mutex> lock(shard.snap_mu);
-        shard.snap_error = s;
-        shard.epoch.fetch_add(1, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(snap_mu_);
+        snap_error_ = s;
+        epoch_.fetch_add(1, std::memory_order_release);
         return;
       }
       snaps[i] = std::move(fresh).value();
     }
     {
-      std::lock_guard<std::mutex> lock(shard.snap_mu);
-      shard.snaps = std::move(snaps);
-      shard.snap_error = Status::OK();
-      shard.epoch.fetch_add(1, std::memory_order_release);
+      std::lock_guard<std::mutex> lock(snap_mu_);
+      snaps_ = std::move(snaps);
+      snap_error_ = Status::OK();
+      epoch_.fetch_add(1, std::memory_order_release);
     }
-    shard.updates_since_publish.store(0, std::memory_order_relaxed);
+    updates_since_publish_.store(0, std::memory_order_relaxed);
   }
 
-  BackendOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
+  const BackendOptions options_;  ///< config carries the resolved shard seed
+  std::vector<std::unique_ptr<Sketch>> sketches_;
+  // Aggregation scratch, computed once per batch and shared with every
+  // weight-equivalent sketch via UpdateBatch. Touched only by the single
+  // applier (see the ShardBackend contract).
+  std::vector<stream::TurnstileUpdate> agg_;
+  std::unordered_map<uint64_t, size_t> agg_index_;
 
-/// Mixed placement behind one ShardBackend: shard i delegates to a
-/// single-shard child built from the i-th placement factory (cycled). Each
-/// child receives the shard seed resolved for the GLOBAL shard id, so a
-/// shard's sampling is independent of which placement pattern hosts it —
-/// the composite engine's answers match a homogeneous engine exactly
-/// (bit-identically for the state-mergeable families).
-class CompositeBackend final : public ShardBackend {
- public:
-  static Result<std::unique_ptr<ShardBackend>> Create(
-      const BackendOptions& options, std::vector<BackendFactory> placements) {
-    if (placements.empty()) {
-      return Status::InvalidArgument(
-          "composite backend: at least one placement factory required");
-    }
-    std::unique_ptr<CompositeBackend> backend(new CompositeBackend());
-    for (size_t shard = 0; shard < options.num_shards; ++shard) {
-      BackendOptions child_opts = options;
-      child_opts.num_shards = 1;
-      child_opts.config = options.shard_seeds_resolved
-                              ? options.config
-                              : ShardConfigFor(options.config, shard);
-      child_opts.shard_seeds_resolved = true;
-      auto child = placements[shard % placements.size()](child_opts);
-      if (!child.ok()) return child.status();
-      if (child.value() == nullptr || child.value()->num_shards() != 1) {
-        return Status::Internal(
-            "composite backend: placement factory returned a mismatched "
-            "child");
-      }
-      backend->children_.push_back(std::move(child).value());
-    }
-    return Result<std::unique_ptr<ShardBackend>>(std::move(backend));
-  }
-
-  const std::string& name() const override {
-    static const std::string kName = "composite";
-    return kName;
-  }
-
-  BackendCapabilities capabilities() const override {
-    BackendCapabilities caps{/*zero_copy=*/true,
-                             /*crosses_process_boundary=*/false,
-                             wire::kFormatVersion};
-    for (const auto& child : children_) {
-      const BackendCapabilities c = child->capabilities();
-      caps.zero_copy &= c.zero_copy;
-      caps.crosses_process_boundary |= c.crosses_process_boundary;
-    }
-    return caps;
-  }
-
-  size_t num_shards() const override { return children_.size(); }
-
-  Status ApplyBatch(size_t shard, const stream::TurnstileUpdate* data,
-                    size_t count) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->ApplyBatch(0, data, count);
-  }
-
-  Result<uint64_t> Epoch(size_t shard) const override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->Epoch(0);
-  }
-
-  Result<ShardSnapshot> Snapshot(size_t shard,
-                                 size_t sketch_index) const override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->Snapshot(0, sketch_index);
-  }
-
-  Result<SerializedSnapshot> SnapshotSerialized(
-      size_t shard, size_t sketch_index) const override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->SnapshotSerialized(0, sketch_index);
-  }
-
-  Status Flush(size_t shard) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->Flush(0);
-  }
-
-  Status ImportShardState(size_t shard,
-                          const std::vector<std::string>& frames) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->ImportShardState(0, frames);
-  }
-
-  Result<std::vector<MetricSample>> Metrics(size_t shard) const override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->Metrics(0);
-  }
-
-  Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->Heartbeat(0, timeout_ms);
-  }
-
-  Status InjectCrash(size_t shard, bool torn) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->InjectCrash(0, torn);
-  }
-
-  Status InjectPartition(size_t shard) override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->InjectPartition(0);
-  }
-
-  std::string Endpoint(size_t shard) const override {
-    if (shard >= children_.size()) return std::string();
-    return children_[shard]->Endpoint(0);
-  }
-
-  Result<SketchSummary> LiveSummary(size_t shard,
-                                    size_t sketch_index) const override {
-    if (shard >= children_.size()) {
-      return Status::OutOfRange("composite backend: shard out of range");
-    }
-    return children_[shard]->LiveSummary(0, sketch_index);
-  }
-
-  uint64_t SpaceBits() const override {
-    uint64_t bits = 0;
-    for (const auto& child : children_) bits += child->SpaceBits();
-    return bits;
-  }
-
- private:
-  CompositeBackend() = default;
-
-  std::vector<std::unique_ptr<ShardBackend>> children_;
+  // Snapshot slot. `snaps_` are clones published at batch boundaries;
+  // `epoch_` counts publications and is bumped (release) inside snap_mu_,
+  // so (snaps_, epoch_) always read as a consistent pair under the mutex
+  // while lock-free epoch loads give cheap dirty checks.
+  // updates_since_publish_ is written only by the applier thread; the
+  // atomic exists so the snapshot-lag gauge can read it from any thread.
+  // Both hot atomics live on their own cache lines: updates_since_publish_
+  // is bumped by the applier on every batch while epoch_ is polled by
+  // reader threads for dirty checks, and letting them (or the cold
+  // members around them) share a line puts the applier's RMW traffic on
+  // the readers' line.
+  alignas(64) std::atomic<uint64_t> updates_since_publish_{0};
+  alignas(64) std::atomic<uint64_t> epoch_{0};
+  mutable Histogram serialize_us_;  ///< SnapshotSerialized encode latency
+  mutable std::mutex snap_mu_;
+  std::vector<std::shared_ptr<const Sketch>> snaps_;  // per sketch index
+  Status snap_error_;  // first failed publish, under snap_mu_
 };
 
 }  // namespace
@@ -434,13 +229,6 @@ class CompositeBackend final : public ShardBackend {
 BackendFactory InProcessBackendFactory() {
   return [](const BackendOptions& options) {
     return InProcessBackend::Create(options);
-  };
-}
-
-BackendFactory CompositeBackendFactory(
-    std::vector<BackendFactory> placements) {
-  return [placements = std::move(placements)](const BackendOptions& options) {
-    return CompositeBackend::Create(options, placements);
   };
 }
 

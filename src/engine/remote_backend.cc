@@ -26,23 +26,15 @@ class LoopbackRemoteBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
       const BackendOptions& options) {
-    std::unique_ptr<LoopbackRemoteBackend> backend(
-        new LoopbackRemoteBackend(options));
-    for (size_t shard = 0; shard < options.num_shards; ++shard) {
-      auto rs = std::make_unique<RemoteShard>();
-      rs->cfg = options.shard_seeds_resolved
-                    ? options.config
-                    : ShardConfigFor(options.config, shard);
-      ShardServerOptions sopts;
-      sopts.sketches = options.sketches;
-      sopts.config = rs->cfg;
-      sopts.snapshot_min_updates = options.snapshot_min_updates;
-      auto server = ShardServer::Start(sopts);
-      if (!server.ok()) return server.status();
-      rs->server = std::move(server).value();
-      backend->shards_.push_back(std::move(rs));
-    }
-    return Result<std::unique_ptr<ShardBackend>>(std::move(backend));
+    ShardServerOptions sopts;
+    sopts.sketches = options.sketches;
+    sopts.config = options.config;
+    sopts.snapshot_min_updates = options.snapshot_min_updates;
+    auto server = ShardServer::Start(sopts);
+    if (!server.ok()) return server.status();
+    return Result<std::unique_ptr<ShardBackend>>(
+        std::unique_ptr<LoopbackRemoteBackend>(new LoopbackRemoteBackend(
+            options, std::move(server).value())));
   }
 
   const std::string& name() const override {
@@ -50,24 +42,13 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return kName;
   }
 
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*zero_copy=*/false,
-                               /*crosses_process_boundary=*/true,
-                               wire::kFormatVersion};
-  }
-
-  size_t num_shards() const override { return shards_.size(); }
-
-  Status ApplyBatch(size_t shard, const stream::TurnstileUpdate* data,
+  Status ApplyBatch(const stream::TurnstileUpdate* data,
                     size_t count) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
     wire::Writer w;
     wire::EncodeUpdates(data, count, &w);
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
-                         wire::kReqApply, w.data(), &resp);
+    Status s = RoundTrip(/*data_channel=*/true, wire::kReqApply, w.data(),
+                         &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -75,13 +56,9 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return remote;  // trailing epoch is advisory; the dirty scan polls it
   }
 
-  Result<uint64_t> Epoch(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
+  Result<uint64_t> Epoch() const override {
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqEpoch, {}, &resp);
+    Status s = RoundTrip(/*data_channel=*/false, wire::kReqEpoch, {}, &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -92,36 +69,31 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return epoch;
   }
 
-  Result<ShardSnapshot> Snapshot(size_t shard,
-                                 size_t sketch_index) const override {
-    auto serialized = SnapshotSerialized(shard, sketch_index);
+  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
+    auto serialized = SnapshotSerialized(sketch_index);
     if (!serialized.ok()) return serialized.status();
     ShardSnapshot snap;
     snap.epoch = serialized.value().epoch;
     if (serialized.value().state.empty()) return snap;  // never published
     const auto t0 = std::chrono::steady_clock::now();
-    auto sketch =
-        DeserializeSketch(options_.sketches[sketch_index],
-                          shards_[shard]->cfg, serialized.value().state);
+    auto sketch = DeserializeSketch(options_.sketches[sketch_index],
+                                    options_.config, serialized.value().state);
     if (!sketch.ok()) return sketch.status();
-    shards_[shard]->deserialize_us.Record(ElapsedUs(t0));
+    deserialize_us_.Record(ElapsedUs(t0));
     snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
     return snap;
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
-      size_t shard, size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
+      size_t sketch_index) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("loopback backend: sketch out of range");
     }
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqSnapshot, req.data(), &resp);
+    Status s = RoundTrip(/*data_channel=*/false, wire::kReqSnapshot,
+                         req.data(), &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -133,13 +105,9 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return out;
   }
 
-  Status Flush(size_t shard) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
+  Status Flush() override {
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqFlush, {}, &resp);
+    Status s = RoundTrip(/*data_channel=*/false, wire::kReqFlush, {}, &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -147,11 +115,7 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status ImportShardState(size_t shard,
-                          const std::vector<std::string>& frames) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
+  Status ImportShardState(const std::vector<std::string>& frames) override {
     if (frames.size() != options_.sketches.size()) {
       return Status::InvalidArgument(
           "loopback backend: handoff frame count does not match the "
@@ -165,8 +129,8 @@ class LoopbackRemoteBackend final : public ShardBackend {
     req.U32(uint32_t(frames.size()));
     for (const std::string& frame : frames) req.Str(frame);
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/true,
-                         wire::kReqImport, req.data(), &resp);
+    Status s = RoundTrip(/*data_channel=*/true, wire::kReqImport, req.data(),
+                         &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -174,21 +138,17 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    const RemoteShard& rs = *shards_[shard];
-    if (rs.poisoned.load(std::memory_order_acquire)) {
+  Status Heartbeat(uint64_t timeout_ms) override {
+    if (poisoned_.load(std::memory_order_acquire)) {
       return Status::Unavailable(
           "loopback shard unreachable (poisoned channel)");
     }
-    std::lock_guard<std::mutex> lock(rs.control_mu);
-    const int fd = rs.server->control_fd();
+    std::lock_guard<std::mutex> lock(control_mu_);
+    const int fd = server_->control_fd();
     Status s = wire::WriteFrameFd(fd, wire::kReqHeartbeat, {});
-    if (!s.ok()) return TransportFailure(rs, s);
-    rs.frames_out.Inc();
-    rs.bytes_out.Inc(FramedBytes(0));
+    if (!s.ok()) return TransportFailure(s);
+    frames_out_.Inc();
+    bytes_out_.Inc(FramedBytes(0));
     uint8_t resp_type = 0;
     std::string_view resp_payload;
     s = wire::ReadFrameFdTimeout(fd, int(timeout_ms), &frame_scratch(),
@@ -196,18 +156,18 @@ class LoopbackRemoteBackend final : public ShardBackend {
     if (s.code() == Status::Code::kDeadlineExceeded) {
       // The deadline passed with no answer. A LATE answer arriving after we
       // give up would desync the channel framing for the next caller, so
-      // the shard's channels are poisoned — every later call fails fast as
+      // the cell's channels are poisoned — every later call fails fast as
       // Unavailable until the placement is re-homed.
-      rs.recv_errors.Inc();
-      rs.poisoned.store(true, std::memory_order_release);
+      recv_errors_.Inc();
+      poisoned_.store(true, std::memory_order_release);
       return s;
     }
-    if (!s.ok()) return TransportFailure(rs, s);
-    rs.frames_in.Inc();
-    rs.bytes_in.Inc(FramedBytes(resp_payload.size()));
+    if (!s.ok()) return TransportFailure(s);
+    frames_in_.Inc();
+    bytes_in_.Inc(FramedBytes(resp_payload.size()));
     if (resp_type != wire::kResp) {
       return TransportFailure(
-          rs, Status::Internal("loopback backend: unexpected response type"));
+          Status::Internal("loopback backend: unexpected response type"));
     }
     wire::Reader r(resp_payload);
     Status remote = Status::OK();
@@ -215,24 +175,17 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status InjectCrash(size_t shard, bool torn) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    shards_[shard]->server->CrashNow(torn);
+  Status InjectCrash(bool torn) override {
+    server_->CrashNow(torn);
     return Status::OK();
   }
 
-  Result<SketchSummary> LiveSummary(size_t shard,
-                                    size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
+  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
     std::string resp;
-    Status s = RoundTrip(*shards_[shard], /*data_channel=*/false,
-                         wire::kReqSummary, req.data(), &resp);
+    Status s = RoundTrip(/*data_channel=*/false, wire::kReqSummary,
+                         req.data(), &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -243,17 +196,12 @@ class LoopbackRemoteBackend final : public ShardBackend {
     return summary;
   }
 
-  Result<std::vector<MetricSample>> Metrics(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("loopback backend: shard out of range");
-    }
-    const RemoteShard& rs = *shards_[shard];
-    // The shard's own samples (epoch, snapshot lag, serialize latency)
+  Result<std::vector<MetricSample>> Metrics() const override {
+    // The cell's own samples (epoch, snapshot lag, serialize latency)
     // report THROUGH the control channel — the remote cell is the source
     // of truth for its state, exactly like every other query.
     std::string resp;
-    Status s = RoundTrip(rs, /*data_channel=*/false, wire::kReqMetrics, {},
-                         &resp);
+    Status s = RoundTrip(/*data_channel=*/false, wire::kReqMetrics, {}, &resp);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -262,65 +210,34 @@ class LoopbackRemoteBackend final : public ShardBackend {
     std::vector<MetricSample> out;
     if (Status sm = wire::DecodeMetricSamples(&r, &out); !sm.ok()) return sm;
     // Client-side channel counters ride along under the wire.* prefix.
-    out.push_back(CounterSample("wire.frames_out_total", rs.frames_out));
-    out.push_back(CounterSample("wire.frames_in_total", rs.frames_in));
-    out.push_back(CounterSample("wire.bytes_out_total", rs.bytes_out));
-    out.push_back(CounterSample("wire.bytes_in_total", rs.bytes_in));
-    out.push_back(CounterSample("wire.crc_rejects_total", rs.crc_rejects));
-    out.push_back(CounterSample("wire.recv_errors_total", rs.recv_errors));
-    out.push_back(HistogramSample("wire.roundtrip_us", rs.roundtrip_us));
-    out.push_back(HistogramSample("wire.deserialize_us", rs.deserialize_us));
+    out.push_back(CounterSample("wire.frames_out_total", frames_out_));
+    out.push_back(CounterSample("wire.frames_in_total", frames_in_));
+    out.push_back(CounterSample("wire.bytes_out_total", bytes_out_));
+    out.push_back(CounterSample("wire.bytes_in_total", bytes_in_));
+    out.push_back(CounterSample("wire.crc_rejects_total", crc_rejects_));
+    out.push_back(CounterSample("wire.recv_errors_total", recv_errors_));
+    out.push_back(HistogramSample("wire.roundtrip_us", roundtrip_us_));
+    out.push_back(HistogramSample("wire.deserialize_us", deserialize_us_));
     return out;
   }
 
   uint64_t SpaceBits() const override {
+    std::string resp;
+    if (!RoundTrip(false, wire::kReqSpaceBits, {}, &resp).ok()) return 0;
+    wire::Reader r(resp);
+    Status remote = Status::OK();
     uint64_t bits = 0;
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      std::string resp;
-      if (!RoundTrip(*shards_[shard], false, wire::kReqSpaceBits, {}, &resp)
-               .ok()) {
-        return 0;
-      }
-      wire::Reader r(resp);
-      Status remote = Status::OK();
-      uint64_t shard_bits = 0;
-      if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
-          !r.U64(&shard_bits).ok()) {
-        return 0;
-      }
-      bits += shard_bits;
+    if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
+        !r.U64(&bits).ok()) {
+      return 0;
     }
     return bits;
   }
 
  private:
-  struct RemoteShard {
-    std::unique_ptr<ShardServer> server;
-    SketchConfig cfg;  ///< resolved shard config (for deserialization)
-    // The data channel has a single caller by the backend contract, but the
-    // mutex also covers inline mode and keeps the channel framing safe by
-    // construction; the control channel is shared by query threads.
-    mutable std::mutex data_mu;
-    mutable std::mutex control_mu;
-    // Client-side channel observability (relaxed atomics, safe from both
-    // channels at once). Counted per round trip in RoundTrip().
-    mutable Counter frames_out;
-    mutable Counter frames_in;
-    mutable Counter bytes_out;  ///< framed bytes written (incl. headers/CRC)
-    mutable Counter bytes_in;
-    mutable Counter crc_rejects;  ///< responses rejected for a bad checksum
-    mutable Counter recv_errors;  ///< other failed response reads
-    mutable Histogram roundtrip_us;
-    mutable Histogram deserialize_us;  ///< snapshot state decode latency
-    /// Sticky failure flag: set on the first transport-level failure
-    /// (failed write, failed/corrupt read, heartbeat timeout). Once the
-    /// stream alignment cannot be trusted, every later call on the shard
-    /// fails fast with Unavailable instead of reading a stale frame.
-    mutable std::atomic<bool> poisoned{false};
-  };
-
-  explicit LoopbackRemoteBackend(BackendOptions options)
-      : options_(std::move(options)) {}
+  LoopbackRemoteBackend(BackendOptions options,
+                        std::unique_ptr<ShardServer> server)
+      : options_(std::move(options)), server_(std::move(server)) {}
 
   static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
     return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -332,66 +249,85 @@ class LoopbackRemoteBackend final : public ShardBackend {
   /// u32 length + version + type + payload + u32 crc.
   static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }
 
-  /// Classifies and records a transport-level failure, poisons the shard's
+  /// Classifies and records a transport-level failure, poisons the cell's
   /// channels, and maps it to Unavailable — the code the engine's failover
   /// layer keys off to distinguish "the placement is unreachable" (degrade,
   /// recover) from "the sketch rejected the request" (poison the pipeline).
-  Status TransportFailure(const RemoteShard& shard, const Status& s) const {
+  Status TransportFailure(const Status& s) const {
     // A checksum reject means the bytes arrived but failed validation —
     // the corruption counter the health surface watches. Everything else
     // (EOF, EPIPE, short frame, protocol desync) is a receive error.
     if (s.message().find("checksum") != std::string::npos) {
-      shard.crc_rejects.Inc();
+      crc_rejects_.Inc();
     } else {
-      shard.recv_errors.Inc();
+      recv_errors_.Inc();
     }
-    shard.poisoned.store(true, std::memory_order_release);
+    poisoned_.store(true, std::memory_order_release);
     return Status::Unavailable("loopback shard unreachable: " + s.ToString());
   }
 
-  /// One request/response exchange on the shard's chosen channel. The
-  /// response payload (after frame validation) lands in `resp`.
-  Status RoundTrip(const RemoteShard& shard, bool data_channel, uint8_t type,
-                   std::string_view payload, std::string* resp) const {
-    if (shard.poisoned.load(std::memory_order_acquire)) {
+  /// One request/response exchange on the chosen channel. The response
+  /// payload (after frame validation) lands in `resp`.
+  Status RoundTrip(bool data_channel, uint8_t type, std::string_view payload,
+                   std::string* resp) const {
+    if (poisoned_.load(std::memory_order_acquire)) {
       return Status::Unavailable(
           "loopback shard unreachable (poisoned channel)");
     }
-    std::mutex& mu = data_channel ? shard.data_mu : shard.control_mu;
-    const int fd = data_channel ? shard.server->data_fd()
-                                : shard.server->control_fd();
+    std::mutex& mu = data_channel ? data_mu_ : control_mu_;
+    const int fd = data_channel ? server_->data_fd() : server_->control_fd();
     std::lock_guard<std::mutex> lock(mu);
     // Timed from the write, like tcp: waiting for the channel is not part
     // of the round trip.
     const auto t0 = std::chrono::steady_clock::now();
     Status s = wire::WriteFrameFd(fd, type, payload);
-    if (!s.ok()) return TransportFailure(shard, s);
-    shard.frames_out.Inc();
-    shard.bytes_out.Inc(FramedBytes(payload.size()));
+    if (!s.ok()) return TransportFailure(s);
+    frames_out_.Inc();
+    bytes_out_.Inc(FramedBytes(payload.size()));
     uint8_t resp_type = 0;
     std::string_view resp_payload;
     s = wire::ReadFrameFd(fd, &frame_scratch(), &resp_type, &resp_payload);
-    if (!s.ok()) return TransportFailure(shard, s);
-    shard.frames_in.Inc();
-    shard.bytes_in.Inc(FramedBytes(resp_payload.size()));
-    shard.roundtrip_us.Record(ElapsedUs(t0));
+    if (!s.ok()) return TransportFailure(s);
+    frames_in_.Inc();
+    bytes_in_.Inc(FramedBytes(resp_payload.size()));
+    roundtrip_us_.Record(ElapsedUs(t0));
     if (resp_type != wire::kResp) {
       return TransportFailure(
-          shard, Status::Internal("loopback backend: unexpected response type"));
+          Status::Internal("loopback backend: unexpected response type"));
     }
     resp->assign(resp_payload);
     return Status::OK();
   }
 
-  /// Per-thread frame buffer so concurrent round trips (different shards /
+  /// Per-thread frame buffer so concurrent round trips (different cells /
   /// channels) do not share scratch.
   static std::string& frame_scratch() {
     thread_local std::string buf;
     return buf;
   }
 
-  BackendOptions options_;
-  std::vector<std::unique_ptr<RemoteShard>> shards_;
+  const BackendOptions options_;  ///< config carries the resolved shard seed
+  std::unique_ptr<ShardServer> server_;
+  // The data channel has a single caller by the backend contract, but the
+  // mutex also covers inline mode and keeps the channel framing safe by
+  // construction; the control channel is shared by query threads.
+  mutable std::mutex data_mu_;
+  mutable std::mutex control_mu_;
+  // Client-side channel observability (relaxed atomics, safe from both
+  // channels at once). Counted per round trip in RoundTrip().
+  mutable Counter frames_out_;
+  mutable Counter frames_in_;
+  mutable Counter bytes_out_;  ///< framed bytes written (incl. headers/CRC)
+  mutable Counter bytes_in_;
+  mutable Counter crc_rejects_;  ///< responses rejected for a bad checksum
+  mutable Counter recv_errors_;  ///< other failed response reads
+  mutable Histogram roundtrip_us_;
+  mutable Histogram deserialize_us_;  ///< snapshot state decode latency
+  /// Sticky failure flag: set on the first transport-level failure
+  /// (failed write, failed/corrupt read, heartbeat timeout). Once the
+  /// stream alignment cannot be trusted, every later call fails fast with
+  /// Unavailable instead of reading a stale frame.
+  mutable std::atomic<bool> poisoned_{false};
 };
 
 // ---- TCP backend -----------------------------------------------------------
@@ -406,7 +342,7 @@ uint64_t NewSessionToken() {
   return token == 0 ? 1 : token;
 }
 
-/// A ShardBackend whose shards live behind TCP sessions (tcp_transport.h).
+/// A ShardBackend whose shard lives behind a TCP session (tcp_transport.h).
 /// The channel discipline mirrors loopback (data channel for applies and
 /// handoff imports, control channel for queries, one mutex each), but a
 /// broken connection is REDIALED inside the failing call's deadline and the
@@ -416,33 +352,31 @@ class TcpRemoteBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
       const BackendOptions& options, const TcpBackendOptions& topts) {
-    std::unique_ptr<TcpRemoteBackend> backend(
+    std::unique_ptr<TcpRemoteBackend> cell(
         new TcpRemoteBackend(options, topts.dialer));
-    for (size_t shard = 0; shard < options.num_shards; ++shard) {
-      auto ts = std::make_unique<TcpShard>();
-      ts->cfg = options.shard_seeds_resolved
-                    ? options.config
-                    : ShardConfigFor(options.config, shard);
-      ts->shard_id = shard;
-      ts->token = NewSessionToken();
-      ts->spec.sketches = options.sketches;
-      ts->spec.config = ts->cfg;
-      ts->spec.snapshot_min_updates = options.snapshot_min_updates;
-      if (topts.endpoints.empty()) {
-        auto host = TcpShardHost::Start(TcpShardHostOptions{});
-        if (!host.ok()) return host.status();
-        ts->self_host = std::move(host).value();
-        ts->host = "127.0.0.1";
-        ts->port = ts->self_host->port();
-        ts->endpoint_str = ts->self_host->endpoint();
-      } else {
-        ts->endpoint_str = topts.endpoints[shard % topts.endpoints.size()];
-        Status s = SplitEndpoint(ts->endpoint_str, &ts->host, &ts->port);
-        if (!s.ok()) return s;
-      }
-      backend->shards_.push_back(std::move(ts));
+    cell->spec_.sketches = options.sketches;
+    cell->spec_.config = options.config;
+    cell->spec_.snapshot_min_updates = options.snapshot_min_updates;
+    if (topts.endpoints.empty()) {
+      auto host = TcpShardHost::Start(TcpShardHostOptions{});
+      if (!host.ok()) return host.status();
+      cell->self_host_ = std::move(host).value();
+      cell->host_ = "127.0.0.1";
+      cell->port_ = cell->self_host_->port();
+      cell->endpoint_ = cell->self_host_->endpoint();
+    } else {
+      cell->endpoint_ = topts.endpoints[options.shard % topts.endpoints.size()];
+      Status s = SplitEndpoint(cell->endpoint_, &cell->host_, &cell->port_);
+      if (!s.ok()) return s;
     }
-    return Result<std::unique_ptr<ShardBackend>>(std::move(backend));
+    return Result<std::unique_ptr<ShardBackend>>(std::move(cell));
+  }
+
+  ~TcpRemoteBackend() override {
+    for (TcpChannel* ch : {&data_, &control_}) {
+      std::lock_guard<std::mutex> lock(ch->mu);
+      if (ch->fd >= 0) ::close(ch->fd);
+    }
   }
 
   const std::string& name() const override {
@@ -450,31 +384,19 @@ class TcpRemoteBackend final : public ShardBackend {
     return kName;
   }
 
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*zero_copy=*/false,
-                               /*crosses_process_boundary=*/true,
-                               wire::kFormatVersion};
-  }
-
-  size_t num_shards() const override { return shards_.size(); }
-
-  Status ApplyBatch(size_t shard, const stream::TurnstileUpdate* data,
+  Status ApplyBatch(const stream::TurnstileUpdate* data,
                     size_t count) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
-    TcpShard& ts = *shards_[shard];
-    // Single caller per shard by the backend contract, so the sequence
-    // counter needs no lock; consumed even when the call fails, so an
-    // abandoned batch leaves a GAP — the host never sees its sequence, and
-    // the dropped-update accounting of the supervision layer owns the loss.
-    const uint64_t seq = ts.next_apply_seq++;
+    // Single caller by the backend contract, so the sequence counter needs
+    // no lock; consumed even when the call fails, so an abandoned batch
+    // leaves a GAP — the host never sees its sequence, and the
+    // dropped-update accounting of the supervision layer owns the loss.
+    const uint64_t seq = next_apply_seq_++;
     wire::Writer w;
     w.U64(seq);
     wire::EncodeUpdates(data, count, &w);
     std::string resp;
-    Status s = Call(ts, /*data_channel=*/true, wire::kReqApplySeq, w.data(),
-                    &resp, dialer_.op_deadline_ms, seq);
+    Status s = Call(/*data_channel=*/true, wire::kReqApplySeq, w.data(), &resp,
+                    dialer_.op_deadline_ms, seq);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -482,13 +404,10 @@ class TcpRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Result<uint64_t> Epoch(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+  Result<uint64_t> Epoch() const override {
     std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/false, wire::kReqEpoch,
-                    {}, &resp, dialer_.op_deadline_ms);
+    Status s = Call(/*data_channel=*/false, wire::kReqEpoch, {}, &resp,
+                    dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -496,41 +415,35 @@ class TcpRemoteBackend final : public ShardBackend {
     if (!remote.ok()) return remote;
     uint64_t epoch = 0;
     if (Status se = r.U64(&epoch); !se.ok()) return se;
-    shards_[shard]->last_epoch.store(epoch, std::memory_order_relaxed);
+    last_epoch_.store(epoch, std::memory_order_relaxed);
     return epoch;
   }
 
-  Result<ShardSnapshot> Snapshot(size_t shard,
-                                 size_t sketch_index) const override {
-    auto serialized = SnapshotSerialized(shard, sketch_index);
+  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
+    auto serialized = SnapshotSerialized(sketch_index);
     if (!serialized.ok()) return serialized.status();
     ShardSnapshot snap;
     snap.epoch = serialized.value().epoch;
     if (serialized.value().state.empty()) return snap;  // never published
     const auto t0 = std::chrono::steady_clock::now();
-    auto sketch =
-        DeserializeSketch(options_.sketches[sketch_index],
-                          shards_[shard]->cfg, serialized.value().state);
+    auto sketch = DeserializeSketch(options_.sketches[sketch_index],
+                                    options_.config, serialized.value().state);
     if (!sketch.ok()) return sketch.status();
-    shards_[shard]->deserialize_us.Record(ElapsedUs(t0));
+    deserialize_us_.Record(ElapsedUs(t0));
     snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
     return snap;
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
-      size_t shard, size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+      size_t sketch_index) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("tcp backend: sketch out of range");
     }
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
     std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/false,
-                    wire::kReqSnapshot, req.data(), &resp,
-                    dialer_.op_deadline_ms);
+    Status s = Call(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
+                    &resp, dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -542,13 +455,10 @@ class TcpRemoteBackend final : public ShardBackend {
     return out;
   }
 
-  Status Flush(size_t shard) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+  Status Flush() override {
     std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/false, wire::kReqFlush,
-                    {}, &resp, dialer_.op_deadline_ms);
+    Status s = Call(/*data_channel=*/false, wire::kReqFlush, {}, &resp,
+                    dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -556,11 +466,7 @@ class TcpRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status ImportShardState(size_t shard,
-                          const std::vector<std::string>& frames) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+  Status ImportShardState(const std::vector<std::string>& frames) override {
     if (frames.size() != options_.sketches.size()) {
       return Status::InvalidArgument(
           "tcp backend: handoff frame count does not match the configured "
@@ -570,8 +476,8 @@ class TcpRemoteBackend final : public ShardBackend {
     req.U32(uint32_t(frames.size()));
     for (const std::string& frame : frames) req.Str(frame);
     std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/true, wire::kReqImport,
-                    req.data(), &resp, dialer_.op_deadline_ms);
+    Status s = Call(/*data_channel=*/true, wire::kReqImport, req.data(), &resp,
+                    dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -579,15 +485,12 @@ class TcpRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status Heartbeat(size_t shard, uint64_t timeout_ms) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+  Status Heartbeat(uint64_t timeout_ms) override {
     std::string resp;
     // The probe's timeout IS the call deadline: a dead peer costs exactly
     // the supervisor's probe budget, never the full op deadline.
-    Status s = Call(*shards_[shard], /*data_channel=*/false,
-                    wire::kReqHeartbeat, {}, &resp, int(timeout_ms));
+    Status s = Call(/*data_channel=*/false, wire::kReqHeartbeat, {}, &resp,
+                    int(timeout_ms));
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -595,32 +498,25 @@ class TcpRemoteBackend final : public ShardBackend {
     return remote;
   }
 
-  Status InjectCrash(size_t shard, bool torn) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
-    if (shards_[shard]->self_host == nullptr) {
+  Status InjectCrash(bool torn) override {
+    if (self_host_ == nullptr) {
       return Status::Unimplemented(
-          "tcp backend: InjectCrash requires self-hosted shards (kill the "
+          "tcp backend: InjectCrash requires a self-hosted shard (kill the "
           "external daemon instead)");
     }
-    shards_[shard]->self_host->CrashNow(torn);
+    self_host_->CrashNow(torn);
     return Status::OK();
   }
 
-  Status InjectPartition(size_t shard) override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
-    TcpShard& ts = *shards_[shard];
-    if (ts.self_host != nullptr) {
+  Status InjectPartition() override {
+    if (self_host_ != nullptr) {
       // Server-side severance: the host kills the sockets but keeps the
       // listener and all session state — the dialer notices on its next
       // call and resyncs.
-      ts.self_host->DropConnections();
+      self_host_->DropConnections();
       return Status::OK();
     }
-    for (TcpChannel* ch : {&ts.data, &ts.control}) {
+    for (TcpChannel* ch : {&data_, &control_}) {
       std::lock_guard<std::mutex> lock(ch->mu);
       if (ch->fd >= 0) {
         ::shutdown(ch->fd, SHUT_RDWR);
@@ -631,21 +527,14 @@ class TcpRemoteBackend final : public ShardBackend {
     return Status::OK();
   }
 
-  std::string Endpoint(size_t shard) const override {
-    if (shard >= shards_.size()) return std::string();
-    return shards_[shard]->endpoint_str;
-  }
+  std::string Endpoint() const override { return endpoint_; }
 
-  Result<SketchSummary> LiveSummary(size_t shard,
-                                    size_t sketch_index) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
+  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
     std::string resp;
-    Status s = Call(*shards_[shard], /*data_channel=*/false, wire::kReqSummary,
-                    req.data(), &resp, dialer_.op_deadline_ms);
+    Status s = Call(/*data_channel=*/false, wire::kReqSummary, req.data(),
+                    &resp, dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
     Status remote = Status::OK();
@@ -656,13 +545,9 @@ class TcpRemoteBackend final : public ShardBackend {
     return summary;
   }
 
-  Result<std::vector<MetricSample>> Metrics(size_t shard) const override {
-    if (shard >= shards_.size()) {
-      return Status::OutOfRange("tcp backend: shard out of range");
-    }
-    const TcpShard& ts = *shards_[shard];
+  Result<std::vector<MetricSample>> Metrics() const override {
     std::string resp;
-    Status s = Call(ts, /*data_channel=*/false, wire::kReqMetrics, {}, &resp,
+    Status s = Call(/*data_channel=*/false, wire::kReqMetrics, {}, &resp,
                     dialer_.op_deadline_ms);
     if (!s.ok()) return s;
     wire::Reader r(resp);
@@ -671,36 +556,31 @@ class TcpRemoteBackend final : public ShardBackend {
     if (!remote.ok()) return remote;
     std::vector<MetricSample> out;
     if (Status sm = wire::DecodeMetricSamples(&r, &out); !sm.ok()) return sm;
-    out.push_back(CounterSample("wire.frames_out_total", ts.frames_out));
-    out.push_back(CounterSample("wire.frames_in_total", ts.frames_in));
-    out.push_back(CounterSample("wire.bytes_out_total", ts.bytes_out));
-    out.push_back(CounterSample("wire.bytes_in_total", ts.bytes_in));
-    out.push_back(CounterSample("wire.crc_rejects_total", ts.crc_rejects));
-    out.push_back(CounterSample("wire.recv_errors_total", ts.recv_errors));
-    out.push_back(CounterSample("tcp.reconnects_total", ts.reconnects));
-    out.push_back(CounterSample("tcp.resyncs_total", ts.resyncs));
-    out.push_back(HistogramSample("wire.roundtrip_us", ts.roundtrip_us));
-    out.push_back(HistogramSample("wire.deserialize_us", ts.deserialize_us));
+    out.push_back(CounterSample("wire.frames_out_total", frames_out_));
+    out.push_back(CounterSample("wire.frames_in_total", frames_in_));
+    out.push_back(CounterSample("wire.bytes_out_total", bytes_out_));
+    out.push_back(CounterSample("wire.bytes_in_total", bytes_in_));
+    out.push_back(CounterSample("wire.crc_rejects_total", crc_rejects_));
+    out.push_back(CounterSample("wire.recv_errors_total", recv_errors_));
+    out.push_back(CounterSample("tcp.reconnects_total", reconnects_));
+    out.push_back(CounterSample("tcp.resyncs_total", resyncs_));
+    out.push_back(HistogramSample("wire.roundtrip_us", roundtrip_us_));
+    out.push_back(HistogramSample("wire.deserialize_us", deserialize_us_));
     return out;
   }
 
   uint64_t SpaceBits() const override {
+    std::string resp;
+    if (!Call(false, wire::kReqSpaceBits, {}, &resp, dialer_.op_deadline_ms)
+             .ok()) {
+      return 0;
+    }
+    wire::Reader r(resp);
+    Status remote = Status::OK();
     uint64_t bits = 0;
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      std::string resp;
-      if (!Call(*shards_[shard], false, wire::kReqSpaceBits, {}, &resp,
-                dialer_.op_deadline_ms)
-               .ok()) {
-        return 0;
-      }
-      wire::Reader r(resp);
-      Status remote = Status::OK();
-      uint64_t shard_bits = 0;
-      if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
-          !r.U64(&shard_bits).ok()) {
-        return 0;
-      }
-      bits += shard_bits;
+    if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
+        !r.U64(&bits).ok()) {
+      return 0;
     }
     return bits;
   }
@@ -711,46 +591,10 @@ class TcpRemoteBackend final : public ShardBackend {
     int fd = -1;  ///< -1 = not connected (dialed lazily / after failure)
   };
 
-  struct TcpShard {
-    std::string host;
-    uint16_t port = 0;
-    std::string endpoint_str;  ///< "host:port" for placement failure domains
-    uint64_t token = 0;
-    uint64_t shard_id = 0;
-    SketchConfig cfg;   ///< resolved shard config (for deserialization)
-    TcpShardSpec spec;  ///< shipped with the FIRST hello only
-    std::unique_ptr<TcpShardHost> self_host;  ///< null in endpoint mode
-
-    TcpChannel data;
-    TcpChannel control;
-    /// Set once any channel's hello succeeded: from then on hellos carry no
-    /// spec, so a host that lost the session answers NotFound instead of
-    /// silently recreating an empty shard.
-    mutable std::atomic<bool> established{false};
-    uint64_t next_apply_seq = 1;  ///< single caller per the backend contract
-    mutable std::atomic<uint64_t> last_epoch{0};
-
-    mutable Counter frames_out;
-    mutable Counter frames_in;
-    mutable Counter bytes_out;
-    mutable Counter bytes_in;
-    mutable Counter crc_rejects;
-    mutable Counter recv_errors;
-    mutable Counter reconnects;  ///< successful REdials (not first connects)
-    mutable Counter resyncs;     ///< applies acked from the hello's seq cursor
-    mutable Histogram roundtrip_us;
-    mutable Histogram deserialize_us;
-
-    ~TcpShard() {
-      for (TcpChannel* ch : {&data, &control}) {
-        std::lock_guard<std::mutex> lock(ch->mu);
-        if (ch->fd >= 0) ::close(ch->fd);
-      }
-    }
-  };
-
   TcpRemoteBackend(BackendOptions options, TcpDialerOptions dialer)
-      : options_(std::move(options)), dialer_(dialer) {}
+      : options_(std::move(options)),
+        dialer_(dialer),
+        token_(NewSessionToken()) {}
 
   static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
     return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -787,23 +631,23 @@ class TcpRemoteBackend final : public ShardBackend {
   /// Dials and handshakes the channel. ch.mu must be held. On success the
   /// channel fd is connected and `reply` holds the host's epoch + apply
   /// cursor (the resync decision inputs).
-  Status ConnectLocked(const TcpShard& ts, TcpChannel& ch, bool data_channel,
+  Status ConnectLocked(TcpChannel& ch, bool data_channel,
                        std::chrono::steady_clock::time_point deadline,
                        TcpHelloReply* reply) const {
     const int remaining = RemainingMs(deadline);
     if (remaining <= 0) {
       return Status::DeadlineExceeded("tcp: no deadline left to connect");
     }
-    auto fd = TcpConnectFd(ts.host, ts.port,
+    auto fd = TcpConnectFd(host_, port_,
                            std::min(dialer_.connect_timeout_ms, remaining));
     if (!fd.ok()) return fd.status();
     TcpHello hello;
     hello.channel = data_channel ? 0 : 1;
-    hello.session_token = ts.token;
-    hello.shard_id = ts.shard_id;
-    hello.last_acked_epoch = ts.last_epoch.load(std::memory_order_relaxed);
-    hello.has_spec = !ts.established.load(std::memory_order_acquire);
-    if (hello.has_spec) hello.spec = ts.spec;
+    hello.session_token = token_;
+    hello.shard_id = options_.shard;
+    hello.last_acked_epoch = last_epoch_.load(std::memory_order_relaxed);
+    hello.has_spec = !established_.load(std::memory_order_acquire);
+    if (hello.has_spec) hello.spec = spec_;
     wire::Writer w;
     EncodeHello(hello, &w);
     Status s = wire::WriteFrameFd(fd.value(), wire::kReqHello, w.data());
@@ -836,22 +680,21 @@ class TcpRemoteBackend final : public ShardBackend {
       ::close(fd.value());
       return remote;  // host rejection → authoritative, not retryable
     }
-    ts.established.store(true, std::memory_order_release);
-    ts.last_epoch.store(reply->epoch, std::memory_order_relaxed);
+    established_.store(true, std::memory_order_release);
+    last_epoch_.store(reply->epoch, std::memory_order_relaxed);
     ch.fd = fd.value();
     return Status::OK();
   }
 
-  /// One request/response on the shard's chosen channel, with reconnect —
-  /// the channel is (re)dialed and handshaken inside `deadline_ms`, with
+  /// One request/response on the chosen channel, with reconnect — the
+  /// channel is (re)dialed and handshaken inside `deadline_ms`, with
   /// exponential backoff between attempts. For kReqApplySeq calls,
   /// `apply_seq` lets a reconnect detect that the host already applied the
   /// batch (its ack was lost) and synthesize the ack instead of resending.
-  Status Call(const TcpShard& ts, bool data_channel, uint8_t type,
-              std::string_view payload, std::string* resp, int deadline_ms,
+  Status Call(bool data_channel, uint8_t type, std::string_view payload,
+              std::string* resp, int deadline_ms,
               uint64_t apply_seq = 0) const {
-    TcpChannel& ch =
-        const_cast<TcpChannel&>(data_channel ? ts.data : ts.control);
+    TcpChannel& ch = const_cast<TcpChannel&>(data_channel ? data_ : control_);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(deadline_ms);
     std::lock_guard<std::mutex> lock(ch.mu);
@@ -860,7 +703,7 @@ class TcpRemoteBackend final : public ShardBackend {
     for (;;) {
       if (ch.fd < 0) {
         TcpHelloReply reply;
-        Status c = ConnectLocked(ts, ch, data_channel, deadline, &reply);
+        Status c = ConnectLocked(ch, data_channel, deadline, &reply);
         if (!c.ok()) {
           if (!RetryableConnectFailure(c) || RemainingMs(deadline) <= 0) {
             return Status::Unavailable("tcp shard unreachable: " +
@@ -871,12 +714,12 @@ class TcpRemoteBackend final : public ShardBackend {
           backoff_ms = std::min(backoff_ms * 2, dialer_.backoff_max_ms);
           continue;
         }
-        if (redialing) ts.reconnects.Inc();
+        if (redialing) reconnects_.Inc();
         if (apply_seq != 0 && reply.last_applied_seq >= apply_seq) {
           // The host applied this batch before the connection broke — the
           // ack was lost, not the update. Synthesize it; resending would be
           // answered from the host's cache anyway.
-          ts.resyncs.Inc();
+          resyncs_.Inc();
           wire::Writer w;
           wire::EncodeStatus(Status::OK(), &w);
           w.U64(reply.epoch);
@@ -889,8 +732,8 @@ class TcpRemoteBackend final : public ShardBackend {
       uint8_t resp_type = 0;
       std::string_view resp_payload;
       if (s.ok()) {
-        ts.frames_out.Inc();
-        ts.bytes_out.Inc(FramedBytes(payload.size()));
+        frames_out_.Inc();
+        bytes_out_.Inc(FramedBytes(payload.size()));
         s = wire::ReadFrameFdTimeout(ch.fd, std::max(1, RemainingMs(deadline)),
                                      &frame_scratch(), &resp_type,
                                      &resp_payload);
@@ -900,9 +743,9 @@ class TcpRemoteBackend final : public ShardBackend {
       }
       if (!s.ok()) {
         if (s.message().find("checksum") != std::string::npos) {
-          ts.crc_rejects.Inc();
+          crc_rejects_.Inc();
         } else {
-          ts.recv_errors.Inc();
+          recv_errors_.Inc();
         }
         ::close(ch.fd);
         ch.fd = -1;
@@ -912,9 +755,9 @@ class TcpRemoteBackend final : public ShardBackend {
         }
         continue;  // redial + handshake resync within the same call
       }
-      ts.frames_in.Inc();
-      ts.bytes_in.Inc(FramedBytes(resp_payload.size()));
-      ts.roundtrip_us.Record(ElapsedUs(t0));
+      frames_in_.Inc();
+      bytes_in_.Inc(FramedBytes(resp_payload.size()));
+      roundtrip_us_.Record(ElapsedUs(t0));
       resp->assign(resp_payload);
       return Status::OK();
     }
@@ -925,9 +768,34 @@ class TcpRemoteBackend final : public ShardBackend {
     return buf;
   }
 
-  BackendOptions options_;
-  TcpDialerOptions dialer_;
-  std::vector<std::unique_ptr<TcpShard>> shards_;
+  const BackendOptions options_;  ///< config carries the resolved shard seed
+  const TcpDialerOptions dialer_;
+  const uint64_t token_;  ///< the host's session key (NewSessionToken)
+  std::string host_;
+  uint16_t port_ = 0;
+  std::string endpoint_;  ///< "host:port" for placement failure domains
+  TcpShardSpec spec_;     ///< shipped with the FIRST hello only
+  std::unique_ptr<TcpShardHost> self_host_;  ///< null in endpoint mode
+
+  TcpChannel data_;
+  TcpChannel control_;
+  /// Set once any channel's hello succeeded: from then on hellos carry no
+  /// spec, so a host that lost the session answers NotFound instead of
+  /// silently recreating an empty shard.
+  mutable std::atomic<bool> established_{false};
+  uint64_t next_apply_seq_ = 1;  ///< single caller per the backend contract
+  mutable std::atomic<uint64_t> last_epoch_{0};
+
+  mutable Counter frames_out_;
+  mutable Counter frames_in_;
+  mutable Counter bytes_out_;
+  mutable Counter bytes_in_;
+  mutable Counter crc_rejects_;
+  mutable Counter recv_errors_;
+  mutable Counter reconnects_;  ///< successful REdials (not first connects)
+  mutable Counter resyncs_;     ///< applies acked from the hello's seq cursor
+  mutable Histogram roundtrip_us_;
+  mutable Histogram deserialize_us_;
 };
 
 }  // namespace
@@ -948,10 +816,13 @@ Result<BackendFactory> BackendFactoryByName(const std::string& name) {
   if (name.empty() || name == "inprocess") return InProcessBackendFactory();
   if (name == "loopback") return LoopbackBackendFactory();
   if (name == "mixed") {
-    // Alternating placement: even shards in-process, odd shards behind the
-    // loopback wire — one engine spanning both worlds at once.
-    return CompositeBackendFactory(
-        {InProcessBackendFactory(), LoopbackBackendFactory()});
+    // Alternating placement by global shard id: even shards in-process, odd
+    // shards behind the loopback wire — one engine spanning both worlds at
+    // once, topology-op cells included.
+    return BackendFactory([](const BackendOptions& options) {
+      return options.shard % 2 == 0 ? InProcessBackendFactory()(options)
+                                    : LoopbackRemoteBackend::Create(options);
+    });
   }
   if (name == "tcp") return TcpBackendFactory();
   if (name.rfind("tcp:", 0) == 0) {

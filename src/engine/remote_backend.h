@@ -1,6 +1,6 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
-// LoopbackRemoteBackend — a ShardBackend whose shards each live behind a
+// LoopbackRemoteBackend — a ShardBackend whose shard lives behind a
 // socketpair served by a ShardServer (shard_server.h), speaking the engine
 // wire format. Nothing engine-side touches shard memory: update batches are
 // encoded as kUpdateBatch payloads, snapshots come back as serialized
@@ -17,8 +17,8 @@
 // in-process snapshot clones. Swapping the socketpair for a TCP connection
 // to another machine changes none of the protocol — that is the point.
 //
-// Per shard, the backend holds the server plus two client channels (data
-// for ApplyBatch, control for queries), each guarded by its own mutex so
+// Each cell holds the server plus two client channels (data for
+// ApplyBatch, control for queries), each guarded by its own mutex so
 // concurrent query threads serialize per shard without blocking ingest.
 
 #ifndef WBS_ENGINE_REMOTE_BACKEND_H_
@@ -34,8 +34,8 @@
 namespace wbs::engine {
 
 /// Factory for the loopback remote backend; plug into
-/// IngestorOptions::backend. Spawns one ShardServer (two serving threads)
-/// per shard.
+/// IngestorOptions::backend. Each cell spawns one ShardServer (two serving
+/// threads).
 BackendFactory LoopbackBackendFactory();
 
 /// Reconnection policy of the TCP dialer. Unlike the loopback channels —
@@ -53,16 +53,16 @@ struct TcpDialerOptions {
 };
 
 struct TcpBackendOptions {
-  /// Daemon endpoints ("host:port"); shard i is homed on endpoint
-  /// i % endpoints.size(). EMPTY = self-host: the backend starts one
-  /// in-process TcpShardHost per shard on an ephemeral 127.0.0.1 port and
+  /// Daemon endpoints ("host:port"); the cell of global shard i is homed
+  /// on endpoint i % endpoints.size(). EMPTY = self-host: each cell starts
+  /// its own in-process TcpShardHost on an ephemeral 127.0.0.1 port and
   /// dials it over real sockets — the full handshake/resync stack with no
   /// external daemon, which is how tests and CI run it.
   std::vector<std::string> endpoints;
   TcpDialerOptions dialer;
 };
 
-/// Factory for the TCP remote backend (TcpRemoteBackend): each shard lives
+/// Factory for the TCP remote backend (TcpRemoteBackend): each cell lives
 /// behind a TcpShardHost session (tcp_transport.h), created via the
 /// kReqHello spec on first contact. Bit-identical to loopback/in-process
 /// for the state-mergeable families by the same argument — same batches,
@@ -70,9 +70,9 @@ struct TcpBackendOptions {
 BackendFactory TcpBackendFactory(TcpBackendOptions options = {});
 
 /// Resolves a backend factory by name: "inprocess" (or ""), "loopback",
-/// "mixed" (alternating in-process / loopback placement via
-/// CompositeBackendFactory), "tcp" (self-hosted TCP sockets), and
-/// "tcp:HOST:PORT[,HOST:PORT...]" (external engine_shardd daemons).
+/// "mixed" (even shard ids in-process, odd ones loopback), "tcp"
+/// (self-hosted TCP sockets), and "tcp:HOST:PORT[,HOST:PORT...]" (external
+/// engine_shardd daemons).
 /// Unknown names are InvalidArgument — this backs --backend= flags and the
 /// WBS_ENGINE_BACKEND environment selection in tests and CI.
 Result<BackendFactory> BackendFactoryByName(const std::string& name);

@@ -58,11 +58,9 @@ Result<std::unique_ptr<ShardServer>> ShardServer::Start(
   std::unique_ptr<ShardServer> server(new ShardServer());
 
   BackendOptions bopts;
-  bopts.num_shards = 1;
   bopts.sketches = options.sketches;
-  bopts.config = options.config;
+  bopts.config = options.config;  // the client resolved the seed already
   bopts.snapshot_min_updates = options.snapshot_min_updates;
-  bopts.shard_seeds_resolved = true;  // the client derived the seed already
   auto shard = InProcessBackendFactory()(bopts);
   if (!shard.ok()) return shard.status();
   server->shard_ = std::move(shard).value();
@@ -229,20 +227,20 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
       std::vector<stream::TurnstileUpdate> updates;
       Status s = wire::DecodeUpdates(&r, &updates);
       if (s.ok()) s = r.ExpectEnd();
-      if (s.ok()) s = shard_->ApplyBatch(0, updates.data(), updates.size());
+      if (s.ok()) s = shard_->ApplyBatch(updates.data(), updates.size());
       PutStatus(s, &w);
-      w.U64(shard_->Epoch(0).value_or(0));
+      w.U64(shard_->Epoch().value_or(0));
       break;
     }
     case wire::kReqFlush: {
-      Status s = shard_->Flush(0);
+      Status s = shard_->Flush();
       PutStatus(s, &w);
-      w.U64(shard_->Epoch(0).value_or(0));
+      w.U64(shard_->Epoch().value_or(0));
       break;
     }
     case wire::kReqEpoch: {
       PutStatus(Status::OK(), &w);
-      w.U64(shard_->Epoch(0).value_or(0));
+      w.U64(shard_->Epoch().value_or(0));
       break;
     }
     case wire::kReqSnapshot: {
@@ -257,7 +255,7 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
         PutStatus(s, &w);
         break;
       }
-      auto snap = shard_->SnapshotSerialized(0, sketch_index);
+      auto snap = shard_->SnapshotSerialized(sketch_index);
       if (!snap.ok()) {
         PutStatus(snap.status(), &w);
         break;
@@ -276,7 +274,7 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
         PutStatus(s, &w);
         break;
       }
-      auto summary = shard_->LiveSummary(0, sketch_index);
+      auto summary = shard_->LiveSummary(sketch_index);
       if (!summary.ok()) {
         PutStatus(summary.status(), &w);
         break;
@@ -296,7 +294,7 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
       // served under the cell lock (ShardRequestTakesCellLock) — a shard
       // wedged inside an apply fails its heartbeat deadline too.
       PutStatus(Status::OK(), &w);
-      w.U64(shard_->Epoch(0).value_or(0));
+      w.U64(shard_->Epoch().value_or(0));
       break;
     }
     case wire::kReqMetrics: {
@@ -304,7 +302,7 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
       // (epoch, snapshot lag, serialize latency) ship to the client, which
       // prefixes them with the global shard id and appends its own wire
       // counters for the channel.
-      auto samples = shard_->Metrics(0);
+      auto samples = shard_->Metrics();
       if (!samples.ok()) {
         PutStatus(samples.status(), &w);
         break;
@@ -331,9 +329,9 @@ void DispatchShardRequest(ShardBackend& shard, size_t num_sketches,
         if (s.ok()) frames.push_back(std::move(frame));
       }
       if (s.ok()) s = r.ExpectEnd();
-      if (s.ok()) s = shard_->ImportShardState(0, frames);
+      if (s.ok()) s = shard_->ImportShardState(frames);
       PutStatus(s, &w);
-      w.U64(shard_->Epoch(0).value_or(0));
+      w.U64(shard_->Epoch().value_or(0));
       break;
     }
     default:

@@ -22,9 +22,9 @@
 // below), so a query never queues behind an apply. A snapshot request
 // racing an apply still sees either the pre- or post-batch published state,
 // never a torn one: the cell publishes (snapshot, epoch) pairs under its
-// own snap_mu. Internally the shard state IS an InProcessBackend with a
-// single shard, so apply/publish/epoch semantics are identical to local
-// shards by construction.
+// own snap_mu. Internally the shard state IS an in-process cell, so
+// apply/publish/epoch semantics are identical to local shards by
+// construction.
 //
 // Response frames carry a Status first; a request that fails (bad frame,
 // unknown sketch index, serialization error) answers with that Status and
@@ -52,7 +52,7 @@ namespace wire {
 class Writer;
 }  // namespace wire
 
-/// Handles one shard request frame against a 1-shard cell and appends the
+/// Handles one shard request frame against a cell and appends the
 /// response payload (Status first, then request-specific data) to `w`. This
 /// is the transport-agnostic half of the shard protocol: ShardServer calls
 /// it behind its socketpairs, TcpShardHost (tcp_transport.h) behind real
@@ -85,7 +85,7 @@ void WriteTornFrameFd(int fd);
 
 struct ShardServerOptions {
   std::vector<std::string> sketches;  ///< registry names of the shard group
-  /// Shard config with `shard_seed` ALREADY resolved by the client (via
+  /// Shard config with `shard_seed` ALREADY resolved by the ingestor (via
   /// ShardConfigFor) — the server must not re-derive it, or a relocated
   /// shard would sample differently than its local twin.
   SketchConfig config;
@@ -142,7 +142,7 @@ class ShardServer {
   /// Handles one request frame; fills the response payload (Status first).
   void Dispatch(uint8_t type, std::string_view payload, std::string* resp);
 
-  std::unique_ptr<ShardBackend> shard_;  // 1-shard InProcessBackend
+  std::unique_ptr<ShardBackend> shard_;  // the in-process cell
   size_t num_sketches_ = 0;
   std::mutex mu_;  // the cell lock (see ShardRequestTakesCellLock)
 

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <limits>
 
-#include "common/numa.h"
 #include "common/simd.h"
 #include "engine/backend.h"
 #include "engine/registry.h"
@@ -69,22 +68,15 @@ Status ShardedIngestor::Init() {
   if (options_.metrics_enabled) {
     metrics_ = std::make_unique<EngineMetrics>();
   }
-  BackendOptions bopts;
-  bopts.num_shards = options_.num_shards;
-  bopts.sketches = options_.sketches;
-  bopts.config = options_.config;
-  bopts.snapshot_min_updates = options_.snapshot_min_updates;
-  BackendFactory factory =
-      options_.backend ? options_.backend : InProcessBackendFactory();
-  auto backend = factory(bopts);
-  if (!backend.ok()) return backend.status();
-  backend_ = std::move(backend).value();
-  if (backend_ == nullptr || backend_->num_shards() != options_.num_shards) {
-    return Status::Internal(
-        "ShardedIngestor: backend factory returned a mismatched backend");
+  std::vector<ShardPlacement> placements;
+  placements.reserve(options_.num_shards);
+  for (size_t shard = 0; shard < options_.num_shards; ++shard) {
+    auto placement = BuildCell(options_.backend, shard);
+    if (!placement.ok()) return placement.status();
+    placements.push_back(std::move(placement).value());
   }
   topology_ = std::make_unique<ShardTopology>(ShardTopology::MakeInitial(
-      options_.num_shards, options_.slots_per_shard, backend_));
+      std::move(placements), options_.slots_per_shard));
   if (options_.slot_sample_shift > 0) {
     // num_slots is fixed for the engine's lifetime (topology ops only
     // reassign slot owners), so one flat atomic array suffices forever.
@@ -105,18 +97,8 @@ Status ShardedIngestor::Init() {
     workers_.push_back(std::make_unique<Worker>());
     if (metrics_ != nullptr) workers_[w]->metrics = metrics_->worker(w);
   }
-  // Workers pin to NUMA nodes round-robin INSIDE the thread body, before
-  // WorkerLoop allocates or touches any per-worker state, so first-touch
-  // places that state on the worker's node. Single-node machines skip the
-  // syscall entirely.
-  const bool pin_workers =
-      options_.numa_pin_workers && wbs::numa::NodeCount() > 1;
-  for (size_t w = 0; w < options_.num_threads; ++w) {
-    Worker* worker = workers_[w].get();
-    worker->thread = std::thread([this, worker, w, pin_workers] {
-      if (pin_workers) wbs::numa::PinSelfToNode(w % wbs::numa::NodeCount());
-      WorkerLoop(worker);
-    });
+  for (auto& worker : workers_) {
+    worker->thread = std::thread([this, w = worker.get()] { WorkerLoop(w); });
   }
   if (!workers_.empty()) {
     router_ = std::thread([this] { RouterLoop(); });
@@ -337,8 +319,7 @@ void ShardedIngestor::RouterLoop() {
           return worker->queue.size() < options_.max_queue_batches;
         });
         worker->queue.push_back(
-            Job{placement.backend, placement.local,
-                std::move(ticket.sub[shard]), ticket.state,
+            Job{placement.backend, std::move(ticket.sub[shard]), ticket.state,
                 rm == nullptr ? nullptr : shard_metrics[shard],
                 shard_health[shard]});
         if (worker->metrics != nullptr) {
@@ -391,8 +372,8 @@ void ShardedIngestor::WorkerLoop(Worker* worker) {
       } else {
         const auto t0 = job.metrics == nullptr ? MonoClock::time_point{}
                                                : MonoClock::now();
-        Status s = job.backend->ApplyBatch(job.local, job.updates.data(),
-                                           job.updates.size());
+        Status s =
+            job.backend->ApplyBatch(job.updates.data(), job.updates.size());
         if (s.ok()) {
           if (job.health != nullptr) {
             job.health->applied.fetch_add(job.updates.size(),
@@ -460,8 +441,8 @@ Result<IngestTicket> ShardedIngestor::ApplyInline(const TopologyView& view,
     ShardIngestMetrics* m =
         metrics_ == nullptr ? nullptr : inline_shard_metrics_[shard];
     const auto t0 = m == nullptr ? MonoClock::time_point{} : MonoClock::now();
-    Status s = placement.backend->ApplyBatch(
-        placement.local, scatter_[shard].data(), scatter_[shard].size());
+    Status s = placement.backend->ApplyBatch(scatter_[shard].data(),
+                                             scatter_[shard].size());
     if (!s.ok()) {
       if (supervision_enabled() && s.code() == Status::Code::kUnavailable) {
         health->dropped.fetch_add(scatter_[shard].size(),
@@ -782,14 +763,28 @@ Result<IngestTicket> ShardedIngestor::SubmitItemsAsync(
 
 BackendOptions ShardedIngestor::CellOptions(size_t shard) const {
   BackendOptions bopts;
-  bopts.num_shards = 1;
   bopts.sketches = options_.sketches;
   // The cell receives the seed derived for the GLOBAL shard id, so the
   // shard samples identically no matter where (or how often) it is homed.
   bopts.config = ShardConfigFor(options_.config, shard);
   bopts.snapshot_min_updates = options_.snapshot_min_updates;
-  bopts.shard_seeds_resolved = true;
+  bopts.shard = shard;
   return bopts;
+}
+
+Result<ShardPlacement> ShardedIngestor::BuildCell(const BackendFactory& factory,
+                                                  size_t shard) const {
+  auto cell = factory ? factory(CellOptions(shard))
+                      : InProcessBackendFactory()(CellOptions(shard));
+  if (!cell.ok()) return cell.status();
+  if (cell.value() == nullptr) {
+    return Status::Internal("ShardedIngestor: backend factory returned null");
+  }
+  // The views are the cells' only owners (see ShardPlacement).
+  ShardPlacement placement;
+  placement.backend = std::move(cell).value();
+  placement.endpoint = placement.backend->Endpoint();
+  return placement;
 }
 
 Status ShardedIngestor::RunAtBarrier(std::function<Status()> op) {
@@ -878,20 +873,11 @@ Status ShardedIngestor::DoAddShards(size_t n, const BackendFactory& factory) {
   Tracer::Span span = tracer_->StartSpan("add_shards");
   span.Attr("count", n);
   std::shared_ptr<const TopologyView> view = topology_->View();
-  const BackendFactory f = factory ? factory : InProcessBackendFactory();
   std::vector<ShardPlacement> added;
   for (size_t k = 0; k < n; ++k) {
-    const size_t shard = view->num_shards() + k;
-    auto cell = f(CellOptions(shard));
-    if (!cell.ok()) return cell.status();
-    if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-      return Status::Internal(
-          "ShardedIngestor: AddShards factory returned a mismatched cell");
-    }
-    // The views are the cells' only owners (see ShardPlacement).
-    std::unique_ptr<ShardBackend> owned = std::move(cell).value();
-    std::string endpoint = owned->Endpoint(0);
-    added.push_back(ShardPlacement{std::move(owned), 0, std::move(endpoint)});
+    auto placement = BuildCell(factory, view->num_shards() + k);
+    if (!placement.ok()) return placement.status();
+    added.push_back(std::move(placement).value());
   }
   std::shared_ptr<const TopologyView> next =
       ShardTopology::WithAddedShards(*view, added);
@@ -917,7 +903,7 @@ Status ShardedIngestor::DoMoveShard(size_t shard,
   // 1. The barrier already drained in-flight batches; publish the source's
   //    snapshot so the serialized state is its exact live state.
   Tracer::Span flush = tracer_->StartSpan("move_shard.flush", move.id());
-  Status flushed = source.backend->Flush(source.local);
+  Status flushed = source.backend->Flush();
   if (!flushed.ok()) return flushed;
   flush.End();
 
@@ -930,7 +916,7 @@ Status ShardedIngestor::DoMoveShard(size_t shard,
   uint64_t state_bytes = 0;
   bool published = false;
   for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = source.backend->SnapshotSerialized(source.local, i);
+    auto snap = source.backend->SnapshotSerialized(i);
     if (!snap.ok()) return snap.status();
     published |= !snap.value().state.empty();
     state_bytes += snap.value().state.size();
@@ -942,15 +928,10 @@ Status ShardedIngestor::DoMoveShard(size_t shard,
   // 3. Build the destination cell and import. Any failure leaves the
   //    topology (and the source placement) exactly as it was.
   Tracer::Span import = tracer_->StartSpan("move_shard.import", move.id());
-  const BackendFactory f = factory ? factory : InProcessBackendFactory();
-  auto cell = f(CellOptions(shard));
-  if (!cell.ok()) return cell.status();
-  if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-    return Status::Internal(
-        "ShardedIngestor: MoveShard factory returned a mismatched cell");
-  }
+  auto dest = BuildCell(factory, shard);
+  if (!dest.ok()) return dest.status();
   if (published) {
-    Status imported = cell.value()->ImportShardState(0, frames);
+    Status imported = dest.value().backend->ImportShardState(frames);
     if (!imported.ok()) return imported;
   }
   import.End();
@@ -960,10 +941,8 @@ Status ShardedIngestor::DoMoveShard(size_t shard,
   //    re-acquire; new views fold the destination, which now carries the
   //    full history. The retired placement is reclaimed when the last view
   //    referencing it drops (shared ownership, see ShardPlacement).
-  std::unique_ptr<ShardBackend> dest = std::move(cell).value();
-  std::string endpoint = dest->Endpoint(0);
-  auto next = ShardTopology::WithMovedShard(
-      *view, shard, ShardPlacement{std::move(dest), 0, std::move(endpoint)});
+  auto next =
+      ShardTopology::WithMovedShard(*view, shard, std::move(dest).value());
   if (!next.ok()) return next.status();
   topology_->Install(std::move(next).value());
 
@@ -1007,7 +986,7 @@ Status ShardedIngestor::DoMoveSlots(size_t source,
   // covers every update ever, bit-identically for the linear families.
   const ShardPlacement placement = view->placements[source];
   Tracer::Span flush = tracer_->StartSpan("move_slots.flush", move.id());
-  Status flushed = placement.backend->Flush(placement.local);
+  Status flushed = placement.backend->Flush();
   if (!flushed.ok()) return flushed;
   flush.End();
 
@@ -1083,12 +1062,12 @@ Status ShardedIngestor::DoCheckpointShard(size_t shard,
   // Publish first so the serialized frames are the shard's exact live
   // state — the caller is at a barrier, so the state is quiescent and the
   // applied counter read below is exactly the cut the frames capture.
-  Status flushed = placement.backend->Flush(placement.local);
+  Status flushed = placement.backend->Flush();
   if (!flushed.ok()) return flushed;
   ShardCheckpoint ckpt;
   ckpt.frames.reserve(options_.sketches.size());
   for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = placement.backend->SnapshotSerialized(placement.local, i);
+    auto snap = placement.backend->SnapshotSerialized(i);
     if (!snap.ok()) return snap.status();
     ckpt.frames.push_back(std::move(snap.value().state));
   }
@@ -1144,29 +1123,19 @@ Status ShardedIngestor::DoRecoverShard(size_t shard,
   // the MoveShard transfer format, with the dead placement's role played
   // by its last checkpoint. No checkpoint = an empty (but correctly
   // seeded) cell: the shard restarts its history rather than blocking.
-  const BackendFactory f =
-      factory ? factory
-              : (options_.failover.recovery_backend
-                     ? options_.failover.recovery_backend
-                     : InProcessBackendFactory());
-  auto cell = f(CellOptions(shard));
-  if (!cell.ok()) return cell.status();
-  if (cell.value() == nullptr || cell.value()->num_shards() != 1) {
-    return Status::Internal(
-        "ShardedIngestor: recovery factory returned a mismatched cell");
-  }
+  auto fresh =
+      BuildCell(factory ? factory : options_.failover.recovery_backend, shard);
+  if (!fresh.ok()) return fresh.status();
   bool restored = false;
   if (ckpt.valid) {
     for (const std::string& frame : ckpt.frames) restored |= !frame.empty();
     if (restored) {
-      Status imported = cell.value()->ImportShardState(0, ckpt.frames);
+      Status imported = fresh.value().backend->ImportShardState(ckpt.frames);
       if (!imported.ok()) return imported;
     }
   }
-  std::unique_ptr<ShardBackend> fresh = std::move(cell).value();
-  std::string endpoint = fresh->Endpoint(0);
-  auto next = ShardTopology::WithMovedShard(
-      *view, shard, ShardPlacement{std::move(fresh), 0, std::move(endpoint)});
+  auto next =
+      ShardTopology::WithMovedShard(*view, shard, std::move(fresh).value());
   if (!next.ok()) return next.status();
   topology_->Install(std::move(next).value());
 
@@ -1208,16 +1177,16 @@ Status ShardedIngestor::FailoverDrill(size_t shard, bool torn,
     Status ck = DoCheckpointShard(shard, *view);
     if (!ck.ok()) return ck;
     const ShardPlacement placement = view->placements[shard];
-    Status crash = placement.backend->InjectCrash(placement.local, torn);
+    Status crash = placement.backend->InjectCrash(torn);
     if (!crash.ok()) return crash;  // Unimplemented for in-process cells
     // Observe the death the way live traffic would: a torn frame must be
     // rejected by the data channel's CRC check (wire.crc_rejects_total), a
     // clean crash by a failed control-channel heartbeat.
     if (torn) {
-      (void)placement.backend->ApplyBatch(placement.local, nullptr, 0);
+      (void)placement.backend->ApplyBatch(nullptr, 0);
     } else {
       (void)placement.backend->Heartbeat(
-          placement.local, options_.failover.heartbeat_timeout_ms);
+          options_.failover.heartbeat_timeout_ms);
     }
     HealthFor(shard).health.store(uint8_t(ShardHealth::kDead),
                                   std::memory_order_release);
@@ -1234,7 +1203,7 @@ Status ShardedIngestor::InjectShardCrash(size_t shard, bool torn) {
         "ShardedIngestor: InjectShardCrash id out of range");
   }
   const ShardPlacement placement = view->placements[shard];
-  return placement.backend->InjectCrash(placement.local, torn);
+  return placement.backend->InjectCrash(torn);
 }
 
 Status ShardedIngestor::InjectShardPartition(size_t shard) {
@@ -1244,7 +1213,7 @@ Status ShardedIngestor::InjectShardPartition(size_t shard) {
         "ShardedIngestor: InjectShardPartition id out of range");
   }
   const ShardPlacement placement = view->placements[shard];
-  return placement.backend->InjectPartition(placement.local);
+  return placement.backend->InjectPartition();
 }
 
 void ShardedIngestor::SupervisorLoop() {
@@ -1270,8 +1239,7 @@ void ShardedIngestor::SupervisorLoop() {
         if (state == uint8_t(ShardHealth::kDead)) continue;  // awaiting rescue
         if (now < h.next_probe) continue;  // exponential backoff in effect
         const ShardPlacement placement = view->placements[shard];
-        Status hb = placement.backend->Heartbeat(placement.local,
-                                                 fo.heartbeat_timeout_ms);
+        Status hb = placement.backend->Heartbeat(fo.heartbeat_timeout_ms);
         if (hb.ok()) {
           h.missed.store(0, std::memory_order_release);
           h.backoff_misses = 0;
@@ -1426,7 +1394,7 @@ Status ShardedIngestor::Flush() {
   std::shared_ptr<const TopologyView> view = topology_->View();
   for (size_t shard = 0; shard < view->num_shards(); ++shard) {
     const ShardPlacement placement = view->placements[shard];
-    Status s = placement.backend->Flush(placement.local);
+    Status s = placement.backend->Flush();
     if (!s.ok()) {
       // Degraded mode: an unreachable shard's last published snapshot
       // keeps serving (stale-flagged); it must not poison the pipeline.
@@ -1559,7 +1527,7 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
   std::vector<size_t> dirty;
   for (size_t s = 0; s < num_shards; ++s) {
     const ShardPlacement placement = view->placements[s];
-    auto epoch = placement.backend->Epoch(placement.local);
+    auto epoch = placement.backend->Epoch();
     if (!epoch.ok()) {
       if (supervision_enabled() &&
           epoch.status().code() == Status::Code::kUnavailable) {
@@ -1581,7 +1549,7 @@ Result<const SketchSummary*> ShardedIngestor::MergedSummaryView(
   std::vector<uint64_t> fresh_epochs(dirty.size());
   for (size_t d = 0; d < dirty.size(); ++d) {
     const ShardPlacement placement = view->placements[dirty[d]];
-    auto snap = placement.backend->Snapshot(placement.local, sketch_index);
+    auto snap = placement.backend->Snapshot(sketch_index);
     if (!snap.ok()) {
       if (supervision_enabled() &&
           snap.status().code() == Status::Code::kUnavailable) {
@@ -1732,7 +1700,7 @@ MetricsSnapshot ShardedIngestor::Metrics() const {
   for (size_t s = 0; s < view->num_shards(); ++s) {
     const ShardPlacement placement = view->placements[s];
     const std::string prefix = "engine.shard." + std::to_string(s) + ".";
-    auto samples = placement.backend->Metrics(placement.local);
+    auto samples = placement.backend->Metrics();
     if (!samples.ok()) {
       HealthFor(s).metrics_errors.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -1804,7 +1772,7 @@ uint64_t ShardedIngestor::ShardEpoch(size_t shard) const {
   std::shared_ptr<const TopologyView> view = topology_->View();
   if (shard >= view->num_shards()) return 0;
   const ShardPlacement placement = view->placements[shard];
-  auto epoch = placement.backend->Epoch(placement.local);
+  auto epoch = placement.backend->Epoch();
   return epoch.ok() ? epoch.value() : 0;
 }
 
@@ -1822,22 +1790,13 @@ Result<SketchSummary> ShardedIngestor::ShardSummary(
                             sketch);
   }
   const ShardPlacement placement = view->placements[shard];
-  return placement.backend->LiveSummary(placement.local, index);
+  return placement.backend->LiveSummary(index);
 }
 
 uint64_t ShardedIngestor::SpaceBits() const {
-  // Sum each backend hosting the current topology once. A monolithic
-  // backend retains (and counts) the state of shards that were moved out
-  // of it — that state stays merge-visible to readers of older views.
   std::shared_ptr<const TopologyView> view = topology_->View();
-  std::vector<const ShardBackend*> seen;
   uint64_t bits = 0;
   for (const ShardPlacement& placement : view->placements) {
-    if (std::find(seen.begin(), seen.end(), placement.backend.get()) !=
-        seen.end()) {
-      continue;
-    }
-    seen.push_back(placement.backend.get());
     bits += placement.backend->SpaceBits();
   }
   return bits;

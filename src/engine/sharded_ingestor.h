@@ -12,13 +12,12 @@
 // FIFO queue — so every shard sees its sub-stream in dispatch order no
 // matter how many workers run.
 //
-// WHERE the shards live is behind the pluggable ShardBackend interface
-// (backend.h): InProcessBackend keeps them in this process (zero-copy
-// apply), LoopbackRemoteBackend (remote_backend.h) runs each shard behind
-// a socket speaking the engine wire format, and CompositeBackendFactory
-// mixes placements shard-by-shard. On top of that, the topology supports
-// two LIVE operations, both linearized at batch boundaries through the
-// router:
+// WHERE a shard lives is behind the pluggable ShardBackend interface
+// (backend.h): every shard id is placed in its own one-shard cell, built by
+// a BackendFactory call for that id — in this process (zero-copy apply) or
+// behind a socket speaking the engine wire format (remote_backend.h). On
+// top of that, the topology supports two LIVE operations, both linearized
+// at batch boundaries through the router:
 //
 //   * AddShards(n): scale-out. Fresh shards (their own backend cells) join
 //     and hash slots are stolen evenly from existing owners. Old shards
@@ -84,7 +83,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "engine/autoscaler.h"
 #include "engine/backend.h"
@@ -154,10 +152,10 @@ struct IngestorOptions {
   size_t slots_per_shard = 16;
   std::vector<std::string> sketches;  ///< registry names to instantiate
   SketchConfig config;
-  /// Where the initial shards live. Empty = InProcessBackendFactory() (the
-  /// process-local zero-copy backend). See backend.h for the contract,
-  /// remote_backend.h for the loopback wire-format backend, and
-  /// CompositeBackendFactory for mixed placement.
+  /// Where the initial shards live: called once per shard id with that
+  /// shard's cell options. Empty = InProcessBackendFactory() (the
+  /// process-local zero-copy backend). See backend.h for the contract and
+  /// remote_backend.h for the wire-format backends.
   BackendFactory backend;
   /// Observability: when true (the default) the engine registers and
   /// maintains the engine.* instruments (metrics.h) — relaxed atomic
@@ -182,12 +180,6 @@ struct IngestorOptions {
   /// When enabled, the engine starts an Autoscaler with these targets in
   /// Init and stops it in Finish. Requires metrics_enabled.
   AutoscaleOptions autoscale;
-  /// NUMA placement: when true (default) and the machine has more than one
-  /// NUMA node, worker threads are pinned round-robin across nodes inside
-  /// the thread body — before any sketch state is allocated — so the
-  /// first-touch policy lands each worker's arena on its own node (see
-  /// common/numa.h). No-op on single-node machines and in inline mode.
-  bool numa_pin_workers = true;
 };
 
 /// A sequence-numbered receipt for one asynchronous submission. Tickets are
@@ -478,10 +470,8 @@ class ShardedIngestor {
   Result<SketchSummary> ShardSummary(size_t shard,
                                      const std::string& sketch) const;
 
-  /// Total state bits across the backends hosting the current topology
-  /// (quiescent callers). A monolithic backend retains — and counts — the
-  /// state of shards that were moved out of it; that state stays
-  /// merge-visible to readers of older topology views.
+  /// Total state bits across the cells of the current topology (quiescent
+  /// callers).
   uint64_t SpaceBits() const;
 
   /// Index of `sketch` in options().sketches, or sketches.size() if absent.
@@ -498,17 +488,6 @@ class ShardedIngestor {
   size_t num_shards() const;
   size_t num_threads() const { return options_.num_threads; }
   const IngestorOptions& options() const { return options_; }
-
-  /// The primary shard backend (hosting the initial shards).
-  const ShardBackend& backend() const { return *backend_; }
-
-  /// The legacy fixed partition: hash % num_shards. The initial topology
-  /// reproduces it exactly; after AddShards the live table (slot routing)
-  /// is authoritative.
-  static size_t ShardOf(uint64_t item, size_t num_shards) {
-    uint64_t s = item ^ 0x9e3779b97f4a7c15ULL;
-    return size_t(SplitMix64(&s) % num_shards);
-  }
 
  private:
   /// The controller samples load (metrics_, valve turnstile state, worker
@@ -551,7 +530,6 @@ class ShardedIngestor {
   /// while the job sits queued cannot reclaim the cell under the worker.
   struct Job {
     std::shared_ptr<ShardBackend> backend;
-    uint32_t local = 0;
     std::vector<stream::TurnstileUpdate> updates;
     std::shared_ptr<TicketState> ticket;
     /// GLOBAL shard id's ingest instruments (null = metrics disabled),
@@ -683,8 +661,12 @@ class ShardedIngestor {
   /// The health slot for GLOBAL shard id `shard` (grown on demand; the
   /// returned reference is stable for the ingestor's lifetime).
   ShardHealthState& HealthFor(size_t shard) const;
-  /// Builds the 1-shard cell options for global shard id `shard`.
+  /// Builds the cell options for global shard id `shard`.
   BackendOptions CellOptions(size_t shard) const;
+  /// Builds the cell of global shard id `shard` with `factory` (empty =
+  /// in-process) and records its endpoint.
+  Result<ShardPlacement> BuildCell(const BackendFactory& factory,
+                                   size_t shard) const;
   /// Marks the ticket applied, releases its valve bytes, and advances the
   /// monotone completion watermark.
   void CompleteTicket(const TicketState& state);
@@ -738,11 +720,9 @@ class ShardedIngestor {
   std::unique_ptr<EngineMetrics> metrics_;
   std::unique_ptr<Tracer> tracer_;
   std::chrono::steady_clock::time_point start_time_;
-  /// Primary backend (hosting the initial shards). Shared with every
-  /// topology view's placements; cells created by topology operations are
-  /// owned ONLY by the views referencing them (see ShardPlacement), so a
-  /// retired cell is reclaimed when the last view drops — not kept forever.
-  std::shared_ptr<ShardBackend> backend_;
+  /// Owns every cell through its views' placements (see ShardPlacement), so
+  /// a retired cell is reclaimed when the last view that references it
+  /// drops.
   std::unique_ptr<ShardTopology> topology_;
   /// Slot-heat sample counters, one per hash slot — null when sampling is
   /// off. num_slots is FIXED for the engine's lifetime (topology ops only

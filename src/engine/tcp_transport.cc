@@ -405,7 +405,7 @@ void TcpShardHost::ServeConn(Conn* conn) {
           // Replay of an already-applied batch — its ack was lost in a
           // partition. Answer from cache; re-applying would double count.
           wire::EncodeStatus(session->last_apply_status, &w);
-          w.U64(session->cell->Epoch(0).value_or(0));
+          w.U64(session->cell->Epoch().value_or(0));
         } else {
           DispatchShardRequest(*session->cell, session->num_sketches,
                                wire::kReqApply, payload.substr(8), &w);
@@ -448,14 +448,13 @@ std::string TcpShardHost::HandleHello(std::string_view payload,
       sess = it->second.get();
     } else if (hello.has_spec) {
       BackendOptions bopts;
-      bopts.num_shards = 1;
       bopts.sketches = hello.spec.sketches;
       bopts.config = hello.spec.config;
       if (shard_seed_override_ != 0) {
         bopts.config.shard_seed = shard_seed_override_;
       }
       bopts.snapshot_min_updates = size_t(hello.spec.snapshot_min_updates);
-      bopts.shard_seeds_resolved = true;
+      bopts.shard = size_t(hello.shard_id);
       auto cell = InProcessBackendFactory()(bopts);
       if (!cell.ok()) {
         wire::EncodeStatus(cell.status(), &w);
@@ -482,7 +481,7 @@ std::string TcpShardHost::HandleHello(std::string_view payload,
   *close_conn = false;
   wire::EncodeStatus(Status::OK(), &w);
   std::lock_guard<std::mutex> lock(sess->mu);
-  w.U64(sess->cell->Epoch(0).value_or(0));
+  w.U64(sess->cell->Epoch().value_or(0));
   w.U64(sess->last_applied_seq);
   return w.Take();
 }

@@ -67,8 +67,8 @@ inline constexpr uint32_t kTcpMagic = 0x57425354;  // "WBST"
 inline constexpr uint8_t kTcpProtocolVersion = 1;
 
 /// Everything a host needs to build a shard cell on first contact: the
-/// sketch group and the shard's ALREADY-RESOLVED config (the dialer derives
-/// the shard seed via ShardConfigFor, exactly like the loopback client).
+/// sketch group and the shard's ALREADY-RESOLVED config (the ingestor
+/// derives the shard seed via ShardConfigFor for every cell).
 struct TcpShardSpec {
   std::vector<std::string> sketches;
   SketchConfig config;
@@ -133,7 +133,7 @@ class TcpShardHost {
   TcpShardHost& operator=(const TcpShardHost&) = delete;
 
   uint16_t port() const { return port_; }
-  /// "host:port" — what ShardBackend::Endpoint reports for placements here.
+  /// "host:port" — what ShardBackend::Endpoint reports for cells here.
   std::string endpoint() const;
 
   /// Closes the listener and every connection, joins all threads. Sessions
@@ -157,7 +157,7 @@ class TcpShardHost {
   size_t sessions() const;
 
  private:
-  /// One hosted shard: a 1-shard in-process cell plus the apply-sequence
+  /// One hosted shard: an in-process cell plus the apply-sequence
   /// cursor that makes reconnect resync exactly-once.
   struct Session {
     std::unique_ptr<ShardBackend> cell;

@@ -5,16 +5,14 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/backend.h"
-
 namespace wbs::engine {
 
 std::shared_ptr<const TopologyView> ShardTopology::MakeInitial(
-    size_t num_shards, size_t slots_per_shard,
-    std::shared_ptr<ShardBackend> primary) {
+    std::vector<ShardPlacement> placements, size_t slots_per_shard) {
   auto view = std::make_shared<TopologyView>();
   view->generation = 1;
   view->routing_generation = 1;
+  const size_t num_shards = placements.size();
   const size_t num_slots = num_shards * std::max<size_t>(1, slots_per_shard);
   view->slot_to_shard.resize(num_slots);
   for (size_t slot = 0; slot < num_slots; ++slot) {
@@ -22,15 +20,10 @@ std::shared_ptr<const TopologyView> ShardTopology::MakeInitial(
     // hash-mod-shards partition bit-for-bit (see topology.h).
     view->slot_to_shard[slot] = uint32_t(slot % num_shards);
   }
-  view->placements.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    // Routing-only views (tests) pass a null primary; no endpoint then.
-    view->placements[s] = ShardPlacement{
-        primary, uint32_t(s), primary ? primary->Endpoint(s) : std::string()};
-  }
+  view->placements = std::move(placements);
   view->owned_slots.assign(num_shards, 0);
   for (uint32_t owner : view->slot_to_shard) ++view->owned_slots[owner];
-  return view;  // every placement shares ownership of the primary cell
+  return view;
 }
 
 std::shared_ptr<const TopologyView> ShardTopology::WithAddedShards(

@@ -2,12 +2,9 @@
 //
 // ShardTopology — the engine's epoch-versioned routing layer.
 //
-// Before this layer existed, ShardedIngestor baked `num_shards` into its
-// scatter buffers, merge cache, and a single homogeneous ShardBackend: the
-// shard count and placement were frozen at construction. The topology
-// refactor makes routing an explicit, generation-stamped table
+// Routing is an explicit, generation-stamped table
 //
-//   item --hash--> slot --slot_to_shard--> shard id --placement--> backend
+//   item --hash--> slot --slot_to_shard--> shard id --placement--> cell
 //
 // published as an immutable TopologyView that producers, the router, and
 // the query path each read with one cheap shared_ptr copy. Mutations
@@ -58,18 +55,16 @@ namespace wbs::engine {
 
 class ShardBackend;
 
-/// Where one global shard id lives: a backend cell plus the shard's local
-/// index inside it (monolithic backends host many; handoff/scale-out cells
-/// host one). Views SHARE ownership of the cell: a retired placement (its
-/// shard moved away, or its peer crashed and was re-homed) lives exactly as
-/// long as the last TopologyView referencing it, then its destructor
-/// reclaims the cell — including a loopback server's threads and fds. A
-/// long-lived engine that reshards and recovers continuously therefore
-/// holds a bounded set of cells, not one per change ever made.
+/// Where one global shard id lives: its one-shard backend cell. Views SHARE
+/// ownership of the cell: a retired placement (its shard moved away, or its
+/// peer crashed and was re-homed) lives exactly as long as the last
+/// TopologyView referencing it, then its destructor reclaims the cell —
+/// including a loopback server's threads and fds. A long-lived engine that
+/// reshards and recovers continuously therefore holds a bounded set of
+/// cells, not one per change ever made.
 struct ShardPlacement {
   std::shared_ptr<ShardBackend> backend;
-  uint32_t local = 0;
-  /// The backend's network endpoint for this shard ("host:port"), empty for
+  /// The cell's network endpoint ("host:port"), empty for
   /// shards with no network home (in-process, loopback socketpairs). This is
   /// the supervision layer's FAILURE DOMAIN key: when one shard on an
   /// endpoint misses a heartbeat, every healthy placement sharing that
@@ -98,8 +93,8 @@ struct TopologyView {
   size_t num_slots() const { return slot_to_shard.size(); }
   size_t num_shards() const { return placements.size(); }
 
-  /// The slot an item hashes to. Same splitmix as the legacy ShardOf, so
-  /// the initial table reproduces the legacy partition exactly.
+  /// The slot an item hashes to. With num_slots == num_shards this is the
+  /// legacy hash-mod-shards partition, which the initial table reproduces.
   static size_t SlotOf(uint64_t item, size_t num_slots) {
     uint64_t s = item ^ 0x9e3779b97f4a7c15ULL;
     return size_t(SplitMix64(&s) % num_slots);
@@ -145,12 +140,11 @@ struct TopologyInfo {
 /// batch/query, so an uncontended lock is noise.)
 class ShardTopology {
  public:
-  /// The initial table: `num_shards` shards over `num_shards *
-  /// slots_per_shard` slots, slot -> slot % num_shards (the legacy
-  /// partition), all placed in `primary` with local == global id.
+  /// The initial table: one shard per placement (shard id = index) over
+  /// `placements.size() * slots_per_shard` slots, slot -> slot % num_shards
+  /// (the legacy partition). Routing-only views may pass null backends.
   static std::shared_ptr<const TopologyView> MakeInitial(
-      size_t num_shards, size_t slots_per_shard,
-      std::shared_ptr<ShardBackend> primary);
+      std::vector<ShardPlacement> placements, size_t slots_per_shard);
 
   /// A view with `added` new shards appended (placements supplied by the
   /// caller, one cell per new shard) and slots stolen evenly from the

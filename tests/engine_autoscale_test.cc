@@ -134,7 +134,7 @@ std::vector<uint64_t> ItemsForShard(size_t shard, size_t num_shards,
                                     uint64_t start = 0) {
   std::vector<uint64_t> items;
   for (uint64_t item = start; item < universe && items.size() < n; ++item) {
-    if (ShardedIngestor::ShardOf(item, num_shards) == shard) {
+    if (TopologyView::SlotOf(item, num_shards) == shard) {
       items.push_back(item);
     }
   }
@@ -154,7 +154,8 @@ Status SubmitAll(Client* client, const stream::TurnstileStream& s,
 // ------------------------------------------------- slot-table bookkeeping --
 
 TEST(SlotTableTest, OwnedSlotBookkeepingIsExact) {
-  auto base = ShardTopology::MakeInitial(4, 16, nullptr);  // 64 slots
+  // 4 x 16 = 64 slots
+  auto base = ShardTopology::MakeInitial(std::vector<ShardPlacement>(4), 16);
   size_t total = 0;
   for (size_t s = 0; s < base->num_shards(); ++s) {
     size_t brute = 0;
@@ -210,7 +211,8 @@ TEST(SlotTableTest, OwnedSlotBookkeepingIsExact) {
 }
 
 TEST(SlotTableTest, WithMovedSlotsRejectsMalformedRequests) {
-  auto base = ShardTopology::MakeInitial(3, 16, nullptr);  // 48 slots
+  // 3 x 16 = 48 slots
+  auto base = ShardTopology::MakeInitial(std::vector<ShardPlacement>(3), 16);
   auto owned0 = base->OwnedSlotIds(0);
   auto owned1 = base->OwnedSlotIds(1);
   ASSERT_FALSE(owned0.empty());
@@ -245,7 +247,7 @@ TEST(SlotMoveFidelityTest, SummariesIdenticalAcrossTheMove) {
       "misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"};
   // The engine builds its initial table with the same deterministic layout,
   // so the slot ids each shard owns are computable up front.
-  auto initial = ShardTopology::MakeInitial(4, 16, nullptr);
+  auto initial = ShardTopology::MakeInitial(std::vector<ShardPlacement>(4), 16);
   auto owned0 = initial->OwnedSlotIds(0);
   auto owned2 = initial->OwnedSlotIds(2);
 
@@ -308,7 +310,7 @@ TEST(SlotMoveFidelityTest, MidIngestMoveSlotsBitIdenticalOnZipf) {
   auto s = ZipfTurnstile(universe, 24000, 902);
   SketchConfig cfg = TestConfig(universe, 93);
   const std::vector<std::string> sketches = {"ams_f2", "sis_l0"};
-  auto initial = ShardTopology::MakeInitial(4, 16, nullptr);
+  auto initial = ShardTopology::MakeInitial(std::vector<ShardPlacement>(4), 16);
   auto owned1 = initial->OwnedSlotIds(1);
   std::vector<uint32_t> slots(owned1.begin(), owned1.begin() + 6);
 
@@ -356,7 +358,7 @@ TEST(SlotMoveFidelityTest, MidIngestMoveSlotsBitIdenticalOnRankDecision) {
   ASSERT_TRUE(Replay(reference.get(), diag, 2, ReplayChurn::kDisabled).ok());
   ASSERT_TRUE(reference->Finish().ok());
 
-  auto initial = ShardTopology::MakeInitial(2, 16, nullptr);
+  auto initial = ShardTopology::MakeInitial(std::vector<ShardPlacement>(2), 16);
   auto owned0 = initial->OwnedSlotIds(0);
   std::vector<uint32_t> slots(owned0.begin(), owned0.begin() + 4);
   auto moved =
@@ -617,7 +619,7 @@ TEST(AutoscaleTest, DeadShardNeverPickedAsDestination) {
   })) << "supervisor never declared the crashed shard dead";
 
   // Direct MoveSlots onto the dead shard: refused, topology untouched.
-  auto initial = ShardTopology::MakeInitial(3, 16, nullptr);
+  auto initial = ShardTopology::MakeInitial(std::vector<ShardPlacement>(3), 16);
   auto owned0 = initial->OwnedSlotIds(0);
   const uint64_t generation = client->Topology().generation;
   Status direct = client->MoveSlots(0, {owned0[0]}, 1);

@@ -70,12 +70,15 @@ void CheckBackendsAgree(const stream::TurnstileStream& s,
       MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
   auto loopback =
       MakeClient(sketches, cfg, shards, threads, LoopbackBackendFactory());
-  ASSERT_EQ(inprocess->ingestor().backend().name(), "inprocess");
-  ASSERT_EQ(loopback->ingestor().backend().name(), "loopback");
-  EXPECT_FALSE(
-      inprocess->ingestor().backend().capabilities().crosses_process_boundary);
-  EXPECT_TRUE(
-      loopback->ingestor().backend().capabilities().crosses_process_boundary);
+  // Loopback cells report channel counters; in-process cells have none.
+  const MetricsSnapshot inprocess_metrics = inprocess->Metrics();
+  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.wire.frames_out_total"),
+            nullptr);
+  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.tcp.reconnects_total"),
+            nullptr);
+  const MetricsSnapshot loopback_metrics = loopback->Metrics();
+  EXPECT_NE(loopback_metrics.Find("engine.shard.0.wire.frames_out_total"),
+            nullptr);
 
   // Opt out of env-injected replay ops (WBS_ENGINE_TOPOLOGY / WBS_ENGINE_
   // CRASH): this harness asserts bit-identical equality BETWEEN the two
@@ -546,15 +549,15 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   const size_t kF2 = 1;  // ams_f2's index in the group
 
   // Gate open: the first batch lands and publishes epoch 1 on both sides.
-  ASSERT_TRUE(shard.ApplyBatch(0, first.data(), first.size()).ok());
-  ASSERT_TRUE(reference.value()->ApplyBatch(0, first.data(), first.size()).ok());
-  auto want_parked = reference.value()->Snapshot(0, kF2);
+  ASSERT_TRUE(shard.ApplyBatch(first.data(), first.size()).ok());
+  ASSERT_TRUE(reference.value()->ApplyBatch(first.data(), first.size()).ok());
+  auto want_parked = reference.value()->Snapshot(kF2);
   ASSERT_TRUE(want_parked.ok() && want_parked.value().sketch != nullptr);
   ASSERT_TRUE(
-      reference.value()->ApplyBatch(0, second.data(), second.size()).ok());
+      reference.value()->ApplyBatch(second.data(), second.size()).ok());
   // Opens the control channel while the cell is idle: a tcp handshake reads
   // the apply cursor under the cell lock, so a first dial would wait.
-  ASSERT_TRUE(shard.Epoch(0).ok());
+  ASSERT_TRUE(shard.Epoch().ok());
 
   // Declared before the guard below, so they are destroyed after it: a
   // read still blocked at scope exit finishes once the gate is open.
@@ -563,7 +566,7 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   std::future<Result<std::vector<MetricSample>>> metrics;
   Gate().Close();
   std::thread applier([&] {
-    EXPECT_TRUE(shard.ApplyBatch(0, second.data(), second.size()).ok());
+    EXPECT_TRUE(shard.ApplyBatch(second.data(), second.size()).ok());
   });
   struct Release {
     std::thread& applier;
@@ -575,14 +578,14 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   Gate().AwaitWaiter();  // the second apply is parked inside the host
 
   const auto kBudget = std::chrono::seconds(1);
-  epoch = std::async(std::launch::async, [&] { return shard.Epoch(0); });
+  epoch = std::async(std::launch::async, [&] { return shard.Epoch(); });
   EXPECT_EQ(epoch.wait_for(kBudget), std::future_status::ready)
       << "Epoch queued behind the parked apply";
   snap = std::async(std::launch::async,
-                    [&] { return shard.Snapshot(0, kF2); });
+                    [&] { return shard.Snapshot(kF2); });
   EXPECT_EQ(snap.wait_for(kBudget), std::future_status::ready)
       << "Snapshot(ams_f2) queued behind the parked apply";
-  metrics = std::async(std::launch::async, [&] { return shard.Metrics(0); });
+  metrics = std::async(std::launch::async, [&] { return shard.Metrics(); });
   EXPECT_EQ(metrics.wait_for(kBudget), std::future_status::ready)
       << "Metrics queued behind the parked apply";
 
@@ -611,11 +614,11 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   EXPECT_TRUE(has_epoch_sample);
 
   // After the gate opens, the remote cell answers like the in-process one.
-  auto final_epoch = shard.Epoch(0);
+  auto final_epoch = shard.Epoch();
   ASSERT_TRUE(final_epoch.ok()) << final_epoch.status().ToString();
   EXPECT_EQ(final_epoch.value(), 2u);
-  auto got = shard.Snapshot(0, kF2);
-  auto want = reference.value()->Snapshot(0, kF2);
+  auto got = shard.Snapshot(kF2);
+  auto want = reference.value()->Snapshot(kF2);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(want.ok() && want.value().sketch != nullptr);
   ASSERT_NE(got.value().sketch, nullptr);
@@ -624,7 +627,7 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   const SketchSummary want_summary = want.value().sketch->Summary();
   EXPECT_EQ(got_summary.scalar, want_summary.scalar);
   EXPECT_EQ(got_summary.updates, want_summary.updates);
-  auto live = shard.LiveSummary(0, 0);  // gate_sketch counts applied updates
+  auto live = shard.LiveSummary(0);  // gate_sketch counts applied updates
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   EXPECT_EQ(live.value().updates, uint64_t(first.size() + second.size()));
 }

@@ -195,8 +195,13 @@ TEST(FailoverTest, HeartbeatDetectsCleanCrashAndAutoRecovers) {
 
   // Kill shard 0's server mid-life, with NO barrier: the realistic death.
   ASSERT_TRUE(client->InjectShardCrash(0).ok());
-  ASSERT_TRUE(PollUntil([&] { return client->Health(0).recoveries >= 1; }))
-      << "supervisor never detected + re-homed the crashed shard";
+  // The recovery bumps its count before it stores the healthy verdict and
+  // records its span, so wait for all three.
+  ASSERT_TRUE(PollUntil([&] {
+    return client->Health(0).recoveries >= 1 &&
+           client->Health(0).health == ShardHealth::kHealthy &&
+           FindSpan(client->TraceSpans(), "recover_shard") != nullptr;
+  })) << "supervisor never detected + re-homed the crashed shard";
 
   const ShardHealthInfo health = client->Health(0);
   EXPECT_EQ(health.health, ShardHealth::kHealthy);
@@ -602,6 +607,33 @@ TEST(FailoverTest, ReshardRecoverLoopReclaimsCellsAndThreads) {
       << "retired loopback cells are leaking file descriptors";
   EXPECT_LE(threads_after, threads_before + 2)
       << "retired loopback cells are leaking server threads";
+  ASSERT_TRUE(client->Finish().ok());
+#endif
+}
+
+// The initial placements are cells like any other: moving a loopback shard
+// in-process retires its cell, and with it the ShardServer's two serving
+// threads.
+TEST(FailoverTest, MovedInitialShardStopsItsServerThreads) {
+#ifndef __linux__
+  GTEST_SKIP() << "thread accounting reads /proc";
+#else
+  const SketchConfig cfg = TestConfig(1 << 10, 87);
+  auto s = ZipfTurnstile(1 << 10, 2000, 88);
+  auto client = MakeClient({"ams_f2"}, cfg, 2, 1, LoopbackBackendFactory());
+  auto f2 = client->Handle("ams_f2").value();
+  ASSERT_TRUE(Replay(client.get(), s, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  const size_t threads_before = ThreadCount();
+
+  ASSERT_TRUE(client->MoveShard(0, InProcessBackendFactory()).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  ASSERT_TRUE(client->QueryScalar(f2).ok());
+  // A joined thread can stay listed in /proc for a moment after the join.
+  EXPECT_TRUE(PollUntil(
+      [&] { return ThreadCount() + 2 <= threads_before; }, 5000))
+      << "the retired loopback cell still runs its server threads ("
+      << ThreadCount() << " threads, " << threads_before << " before)";
   ASSERT_TRUE(client->Finish().ok());
 #endif
 }

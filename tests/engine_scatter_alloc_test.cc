@@ -69,32 +69,23 @@ namespace {
 // aggregation scratch) cannot pollute the scatter-path assertion.
 class NullBackend : public ShardBackend {
  public:
-  explicit NullBackend(size_t shards) : shards_(shards) {}
-
   const std::string& name() const override {
     static const std::string kName = "null";
     return kName;
   }
-  BackendCapabilities capabilities() const override {
-    BackendCapabilities caps;
-    caps.zero_copy = true;
-    return caps;
-  }
-  size_t num_shards() const override { return shards_; }
-  Status ApplyBatch(size_t, const stream::TurnstileUpdate*,
-                    size_t count) override {
+  Status ApplyBatch(const stream::TurnstileUpdate*, size_t count) override {
     applied_ += count;
     return Status::OK();
   }
-  Result<uint64_t> Epoch(size_t) const override { return uint64_t{0}; }
-  Result<ShardSnapshot> Snapshot(size_t, size_t) const override {
+  Result<uint64_t> Epoch() const override { return uint64_t{0}; }
+  Result<ShardSnapshot> Snapshot(size_t) const override {
     return Status::Unimplemented("null backend: no snapshots");
   }
-  Result<SerializedSnapshot> SnapshotSerialized(size_t, size_t) const override {
+  Result<SerializedSnapshot> SnapshotSerialized(size_t) const override {
     return Status::Unimplemented("null backend: no snapshots");
   }
-  Status Flush(size_t) override { return Status::OK(); }
-  Result<SketchSummary> LiveSummary(size_t, size_t) const override {
+  Status Flush() override { return Status::OK(); }
+  Result<SketchSummary> LiveSummary(size_t) const override {
     return Status::Unimplemented("null backend: no summaries");
   }
   uint64_t SpaceBits() const override { return 0; }
@@ -102,7 +93,6 @@ class NullBackend : public ShardBackend {
   uint64_t applied() const { return applied_; }
 
  private:
-  size_t shards_;
   uint64_t applied_ = 0;
 };
 
@@ -112,10 +102,9 @@ std::unique_ptr<ShardedIngestor> MakeInlineEngine(size_t shards) {
   opts.num_threads = 0;        // inline: apply on the submitting thread
   opts.metrics_enabled = false;  // no instruments, no clock reads
   opts.sketches = {"ams_f2"};  // ignored by NullBackend
-  opts.backend = [](const BackendOptions& bopts)
+  opts.backend = [](const BackendOptions&)
       -> Result<std::unique_ptr<ShardBackend>> {
-    return std::unique_ptr<ShardBackend>(
-        std::make_unique<NullBackend>(bopts.num_shards));
+    return std::unique_ptr<ShardBackend>(std::make_unique<NullBackend>());
   };
   auto engine = ShardedIngestor::Create(opts);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();

@@ -78,11 +78,15 @@ void CheckTcpAgreesWithInProcess(const stream::TurnstileStream& s,
   auto inprocess =
       MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
   auto tcp = MakeClient(sketches, cfg, shards, threads, TcpBackendFactory());
-  ASSERT_EQ(tcp->ingestor().backend().name(), "tcp");
-  EXPECT_TRUE(
-      tcp->ingestor().backend().capabilities().crosses_process_boundary);
-  // Self-hosted placements report a dialable failure-domain key.
-  EXPECT_NE(tcp->ingestor().backend().Endpoint(0), "");
+  // Tcp cells report channel and dialer counters; in-process cells neither.
+  const MetricsSnapshot tcp_metrics = tcp->Metrics();
+  EXPECT_NE(tcp_metrics.Find("engine.shard.0.wire.frames_out_total"), nullptr);
+  EXPECT_NE(tcp_metrics.Find("engine.shard.0.tcp.reconnects_total"), nullptr);
+  const MetricsSnapshot inprocess_metrics = inprocess->Metrics();
+  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.wire.frames_out_total"),
+            nullptr);
+  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.tcp.reconnects_total"),
+            nullptr);
 
   // Env-injected replay ops disabled for the same reason as the loopback
   // equivalence harness: a crash drill is asymmetric between the two
@@ -460,6 +464,65 @@ TEST(TcpPartitionTest, TransientPartitionResyncsWithoutRehome) {
         "engine.shard." + std::to_string(shard) + ".tcp.reconnects_total";
     EXPECT_GE(snap.Value(counter), 1u) << counter;
   }
+}
+
+// ------------------------------------------------------------ placement --
+
+// Topology-op cells follow the "shard i on endpoint i mod n" rule: the two
+// shards AddShards creates (ids 2 and 3) land one on each endpoint.
+TEST(TcpPlacementTest, AddedShardsSpreadAcrossEndpoints) {
+  auto a = TcpShardHost::Start({});
+  auto b = TcpShardHost::Start({});
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto client = MakeClient({"ams_f2"}, TestConfig(1 << 10, 91), 2, 1,
+                           InProcessBackendFactory());
+  TcpBackendOptions topts;
+  topts.endpoints = {a.value()->endpoint(), b.value()->endpoint()};
+  ASSERT_TRUE(client->AddShards(2, TcpBackendFactory(topts)).ok());
+  ASSERT_TRUE(client->Submit(ZipfTurnstile(1 << 10, 4000, 92)).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  EXPECT_EQ(a.value()->sessions(), 1u);
+  EXPECT_EQ(b.value()->sessions(), 1u);
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+// Per-host failure domain: both shards live on one host, so the first
+// missed heartbeat implicates the other shard too ("host_suspect") instead
+// of waiting for its own probe. Death is out of reach (dead_after_misses),
+// so the verdicts stay at kSuspect.
+TEST(TcpPlacementTest, HostCrashSuspectsEveryShardOnTheHost) {
+  auto host = TcpShardHost::Start({});
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  auto factory = BackendFactoryByName("tcp:" + host.value()->endpoint());
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  FailoverOptions failover;
+  failover.heartbeat_interval_ms = 10;
+  failover.heartbeat_timeout_ms = 1000;
+  failover.dead_after_misses = 1000000;
+  failover.auto_recover = false;
+  auto client = MakeTcpClient({"ams_f2"}, TestConfig(1 << 10, 93), 2, 1,
+                              failover, std::move(factory).value());
+  ASSERT_TRUE(client->Submit(ZipfTurnstile(1 << 10, 2000, 94)).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  ASSERT_EQ(host.value()->sessions(), 2u);
+
+  host.value()->CrashNow();
+  auto suspected = [&] {
+    bool span = false;
+    for (const TraceSpan& s : client->TraceSpans()) {
+      span |= s.name == "host_suspect";
+    }
+    return span && client->Health(0).health != ShardHealth::kHealthy &&
+           client->Health(1).health != ShardHealth::kHealthy;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!suspected() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(suspected()) << "no host_suspect verdict within 5 s";
+  ASSERT_TRUE(client->Finish().ok());
 }
 
 // ------------------------------------------------- kill -9 daemon recovery --

@@ -472,11 +472,11 @@ TEST(EngineDeterminismTest, SamplingSketchDeterministicAcrossThreadCounts) {
 
 // ---------------------------------------------------------------- ingestor --
 
-TEST(ShardedIngestorTest, ShardOfIsStableAndCoversShards) {
+TEST(ShardedIngestorTest, SlotOfIsStableAndCoversShards) {
   std::set<size_t> hit;
   for (uint64_t item = 0; item < 1000; ++item) {
-    size_t shard = ShardedIngestor::ShardOf(item, 8);
-    EXPECT_EQ(shard, ShardedIngestor::ShardOf(item, 8));
+    size_t shard = TopologyView::SlotOf(item, 8);
+    EXPECT_EQ(shard, TopologyView::SlotOf(item, 8));
     EXPECT_LT(shard, 8u);
     hit.insert(shard);
   }

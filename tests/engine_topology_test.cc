@@ -2,7 +2,8 @@
 //
 // The dynamic shard topology: the versioned routing layer (slot table,
 // generations), live scale-out (AddShards) and live shard handoff
-// (MoveShard), and mixed backend placement (CompositeBackendFactory).
+// (MoveShard), and mixed backend placement (even ids in-process, odd ids
+// behind the loopback wire).
 //
 // The load-bearing guarantees pinned here:
 //   * the initial slot table reproduces the legacy hash-mod-shards
@@ -63,11 +64,6 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
   return s;
 }
 
-BackendFactory MixedFactory() {
-  return CompositeBackendFactory(
-      {InProcessBackendFactory(), LoopbackBackendFactory()});
-}
-
 struct BackendCase {
   const char* name;
   BackendFactory factory;
@@ -76,7 +72,7 @@ struct BackendCase {
 std::vector<BackendCase> AllPlacements() {
   return {{"inprocess", InProcessBackendFactory()},
           {"loopback", LoopbackBackendFactory()},
-          {"mixed", MixedFactory()}};
+          {"mixed", BackendFactoryByName("mixed").value()}};
 }
 
 /// Element-wise bit-identity of two summaries.
@@ -115,19 +111,21 @@ Status ReplayWithMidpoint(Client* client, const stream::TurnstileStream& s,
 
 TEST(ShardTopologyTest, InitialTableReproducesLegacyPartition) {
   for (size_t shards : {1u, 3u, 4u, 8u}) {
-    auto view = ShardTopology::MakeInitial(shards, 16, nullptr);
+    auto view =
+        ShardTopology::MakeInitial(std::vector<ShardPlacement>(shards), 16);
     EXPECT_EQ(view->generation, 1u);
     EXPECT_EQ(view->num_shards(), shards);
     EXPECT_EQ(view->num_slots(), shards * 16);
     for (uint64_t item = 0; item < 4000; ++item) {
-      ASSERT_EQ(view->ShardFor(item), ShardedIngestor::ShardOf(item, shards))
+      ASSERT_EQ(view->ShardFor(item), TopologyView::SlotOf(item, shards))
           << "item " << item << " with " << shards << " shards";
     }
   }
 }
 
 TEST(ShardTopologyTest, AddedShardsStealSlotsEvenly) {
-  auto base = ShardTopology::MakeInitial(4, 16, nullptr);  // 64 slots
+  // 4 x 16 = 64 slots
+  auto base = ShardTopology::MakeInitial(std::vector<ShardPlacement>(4), 16);
   std::vector<ShardPlacement> added(2);  // null backends: routing-only test
   auto grown = ShardTopology::WithAddedShards(*base, added);
   EXPECT_EQ(grown->generation, 2u);
@@ -287,6 +285,26 @@ TEST(TopologyHandoffTest, MidIngestMoveBitIdenticalOnRankDecision) {
   ASSERT_TRUE(got.ok() && want.ok());
   EXPECT_EQ(got.value().rank_at_least_k, want.value().rank_at_least_k);
   EXPECT_TRUE(got.value().rank_at_least_k);
+}
+
+// A handoff retires the source cell instead of keeping it: the moved
+// engine's space is that of an engine that never moved, not that plus the
+// retired placement's state.
+TEST(TopologyHandoffTest, MoveShardDoesNotDoubleCountSpace) {
+  const uint64_t universe = 1 << 12;
+  auto s = ZipfTurnstile(universe, 20000, 311);
+  SketchConfig cfg = TestConfig(universe, 53);
+  const std::vector<std::string> sketches = {"ams_f2", "sis_l0"};
+  auto reference = MakeClient(sketches, cfg, 4, 2, InProcessBackendFactory());
+  ASSERT_TRUE(Replay(reference.get(), s, 1024, ReplayChurn::kDisabled).ok());
+  ASSERT_TRUE(reference->Finish().ok());
+
+  auto moved = MakeClient(sketches, cfg, 4, 2, InProcessBackendFactory());
+  ASSERT_TRUE(ReplayWithMidpoint(moved.get(), s, 1024, [&] {
+                return moved->MoveShard(0, InProcessBackendFactory());
+              }).ok());
+  ASSERT_TRUE(moved->Finish().ok());
+  EXPECT_EQ(moved->ingestor().SpaceBits(), reference->ingestor().SpaceBits());
 }
 
 // --------------------------------------------- handoff: sampling families --
