@@ -28,20 +28,30 @@ namespace wbs::counter {
 /// A single Morris register with growth base (1 + a): on each increment the
 /// register X advances with probability (1+a)^-X; the estimate is
 /// ((1+a)^X - 1) / a, which is unbiased with Var <= a * n^2 / 2.
+///
+/// Both doubles are cached: `advance_p_` = (1+a)^-X and `estimate_` =
+/// ((1+a)^X - 1)/a are recomputed, with exactly those expressions, only when
+/// X advances (about log_{1+a} n times over n increments), so an increment
+/// costs one tape draw and one compare. They are derived from the public
+/// (X, a) and are not charged to SpaceBits().
 class MorrisRegister {
  public:
   /// `a` > 0 is the accuracy knob; see MorrisCounter for the (eps, delta)
   /// parameterization.
-  MorrisRegister(double a, wbs::RandomTape* tape) : a_(a), tape_(tape) {}
+  MorrisRegister(double a, wbs::RandomTape* tape) : a_(a), tape_(tape) {
+    Derive();
+  }
 
   /// Processes one increment.
   void Increment() {
-    double p = std::pow(1.0 + a_, -double(x_));
-    if (tape_->UniformDouble() < p) ++x_;
+    if (tape_->UniformDouble() < advance_p_) {
+      ++x_;
+      Derive();
+    }
   }
 
   /// Current estimate of the number of increments.
-  double Estimate() const { return (std::pow(1.0 + a_, double(x_)) - 1.0) / a_; }
+  double Estimate() const { return estimate_; }
 
   uint64_t register_value() const { return x_; }
   double a() const { return a_; }
@@ -52,9 +62,16 @@ class MorrisRegister {
   uint64_t SpaceBits() const { return wbs::BitsForValue(x_); }
 
  private:
+  void Derive() {
+    advance_p_ = std::pow(1.0 + a_, -double(x_));
+    estimate_ = (std::pow(1.0 + a_, double(x_)) - 1.0) / a_;
+  }
+
   double a_;
   wbs::RandomTape* tape_;
   uint64_t x_ = 0;
+  double advance_p_ = 1.0;  // cached (1+a)^-X
+  double estimate_ = 0.0;   // cached ((1+a)^X - 1) / a
 };
 
 /// (eps, delta) Morris counter: a single register with a = eps^2 * delta / 3

@@ -58,6 +58,17 @@ constexpr uint64_t kRankOracleDomain = 0x2a4c;
 // so a single adversarial delta cannot stall a worker thread forever.
 constexpr int64_t kMaxSamplingDeltaExpansion = int64_t{1} << 20;
 
+/// The sampling wrappers' per-update contract: insertion-only, and at most
+/// kMaxSamplingDeltaExpansion units per weighted delta.
+Status CheckSamplingDelta(const std::string& name, int64_t delta) {
+  if (delta < 0) return Status::InvalidArgument(name + " is insertion-only");
+  if (delta > kMaxSamplingDeltaExpansion) {
+    return Status::InvalidArgument(
+        name + ": weighted delta exceeds the unit-expansion cap");
+  }
+  return Status::OK();
+}
+
 // Every builtin wire payload opens with the registry name and a per-family
 // state-version byte, so a peer can reject a foreign sketch or a layout it
 // does not speak before touching any state.
@@ -694,13 +705,7 @@ class RobustHhEngineSketch final : public SketchBase {
   }
 
   Status Update(const stream::TurnstileUpdate& u) override {
-    if (u.delta < 0) {
-      return Status::InvalidArgument("robust_hh is insertion-only");
-    }
-    if (u.delta > kMaxSamplingDeltaExpansion) {
-      return Status::InvalidArgument(
-          "robust_hh: weighted delta exceeds the unit-expansion cap");
-    }
+    if (Status s = CheckSamplingDelta(name_, u.delta); !s.ok()) return s;
     for (int64_t i = 0; i < u.delta; ++i) {
       Status s = alg_.Update({u.item});
       if (!s.ok()) return s;
@@ -749,6 +754,66 @@ class RobustHhEngineSketch final : public SketchBase {
   AnswerAccumulator merged_;
 };
 
+/// The CRHF images of one batch's distinct items, keyed by item: built once
+/// per batch (8 items per multi-lane SHA-256 call), then read once per raw
+/// update. Linear probing over a power-of-two slot array of at least twice
+/// the distinct count; a slot holds 1 + the item's position in the dense
+/// `items_`/`images_` arrays, 0 when empty. Storage is reused across
+/// batches; Image() requires a prior Build().
+class CrhfImageTable {
+ public:
+  /// Rebuilds the table for the items of `entries` (duplicates allowed).
+  void Build(const stream::TurnstileUpdate* entries, size_t n,
+             const crypto::Sha256Crhf& crhf) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    slots_.assign(size_t{1} << bits, 0);
+    items_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t item = entries[i].item;
+      size_t h = Home(item);
+      while (slots_[h] != 0 && items_[slots_[h] - 1] != item) {
+        h = (h + 1) & (slots_.size() - 1);
+      }
+      if (slots_[h] == 0) {
+        items_.push_back(item);
+        slots_[h] = uint32_t(items_.size());
+      }
+    }
+    // Pad to whole 8-lane calls: one costs less than a single scalar hash.
+    // Padding lanes repeat the last item and are never looked up.
+    if (!items_.empty()) {
+      items_.resize((items_.size() + 7) / 8 * 8, items_.back());
+    }
+    images_.resize(items_.size());
+    for (size_t i = 0; i < items_.size(); i += 8) {
+      crhf.HashU64x8(&items_[i], &images_[i]);
+    }
+  }
+
+  /// crhf.HashU64(item): the cached image, or a fresh hash for an item the
+  /// table was not built with.
+  uint64_t Image(uint64_t item, const crypto::Sha256Crhf& crhf) const {
+    for (size_t h = Home(item);; h = (h + 1) & (slots_.size() - 1)) {
+      const uint32_t slot = slots_[h];
+      if (slot == 0) return crhf.HashU64(item);
+      if (items_[slot - 1] == item) return images_[slot - 1];
+    }
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of item * 2^64/phi.
+  size_t Home(uint64_t item) const {
+    return size_t((item * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  int shift_ = 0;
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> items_;
+  std::vector<uint64_t> images_;
+};
+
 class CrhfHhEngineSketch final : public SketchBase {
  public:
   explicit CrhfHhEngineSketch(const SketchConfig& cfg)
@@ -759,13 +824,7 @@ class CrhfHhEngineSketch final : public SketchBase {
   }
 
   Status Update(const stream::TurnstileUpdate& u) override {
-    if (u.delta < 0) {
-      return Status::InvalidArgument("crhf_hh is insertion-only");
-    }
-    if (u.delta > kMaxSamplingDeltaExpansion) {
-      return Status::InvalidArgument(
-          "crhf_hh: weighted delta exceeds the unit-expansion cap");
-    }
+    if (Status s = CheckSamplingDelta(name_, u.delta); !s.ok()) return s;
     for (int64_t i = 0; i < u.delta; ++i) {
       Status s = alg_.Update({u.item});
       if (!s.ok()) return s;
@@ -774,42 +833,27 @@ class CrhfHhEngineSketch final : public SketchBase {
     return Status::OK();
   }
 
-  /// Batches hash 8 distinct entries per multi-lane SHA-256 call and reuse
-  /// each entry's single CRHF image across its whole delta expansion —
-  /// per-unit re-hashing was the dominant cost of the Update() loop. The
-  /// CRHF is pure and stateless, so hashing ahead of the per-entry
-  /// validation cannot change observable behavior; entries are still
-  /// applied (and can still fail) strictly in order, exactly like the
-  /// default Update() loop.
+  /// Batches hash each distinct item once: the items of the batch's
+  /// pre-aggregation go through the multi-lane SHA-256 into an image
+  /// table, and the raw updates then replay strictly in order, each unit
+  /// fed its item's image through UpdateHashed(). Sampling, validation and
+  /// the position of any error stay per raw unit, exactly as in the
+  /// Update() loop; the CRHF is pure, so hashing ahead cannot change
+  /// observable behavior.
   Status ApplyBatch(const UpdateBatch& batch) override {
-    uint64_t items[8];
-    uint64_t hashes[8];
     const crypto::Sha256Crhf& crhf = alg_.crhf();
-    for (size_t base = 0; base < batch.size; base += 8) {
-      const size_t chunk = std::min<size_t>(8, batch.size - base);
-      if (chunk == 8) {
-        for (size_t k = 0; k < 8; ++k) items[k] = batch.data[base + k].item;
-        crhf.HashU64x8(items, hashes);
-      } else {
-        for (size_t k = 0; k < chunk; ++k) {
-          hashes[k] = crhf.HashU64(batch.data[base + k].item);
-        }
+    const AggregatedView agg = GetAggregated(batch);
+    images_.Build(agg.data, agg.size, crhf);
+    for (size_t i = 0; i < batch.size; ++i) {
+      const stream::TurnstileUpdate& u = batch.data[i];
+      if (Status s = CheckSamplingDelta(name_, u.delta); !s.ok()) return s;
+      if (u.delta == 0) continue;
+      const uint64_t hashed = images_.Image(u.item, crhf);
+      for (int64_t k = 0; k < u.delta; ++k) {
+        Status s = alg_.UpdateHashed(u.item, hashed);
+        if (!s.ok()) return s;
       }
-      for (size_t k = 0; k < chunk; ++k) {
-        const stream::TurnstileUpdate& u = batch.data[base + k];
-        if (u.delta < 0) {
-          return Status::InvalidArgument("crhf_hh is insertion-only");
-        }
-        if (u.delta > kMaxSamplingDeltaExpansion) {
-          return Status::InvalidArgument(
-              "crhf_hh: weighted delta exceeds the unit-expansion cap");
-        }
-        for (int64_t i = 0; i < u.delta; ++i) {
-          Status s = alg_.UpdateHashed(u.item, hashes[k]);
-          if (!s.ok()) return s;
-        }
-        if (u.delta != 0) ++updates_applied_;
-      }
+      ++updates_applied_;
     }
     return Status::OK();
   }
@@ -852,6 +896,7 @@ class CrhfHhEngineSketch final : public SketchBase {
   wbs::RandomTape tape_;
   hh::CrhfHeavyHitters alg_;
   AnswerAccumulator merged_;
+  CrhfImageTable images_;  // per-batch table; derived from public state
 };
 
 }  // namespace

@@ -187,9 +187,10 @@ struct SketchConfig {
 /// batch — duplicate items combined in first-occurrence order, zero-delta
 /// entries dropped — computed once per shard batch so that every
 /// weight-equivalent sketch (linear sketches, weighted Misra-Gries) can
-/// consume it without re-aggregating. Sampling sketches always read the raw
-/// `data` (a Bernoulli sample of w unit updates is not one weighted
-/// update).
+/// consume it without re-aggregating. Sampling sketches always sample the
+/// raw `data` (a Bernoulli sample of w unit updates is not one weighted
+/// update); crhf_hh reads the aggregation only to hash each distinct item
+/// once.
 struct UpdateBatch {
   const stream::TurnstileUpdate* data = nullptr;
   size_t size = 0;

@@ -66,8 +66,11 @@ void CrhfHeavyHitters::MaybePromote(uint64_t item, uint64_t hashed) {
     return;
   }
   // Evict the identity with the smallest current estimate if this one is
-  // heavier — the phi-heavy hashes always have top-1/phi estimates.
+  // heavier — the phi-heavy hashes always have top-1/phi estimates. Every
+  // tracked estimate is >= 0, so a candidate the inner summary does not
+  // hold (estimate 0) can never win: skip the scan for it.
   const double est = inner_.Estimate(hashed);
+  if (est == 0) return;
   auto min_it = identity_.begin();
   double min_est = inner_.Estimate(min_it->first);
   for (auto it2 = identity_.begin(); it2 != identity_.end(); ++it2) {

@@ -10,6 +10,13 @@
 // Only the O(1/phi) items that can actually be phi-heavy keep their full
 // log n-bit identity (needed to *report* them), giving total space
 //   O(1/eps * min(log n, log T) + 1/phi * log n + log log m).
+//
+// Cached derived values: this class keeps none of its own. The inner
+// RobustL1HeavyHitters caches its rotation threshold and Morris clock
+// values (robust_hh.h), and UpdateHashed() lets a caller reuse a CRHF image
+// it already computed (the engine wrapper hashes each distinct item of a
+// batch once). All of them follow from public state (the CRHF salt, the
+// clock register, the guess exponent), so none is charged to SpaceBits().
 
 #ifndef WBS_HEAVYHITTERS_CRHF_HH_H_
 #define WBS_HEAVYHITTERS_CRHF_HH_H_
@@ -41,10 +48,11 @@ class CrhfHeavyHitters final
   Status Update(const stream::ItemUpdate& u) override;
 
   /// Update with the CRHF image already computed — the batched-ingest path:
-  /// callers hash 8 items at a time via crhf().HashU64x8 and feed each
-  /// result here, so repeated deltas of one item pay for one compression.
-  /// `hashed` MUST equal crhf().HashU64(item) (Debug builds assert it);
-  /// behavior is otherwise identical to Update().
+  /// callers hash a batch's distinct items 8 at a time via
+  /// crhf().HashU64x8 and feed each result here, so every unit of an item
+  /// in the batch pays for one compression. `hashed` MUST equal
+  /// crhf().HashU64(item) (Debug builds assert it); behavior is otherwise
+  /// identical to Update().
   Status UpdateHashed(uint64_t item, uint64_t hashed);
 
   /// The identity-compressing CRHF (public parameters; exposed so batch

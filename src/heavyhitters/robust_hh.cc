@@ -57,13 +57,14 @@ RobustL1HeavyHitters::RobustL1HeavyHitters(uint64_t universe, double eps,
       // The Morris clock only needs a constant-factor estimate of t; a fixed
       // accuracy well below the 16/eps guess ratio suffices.
       clock_(/*a=*/0.05, tape),
-      c_(1) {
+      c_(1),
+      active_guess_(GuessFor(c_)) {
   // Per-instance failure budget: the number of rotations over a length-m
   // stream is log_{16/eps}(m); delta/(2 log m) per instance union-bounds to
   // delta_total. Without m we budget for m <= 2^40 conservatively — the
   // delta enters the space bound only as log(1/delta).
   const double per_instance_delta = delta_total_ / 80.0;
-  active_ = std::make_unique<BernMG>(universe_, uint64_t(GuessFor(c_)), eps_,
+  active_ = std::make_unique<BernMG>(universe_, uint64_t(active_guess_), eps_,
                                      per_instance_delta, tape_);
   next_ = std::make_unique<BernMG>(universe_, uint64_t(GuessFor(c_ + 1)),
                                    eps_, per_instance_delta, tape_);
@@ -78,6 +79,7 @@ double RobustL1HeavyHitters::GuessFor(int e) const {
 void RobustL1HeavyHitters::Rotate() {
   const double per_instance_delta = delta_total_ / 80.0;
   ++c_;
+  active_guess_ = GuessFor(c_);
   active_ = std::move(next_);
   next_ = std::make_unique<BernMG>(universe_, uint64_t(GuessFor(c_ + 1)),
                                    eps_, per_instance_delta, tape_);
@@ -92,7 +94,7 @@ Status RobustL1HeavyHitters::Update(const stream::ItemUpdate& u) {
   active_->Add(u.item);
   next_->Add(u.item);
   // Rotate when the approximate clock crosses the active guess.
-  if (clock_.Estimate() >= GuessFor(c_)) Rotate();
+  if (clock_.Estimate() >= active_guess_) Rotate();
   return Status::OK();
 }
 

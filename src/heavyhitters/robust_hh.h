@@ -15,6 +15,12 @@
 // Total space: O(1/eps (log n + log 1/eps) + log log m) — strictly better
 // than the deterministic Misra-Gries O(1/eps (log m + log n)) once
 // log m >> log n (Section 1.1.1).
+//
+// Cached derived values: the rotation threshold GuessFor(c) is kept in
+// `active_guess_` and recomputed only when c changes (construction and
+// Rotate()); the Morris clock caches its own advance probability and
+// estimate (counter/morris.h). Both follow from the public (c, X, eps), so
+// neither is charged to SpaceBits().
 
 #ifndef WBS_HEAVYHITTERS_ROBUST_HH_H_
 #define WBS_HEAVYHITTERS_ROBUST_HH_H_
@@ -106,6 +112,7 @@ class RobustL1HeavyHitters final
 
   counter::MorrisRegister clock_;   // (1 + O(eps))-approximate timer
   int c_;                           // active guess exponent
+  double active_guess_;             // cached GuessFor(c_): rotate at this
   std::unique_ptr<BernMG> active_;  // guess (16/eps)^c
   std::unique_ptr<BernMG> next_;    // guess (16/eps)^{c+1}
   uint64_t exact_t_ = 0;            // ground truth for tests; NOT part of the

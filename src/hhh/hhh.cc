@@ -175,10 +175,11 @@ RobustHhh::RobustHhh(const Hierarchy& hierarchy, uint64_t universe,
       delta_total_(delta_total),
       tape_(tape),
       clock_(/*a=*/0.05, tape),
-      c_(1) {
+      c_(1),
+      active_guess_(GuessFor(c_)) {
   const double d = delta_total_ / 80.0;
   active_ = std::make_unique<BernHhh>(hierarchy_, universe_,
-                                      uint64_t(GuessFor(c_)), eps_, d, tape_);
+                                      uint64_t(active_guess_), eps_, d, tape_);
   next_ = std::make_unique<BernHhh>(hierarchy_, universe_,
                                     uint64_t(GuessFor(c_ + 1)), eps_, d,
                                     tape_);
@@ -191,6 +192,7 @@ double RobustHhh::GuessFor(int e) const {
 void RobustHhh::Rotate() {
   const double d = delta_total_ / 80.0;
   ++c_;
+  active_guess_ = GuessFor(c_);
   active_ = std::move(next_);
   next_ = std::make_unique<BernHhh>(hierarchy_, universe_,
                                     uint64_t(GuessFor(c_ + 1)), eps_, d,
@@ -204,7 +206,7 @@ Status RobustHhh::Update(const stream::ItemUpdate& u) {
   clock_.Increment();
   active_->Add(u.item);
   next_->Add(u.item);
-  if (clock_.Estimate() >= GuessFor(c_)) Rotate();
+  if (clock_.Estimate() >= active_guess_) Rotate();
   return Status::OK();
 }
 

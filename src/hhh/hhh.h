@@ -100,6 +100,12 @@ class BernHhh {
 };
 
 /// Algorithm 4 / Theorem 2.14: the white-box robust HHH algorithm.
+///
+/// Cached derived values: the rotation threshold GuessFor(c) is kept in
+/// `active_guess_` and recomputed only when c changes (construction and
+/// Rotate()); the Morris clock caches its own advance probability and
+/// estimate (counter/morris.h). Both follow from the public (c, X, eps), so
+/// neither is charged to SpaceBits().
 class RobustHhh final : public core::StreamAlg<stream::ItemUpdate, HhhList> {
  public:
   RobustHhh(const Hierarchy& hierarchy, uint64_t universe, double eps,
@@ -126,6 +132,7 @@ class RobustHhh final : public core::StreamAlg<stream::ItemUpdate, HhhList> {
 
   counter::MorrisRegister clock_;
   int c_;
+  double active_guess_;  // cached GuessFor(c_): rotate at this
   std::unique_ptr<BernHhh> active_;
   std::unique_ptr<BernHhh> next_;
 };

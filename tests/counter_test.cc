@@ -11,6 +11,9 @@
 #include "counter/branching.h"
 #include "counter/morris.h"
 #include "core/game.h"
+#include "core/state_view.h"
+
+#include "golden_pins.h"
 
 namespace wbs::counter {
 namespace {
@@ -104,6 +107,55 @@ TEST(MorrisCounterTest, SerializeExposesRegister) {
   ASSERT_GE(w.words().size(), 1u);
   // First word is the register value — visible to the adversary.
   EXPECT_GT(w.words()[0], 0u);
+}
+
+// Golden pins, recorded once from the reference implementation: the exact
+// register trail of a fixed-seed run. The trail digest folds X and the
+// estimate's bits after every increment, so a cached probability or
+// estimate that differs from (1+a)^-X or ((1+a)^X - 1)/a in one bit, or one
+// extra tape draw, changes it.
+TEST(MorrisGoldenPinTest, RegisterTrail) {
+  struct Case {
+    double a;
+    uint64_t seed;
+    uint64_t register_value;
+    uint64_t estimate_bits;
+    uint64_t words_consumed;
+    uint64_t trail_digest;
+  };
+  // a = 0.05 is the clock of the robust heavy hitters.
+  const Case cases[] = {
+      {0.05, 201, 220, 0x412c00f69986f561, 1000000, 0x2523f16e9c66fe94},
+      {0.5, 202, 32, 0x412a553b8878fa04, 1000000, 0x84bd0143c75935fb},
+      {1.0, 203, 20, 0x412ffffe00000000, 1000000, 0x8ca5d64dff94ea9},
+  };
+  for (const Case& c : cases) {
+    wbs::RandomTape tape(c.seed);
+    tape.set_logging(false);
+    MorrisRegister r(c.a, &tape);
+    uint64_t trail = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      r.Increment();
+      trail = golden::Fold(trail, r.register_value());
+      trail = golden::Fold(trail, golden::Bits(r.Estimate()));
+    }
+    EXPECT_EQ(r.register_value(), c.register_value) << "a=" << c.a;
+    EXPECT_EQ(golden::Bits(r.Estimate()), c.estimate_bits) << "a=" << c.a;
+    EXPECT_EQ(tape.words_consumed(), c.words_consumed) << "a=" << c.a;
+    EXPECT_EQ(trail, c.trail_digest) << "a=" << c.a;
+  }
+}
+
+TEST(MorrisGoldenPinTest, MedianMorrisCounter) {
+  wbs::RandomTape tape(204);
+  tape.set_logging(false);
+  MedianMorrisCounter c(0.2, 0.1, &tape);
+  for (int i = 0; i < 20000; ++i) ASSERT_TRUE(c.Update({1}).ok());
+  core::StateWriter w;
+  c.SerializeState(&w);
+  EXPECT_EQ(golden::Bits(c.Query()), 0x40d386338207934fu);
+  EXPECT_EQ(tape.words_consumed(), 3420000u);
+  EXPECT_EQ(golden::Digest(w.words()), 0x118b53ffe6cfbf7du);
 }
 
 TEST(MedianMorrisCounterTest, AccurateAtModerateScale) {

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -26,6 +29,7 @@
 #include "stream/workload.h"
 
 #include "engine_test_util.h"
+#include "golden_pins.h"
 
 namespace wbs::engine {
 namespace {
@@ -197,6 +201,175 @@ TEST(EngineBatchTest, InsertionOnlySketchRejectsNegativeDelta) {
   auto hh = SketchRegistry::Global().Create("robust_hh", cfg);
   ASSERT_TRUE(hh.ok());
   EXPECT_FALSE(hh.value()->Update({5, -1}).ok());
+}
+
+// The sampling wrappers (robust_hh, crhf_hh) expand a weighted delta into
+// unit updates and sample each unit, so their batch path must reproduce the
+// per-update path exactly: same tape draws, same answer bits, same error at
+// the same position.
+
+// A duplicate-heavy stream of weighted deltas: half the updates on two
+// planted items, a quarter on a 32-item warm set, a quarter uniform; about
+// one delta in five is 3 and one in sixteen is 0.
+std::vector<stream::TurnstileUpdate> DuplicateHeavyUpdates(size_t n,
+                                                           uint64_t universe,
+                                                           uint64_t seed) {
+  std::vector<stream::TurnstileUpdate> out;
+  out.reserve(n);
+  uint64_t s = seed;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = SplitMix64(&s);
+    const uint64_t pick = r & 7;
+    const uint64_t item = pick < 2   ? 7
+                          : pick < 4 ? universe / 2 + 3
+                          : pick < 6 ? 100 + (r >> 3) % 32
+                                     : (r >> 3) % universe;
+    int64_t delta = (r >> 32) % 5 == 0 ? 3 : 1;
+    if ((r >> 40) % 16 == 0) delta = 0;
+    out.push_back({item, delta});
+  }
+  return out;
+}
+
+/// Feeds `updates` in `batch`-sized ApplyBatch calls, attaching the shared
+/// pre-aggregation the way the in-process cell does when `aggregated` is
+/// set. Stops at the first error, like the ingestor.
+Status ApplyInBatches(Sketch* sketch,
+                      const std::vector<stream::TurnstileUpdate>& updates,
+                      size_t batch, bool aggregated) {
+  std::vector<stream::TurnstileUpdate> agg;
+  std::unordered_map<uint64_t, size_t> index;
+  for (size_t base = 0; base < updates.size(); base += batch) {
+    UpdateBatch b{updates.data() + base,
+                  std::min(batch, updates.size() - base)};
+    if (aggregated) {
+      auto [effective, has_negative] =
+          AggregateUpdates(b.data, b.size, &agg, &index);
+      b.aggregated = agg.data();
+      b.aggregated_size = agg.size();
+      b.effective_updates = effective;
+      b.has_negative_delta = has_negative;
+    }
+    if (Status s = sketch->ApplyBatch(b); !s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+/// The per-update reference: Update() in order, stopping at the first error.
+Status ApplyOneByOne(Sketch* sketch,
+                     const std::vector<stream::TurnstileUpdate>& updates) {
+  for (const auto& u : updates) {
+    if (Status s = sketch->Update(u); !s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+struct SummaryPin {
+  uint64_t items = 0;
+  uint64_t digest = 0;  ///< every item and estimate bit, in order
+  uint64_t updates = 0;
+  uint64_t space_bits = 0;
+  bool operator==(const SummaryPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SummaryPin& p) {
+  return os << std::hex << "{" << p.items << ", 0x" << p.digest << ", 0x"
+            << p.updates << ", 0x" << p.space_bits << "}" << std::dec;
+}
+
+SummaryPin PinOf(const Sketch& sketch) {
+  const SketchSummary s = sketch.Summary();
+  SummaryPin p;
+  p.items = s.items.size();
+  for (const auto& wi : s.items) {
+    p.digest = golden::Fold(p.digest, wi.item);
+    p.digest = golden::Fold(p.digest, golden::Bits(wi.estimate));
+  }
+  p.updates = s.updates;
+  p.space_bits = sketch.SpaceBits();
+  return p;
+}
+
+TEST(EngineBatchTest, SamplingSketchGoldenPins) {
+  // Recorded once from the reference implementation, batches of 256 with
+  // the shared aggregation attached.
+  struct Case {
+    const char* name;
+    SummaryPin want;
+  };
+  const Case cases[] = {
+      {"robust_hh", {21, 0x5b9de8062af66767, 61450, 0x1eb}},
+      {"crhf_hh", {2, 0x4f2e31563ac4bd02, 61450, 0x465}},
+  };
+  const uint64_t universe = 1 << 20;
+  const auto updates = DuplicateHeavyUpdates(65536, universe, 401);
+  SketchConfig cfg = TestConfig(universe, 42);
+  cfg.shard_seed = 7;
+  for (const Case& c : cases) {
+    auto sketch = SketchRegistry::Global().Create(c.name, cfg);
+    ASSERT_TRUE(sketch.ok());
+    ASSERT_TRUE(
+        ApplyInBatches(sketch.value().get(), updates, 256, true).ok());
+    EXPECT_EQ(PinOf(*sketch.value()), c.want) << c.name;
+  }
+}
+
+TEST(EngineBatchTest, SamplingBatchPathMatchesPerUpdatePath) {
+  const uint64_t universe = 1 << 20;
+  SketchConfig cfg = TestConfig(universe, 42);
+  cfg.shard_seed = 9;
+  const auto clean = DuplicateHeavyUpdates(4096, universe, 402);
+  struct Fault {
+    const char* what;
+    stream::TurnstileUpdate bad;
+    Status::Code code;
+  };
+  // Item 7 recurs throughout every batch, so the largest delta also
+  // overflows the aggregation and leaves item 7 in the aggregated view more
+  // than once.
+  const Fault faults[] = {
+      {"negative delta", {7, -1}, Status::Code::kInvalidArgument},
+      {"delta above the expansion cap",
+       {7, (int64_t{1} << 20) + 1},
+       Status::Code::kInvalidArgument},
+      {"overflowing delta",
+       {7, std::numeric_limits<int64_t>::max()},
+       Status::Code::kInvalidArgument},
+      {"item outside the universe", {universe, 3}, Status::Code::kOutOfRange},
+  };
+  for (const char* name : {"robust_hh", "crhf_hh"}) {
+    for (bool aggregated : {false, true}) {
+      const std::string where = std::string(name) +
+                                (aggregated ? " aggregated" : " raw");
+      {
+        auto ref = SketchRegistry::Global().Create(name, cfg);
+        auto got = SketchRegistry::Global().Create(name, cfg);
+        ASSERT_TRUE(ref.ok() && got.ok());
+        ASSERT_TRUE(ApplyOneByOne(ref.value().get(), clean).ok());
+        ASSERT_TRUE(
+            ApplyInBatches(got.value().get(), clean, 512, aggregated).ok());
+        EXPECT_EQ(PinOf(*got.value()), PinOf(*ref.value())) << where;
+      }
+      // Position 1000 lies inside the second 512-update batch.
+      for (size_t k : {size_t{0}, size_t{1000}, clean.size() - 1}) {
+        for (const Fault& f : faults) {
+          auto updates = clean;
+          updates[k] = f.bad;
+          auto ref = SketchRegistry::Global().Create(name, cfg);
+          auto got = SketchRegistry::Global().Create(name, cfg);
+          ASSERT_TRUE(ref.ok() && got.ok());
+          const Status want = ApplyOneByOne(ref.value().get(), updates);
+          const Status have =
+              ApplyInBatches(got.value().get(), updates, 512, aggregated);
+          EXPECT_EQ(want.code(), f.code) << where << ", " << f.what;
+          EXPECT_EQ(have.code(), f.code) << where << ", " << f.what
+                                         << " at " << k;
+          EXPECT_EQ(PinOf(*got.value()), PinOf(*ref.value()))
+              << where << ", " << f.what << " at " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineBatchTest, MergeTypeMismatchRejected) {

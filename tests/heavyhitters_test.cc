@@ -8,15 +8,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "common/random.h"
+#include "core/state_view.h"
 #include "heavyhitters/crhf_hh.h"
 #include "heavyhitters/inner_product.h"
 #include "heavyhitters/misra_gries.h"
 #include "heavyhitters/robust_hh.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
+
+#include "golden_pins.h"
 
 namespace wbs::hh {
 namespace {
@@ -424,6 +428,124 @@ TEST(CrhfHhTest, SpaceSmallerThanPlainRobustHhOnHugeUniverse) {
     ASSERT_TRUE(plain_alg.Update({item}).ok());
   }
   EXPECT_LT(crhf_alg.SpaceBits(), plain_alg.SpaceBits());
+}
+
+// ------------------------------------------------------------ golden pins --
+//
+// Fixed-seed pins of the sampling heavy hitters' exact output, recorded once
+// from the reference implementation. Each pins the Query() list (items and
+// estimate bits, in order), the Morris clock's register and the active guess
+// exponent (read from SerializeState), the tape's draw count, SpaceBits and
+// a digest of the whole serialized state. Caching a derived value, skipping
+// dead work or batching hashes must leave every field unchanged.
+
+struct HhPin {
+  uint64_t list_size = 0;
+  uint64_t list_digest = 0;
+  uint64_t top_item = 0;
+  uint64_t top_estimate_bits = 0;
+  uint64_t clock_register = 0;
+  uint64_t guess_exponent = 0;
+  uint64_t words_consumed = 0;
+  uint64_t space_bits = 0;
+  uint64_t state_digest = 0;
+  bool operator==(const HhPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HhPin& p) {
+  return os << std::hex << "{" << p.list_size << ", 0x" << p.list_digest
+            << ", 0x" << p.top_item << ", 0x" << p.top_estimate_bits << ", 0x"
+            << p.clock_register << ", 0x" << p.guess_exponent << ", 0x"
+            << p.words_consumed << ", 0x" << p.space_bits << ", 0x"
+            << p.state_digest << "}" << std::dec;
+}
+
+/// `exponent_at` is the index of the guess exponent in the serialized
+/// state; the Morris register follows it.
+HhPin PinOf(const HhList& list, const std::vector<uint64_t>& state,
+            size_t exponent_at, const wbs::RandomTape& tape,
+            uint64_t space_bits) {
+  HhPin p;
+  p.list_size = list.size();
+  for (const auto& wi : list) {
+    p.list_digest = golden::Fold(p.list_digest, wi.item);
+    p.list_digest = golden::Fold(p.list_digest, golden::Bits(wi.estimate));
+  }
+  if (!list.empty()) {
+    p.top_item = list.front().item;
+    p.top_estimate_bits = golden::Bits(list.front().estimate);
+  }
+  p.guess_exponent = state.at(exponent_at);
+  p.clock_register = state.at(exponent_at + 1);
+  p.words_consumed = tape.words_consumed();
+  p.space_bits = space_bits;
+  p.state_digest = golden::Digest(state);
+  return p;
+}
+
+TEST(GoldenPinTest, RobustL1HeavyHitters) {
+  struct Case {
+    double eps;
+    uint64_t n;
+    uint64_t seed;
+    HhPin want;
+  };
+  // eps = 0.25 (guess base 64) rotates three times in 300k updates.
+  const Case cases[] = {
+      {0.25, 300000, 101,
+       {12, 0x98a3e63bad3079d6, 0x55555, 0x40f530d0eaeab57c, 0xc5, 4,
+        900000, 0x110, 0xd061b03bb8cf7cc2}},
+      {0.1, 200000, 102,
+       {11, 0x86b36816994f1cf8, 0x33334, 0x40e79f7f0d441c79, 0xbd, 3,
+        600000, 0x157, 0xa8422488ba5d59f7}},
+  };
+  for (const Case& c : cases) {
+    const uint64_t universe = 1 << 20;
+    wbs::RandomTape tape(c.seed);
+    tape.set_logging(false);
+    RobustL1HeavyHitters alg(universe, c.eps, 0.25, &tape);
+    for (uint64_t item : golden::SkewedItems(c.n, universe, c.seed)) {
+      ASSERT_TRUE(alg.Update({item}).ok());
+    }
+    core::StateWriter w;
+    alg.SerializeState(&w);
+    const HhPin got = PinOf(alg.Query(), w.words(), 0, tape, alg.SpaceBits());
+    EXPECT_EQ(got.guess_exponent, uint64_t(alg.active_guess_exponent()));
+    EXPECT_EQ(got, c.want) << "eps=" << c.eps;
+  }
+}
+
+TEST(GoldenPinTest, CrhfHeavyHitters) {
+  struct Case {
+    uint64_t universe;
+    uint64_t n;
+    uint64_t seed;
+    HhPin want;
+  };
+  // The skewed stream fills the ceil(2/phi)-entry identity table at once,
+  // then offers it both untracked items (estimate 0) and sampled warm items
+  // that compete for eviction.
+  const Case cases[] = {
+      {uint64_t{1} << 40, 150000, 103,
+       {2, 0x124f51a7194354f2, 0x5555555555, 0x40e177388570853c, 0xb8, 3,
+        450001, 0x637, 0xc674d70a9776fb7f}},
+      {uint64_t{1} << 12, 100000, 104,
+       {2, 0x90b2c7d9899192e9, 0x334, 0x40d933c195770261, 0xb0, 3, 300001,
+        0x20c, 0xb8776bbf7ada9946}},
+  };
+  for (const Case& c : cases) {
+    wbs::RandomTape tape(c.seed);
+    tape.set_logging(false);
+    CrhfHeavyHitters alg(c.universe, 0.2, 0.1, /*T=*/1 << 20, &tape);
+    for (uint64_t item : golden::SkewedItems(c.n, c.universe, c.seed)) {
+      ASSERT_TRUE(alg.Update({item}).ok());
+    }
+    core::StateWriter w;
+    alg.SerializeState(&w);
+    // State: CRHF salt, output bits, then the inner robust HH state.
+    const HhPin got = PinOf(alg.Query(), w.words(), 2, tape, alg.SpaceBits());
+    EXPECT_EQ(got, c.want) << "universe=" << c.universe;
+  }
 }
 
 // ---------------------------------------------- InnerProductEstimator --

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "common/random.h"
+#include "core/state_view.h"
 #include "hhh/hhh.h"
 #include "stream/workload.h"
+
+#include "golden_pins.h"
 
 namespace wbs::hhh {
 namespace {
@@ -312,6 +316,72 @@ TEST(RobustHhhTest, GuessRotationAdvances) {
   RobustHhh alg(h, 16, 0.25, 0.3, 0.25, &tape);  // base 64
   for (int i = 0; i < 100000; ++i) ASSERT_TRUE(alg.Update({1}).ok());
   EXPECT_GE(alg.active_guess_exponent(), 2);
+}
+
+// Golden pins, recorded once from the reference implementation: the
+// Query() list (prefixes and estimate bits, in order), the Morris clock's
+// register (from SerializeState), the active guess exponent, the tape's
+// draw count, SpaceBits and a digest of the serialized state.
+struct HhhPin {
+  uint64_t list_size = 0;
+  uint64_t list_digest = 0;
+  uint64_t clock_register = 0;
+  uint64_t guess_exponent = 0;
+  uint64_t words_consumed = 0;
+  uint64_t space_bits = 0;
+  uint64_t state_digest = 0;
+  bool operator==(const HhhPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HhhPin& p) {
+  return os << std::hex << "{" << p.list_size << ", 0x" << p.list_digest
+            << ", 0x" << p.clock_register << ", 0x" << p.guess_exponent
+            << ", 0x" << p.words_consumed << ", 0x" << p.space_bits << ", 0x"
+            << p.state_digest << "}" << std::dec;
+}
+
+TEST(RobustHhhTest, GoldenPins) {
+  struct Case {
+    double eps;
+    uint64_t n;
+    uint64_t seed;
+    HhhPin want;
+  };
+  // eps = 0.25 (guess base 64) rotates three times in 300k updates.
+  const Case cases[] = {
+      {0.25, 300000, 301,
+       {2, 0x832539e8580561bc, 0xc6, 4, 900000, 0x1e5, 0x4f11fceca8c78212}},
+      {0.1, 100000, 302,
+       {1, 0xe27cee3c5aa46a82, 0xb1, 3, 300000, 0x345, 0x6c30d0c38b9c6fbb}},
+  };
+  const Hierarchy h = Hierarchy::Bytes(16);
+  for (const Case& c : cases) {
+    const uint64_t universe = 1 << 16;
+    wbs::RandomTape tape(c.seed);
+    tape.set_logging(false);
+    RobustHhh alg(h, universe, c.eps, 0.3, 0.25, &tape);
+    for (uint64_t item : golden::SkewedItems(c.n, universe, c.seed)) {
+      ASSERT_TRUE(alg.Update({item}).ok());
+    }
+    core::StateWriter w;
+    alg.SerializeState(&w);
+    HhhPin got;
+    const HhhList list = alg.Query();
+    got.list_size = list.size();
+    for (const auto& e : list) {
+      for (uint64_t word : {uint64_t(e.prefix.level), e.prefix.value,
+                            golden::Bits(e.estimate)}) {
+        got.list_digest = golden::Fold(got.list_digest, word);
+      }
+    }
+    got.guess_exponent = uint64_t(alg.active_guess_exponent());
+    got.clock_register = w.words().at(1);
+    got.words_consumed = tape.words_consumed();
+    got.space_bits = alg.SpaceBits();
+    got.state_digest = golden::Digest(w.words());
+    EXPECT_EQ(w.words().at(0), got.guess_exponent);
+    EXPECT_EQ(got, c.want) << "eps=" << c.eps;
+  }
 }
 
 }  // namespace
