@@ -447,11 +447,12 @@ void RunEngineMultiProducerSweep(uint64_t num_updates) {
 //
 // The pluggable ShardBackend boundary priced end to end: the same
 // multi-producer workload through the in-process backend (zero-copy apply,
-// the engine's original path) and the loopback-remote backend (every shard
-// behind a socketpair speaking the wire format — per-batch encode, two
-// socket hops, server-side apply, serialized snapshots on the query path).
-// The gap between the two rows is the cost of a process boundary per se;
-// a real network would add latency on top of exactly the same protocol.
+// the engine's original path) and the tcp backend (every shard behind a
+// self-hosted localhost listener speaking the wire format — per-batch
+// encode, two socket hops, host-side apply, serialized snapshots on the
+// query path). The gap between the two rows is the cost of a process
+// boundary; a real network would add latency on top of exactly the same
+// protocol.
 
 double RunEngineBackendMode(const char* backend_name,
                             const wbs::engine::BackendFactory& factory,
@@ -533,9 +534,9 @@ double RunEngineBackendMode(const char* backend_name,
 void RunEngineBackendSweep(uint64_t num_updates) {
   wbs::bench::Banner(
       "engine_backend",
-      "pluggable ShardBackend boundary: inprocess (zero-copy) vs loopback "
-      "(socketpair + wire format) vs tcp (localhost sockets + handshake) at "
-      "1/2/4 producers, typed queries mid-ingest");
+      "pluggable ShardBackend boundary: inprocess (zero-copy) vs tcp "
+      "(localhost sockets + handshake + wire format) at 1/2/4 producers, "
+      "typed queries mid-ingest");
   const uint64_t universe = 4096;
   wbs::RandomTape tape(105);
   tape.set_logging(false);
@@ -546,8 +547,6 @@ void RunEngineBackendSweep(uint64_t num_updates) {
   for (size_t producers : {size_t(1), size_t(2), size_t(4)}) {
     RunEngineBackendMode("inprocess", wbs::engine::InProcessBackendFactory(),
                          producers, s, universe);
-    RunEngineBackendMode("loopback", wbs::engine::LoopbackBackendFactory(),
-                         producers, s, universe);
     RunEngineBackendMode("tcp", wbs::engine::TcpBackendFactory(),
                          producers, s, universe);
   }
@@ -556,17 +555,17 @@ void RunEngineBackendSweep(uint64_t num_updates) {
 // ------------------------------------------------------------ tcp transport --
 //
 // The TCP transport's own price sheet (tcp_transport.h): query and control
-// round-trip latency over real localhost sockets vs the loopback
-// socketpair, and the cost of the reconnect-resync path (a severed
-// connection redialed + handshaken, state intact) vs a full MoveShard
-// re-home (state serialized and transferred) — the number that justifies
-// distinguishing transient partitions from dead peers.
+// round-trip latency over real localhost sockets, and the cost of the
+// reconnect-resync path (a severed connection redialed + handshaken, state
+// intact) vs a full MoveShard re-home (state serialized and transferred) —
+// the number that justifies distinguishing transient partitions from dead
+// peers.
 
 void RunEngineTcpBench(uint64_t num_updates) {
   wbs::bench::Banner(
       "engine_tcp",
-      "TCP transport: query p50/p99 and heartbeat RTT vs loopback; "
-      "reconnect-resync cost vs full MoveShard re-home");
+      "TCP transport: query p50/p99 and heartbeat RTT; reconnect-resync "
+      "cost vs full MoveShard re-home");
   using clock = std::chrono::steady_clock;
   const uint64_t universe = 4096;
   const size_t ingest = size_t(std::min<uint64_t>(num_updates, 100000));
@@ -577,16 +576,14 @@ void RunEngineTcpBench(uint64_t num_updates) {
   s.reserve(items.size());
   for (const auto& u : items) s.push_back({u.item, 1});
 
-  // Query + heartbeat latency, one client per transport over an identical
-  // ingested state. Queries are served from merged snapshots, so each
-  // sample pays the transport only when a shard's epoch moved — Flush()
-  // first, then the steady-state samples measure the wire floor.
-  for (const char* transport : {"loopback", "tcp"}) {
+  // Query + heartbeat latency over an ingested state. Queries are served
+  // from merged snapshots, so each sample pays the transport only when a
+  // shard's epoch moved — Flush() first, then the steady-state samples
+  // measure the wire floor.
+  {
     wbs::engine::ClientOptions opts =
         EngineClientOptions(universe, /*shards=*/4, /*threads=*/2);
-    opts.ingest.backend = std::strcmp(transport, "tcp") == 0
-                              ? wbs::engine::TcpBackendFactory()
-                              : wbs::engine::LoopbackBackendFactory();
+    opts.ingest.backend = wbs::engine::TcpBackendFactory();
     auto client = wbs::engine::Client::Create(opts);
     if (!client.ok()) return;
     if (!client.value()->Submit(s).ok() || !client.value()->Flush().ok()) {
@@ -629,7 +626,7 @@ void RunEngineTcpBench(uint64_t num_updates) {
     wbs::bench::JsonRow()
         .Field("bench", "engine_tcp")
         .Field("mode", "latency")
-        .Field("transport", transport)
+        .Field("transport", "tcp")
         .Field("queries", uint64_t(kQueries))
         .Field("query_p50_us", pct(0.50))
         .Field("query_p99_us", pct(0.99))
@@ -764,8 +761,8 @@ void RunWireSerializeBench(uint64_t num_updates) {
 //
 // The dynamic topology priced end to end: (a) MoveShard handoff latency
 // per sketch family — drain, source publish, state serialization, and
-// destination import (in-process and loopback targets; the serialized
-// snapshot states are the transfer format), and (b) ingest throughput
+// destination import (an in-process target; the serialized snapshot
+// states are the transfer format), and (b) ingest throughput
 // around a live AddShards step: updates/sec before the step, the barrier
 // latency of the step itself (the only window ingest pauses), and
 // updates/sec after, on the grown topology.
@@ -783,91 +780,87 @@ void RunEngineReshardBench(uint64_t num_updates) {
   const size_t ingest = size_t(std::min<uint64_t>(num_updates, 200000));
   for (const char* name : {"misra_gries", "ams_f2", "sis_l0",
                            "rank_decision", "robust_hh", "crhf_hh"}) {
-    for (const char* target : {"inprocess", "loopback"}) {
-      wbs::engine::ClientOptions opts;
-      opts.ingest.num_shards = 2;
-      opts.ingest.num_threads = 2;
-      opts.ingest.sketches = {name};
-      opts.ingest.config.universe = universe;
-      opts.ingest.config.seed = 2025;
-      if (std::strcmp(name, "rank_decision") == 0) {
-        opts.ingest.config.rank.n = 64;
-        opts.ingest.config.rank.k = 8;
-      }
-      auto client = wbs::engine::Client::Create(opts);
-      if (!client.ok()) continue;
-
-      wbs::stream::TurnstileStream s;
-      if (std::strcmp(name, "rank_decision") == 0) {
-        for (size_t i = 0; i < opts.ingest.config.rank.k; ++i) {
-          s.push_back({uint64_t(i) * opts.ingest.config.rank.n + i, 1});
-        }
-      } else {
-        wbs::RandomTape tape(107);
-        tape.set_logging(false);
-        auto items = wbs::stream::ZipfStream(universe, ingest, 1.2, &tape);
-        s.reserve(items.size());
-        for (const auto& u : items) s.push_back({u.item, 1});
-      }
-      for (size_t off = 0; off < s.size(); off += 32768) {
-        if (!client.value()
-                 ->Submit(s.data() + off, std::min<size_t>(32768,
-                                                           s.size() - off))
-                 .ok()) {
-          break;
-        }
-      }
-      if (!client.value()->Flush().ok()) continue;
-
-      auto factory = std::strcmp(target, "loopback") == 0
-                         ? wbs::engine::LoopbackBackendFactory()
-                         : wbs::engine::InProcessBackendFactory();
-      const auto t0 = clock::now();
-      wbs::Status moved = client.value()->MoveShard(0, factory);
-      const auto t1 = clock::now();
-      // Phase timings come from the engine's recorded trace spans — the
-      // single source of truth, no external re-measurement that could
-      // disagree with what the tracer reports. The externally-timed total
-      // stays, because it additionally covers the router barrier drain.
-      uint64_t flush_us = 0, serialize_us = 0, import_us = 0, state_bytes = 0;
-      {
-        const auto spans = client.value()->TraceSpans();
-        uint64_t move_id = 0;
-        for (const auto& span : spans) {
-          if (span.name == "move_shard") {
-            move_id = span.id;
-            state_bytes = span.Attr("state_bytes");
-          }
-        }
-        for (const auto& span : spans) {
-          if (span.parent != move_id) continue;
-          if (span.name == "move_shard.flush") flush_us = span.duration_us;
-          if (span.name == "move_shard.serialize") {
-            serialize_us = span.duration_us;
-          }
-          if (span.name == "move_shard.import") import_us = span.duration_us;
-        }
-      }
-      (void)client.value()->Finish();
-      if (!moved.ok()) continue;
-      const double total_us =
-          std::chrono::duration<double, std::micro>(t1 - t0).count();
-      const double phases_us =
-          double(flush_us) + double(serialize_us) + double(import_us);
-      wbs::bench::JsonRow()
-          .Field("bench", "engine_reshard")
-          .Field("op", "move_shard")
-          .Field("sketch", name)
-          .Field("target", target)
-          .Field("ingested_updates", uint64_t(s.size()))
-          .Field("state_bytes", state_bytes)
-          .Field("flush_us", flush_us)
-          .Field("serialize_us", serialize_us)
-          .Field("import_us", import_us)
-          .Field("drain_us", total_us > phases_us ? total_us - phases_us : 0)
-          .Field("total_us", total_us)
-          .Emit();
+    wbs::engine::ClientOptions opts;
+    opts.ingest.num_shards = 2;
+    opts.ingest.num_threads = 2;
+    opts.ingest.sketches = {name};
+    opts.ingest.config.universe = universe;
+    opts.ingest.config.seed = 2025;
+    if (std::strcmp(name, "rank_decision") == 0) {
+      opts.ingest.config.rank.n = 64;
+      opts.ingest.config.rank.k = 8;
     }
+    auto client = wbs::engine::Client::Create(opts);
+    if (!client.ok()) continue;
+
+    wbs::stream::TurnstileStream s;
+    if (std::strcmp(name, "rank_decision") == 0) {
+      for (size_t i = 0; i < opts.ingest.config.rank.k; ++i) {
+        s.push_back({uint64_t(i) * opts.ingest.config.rank.n + i, 1});
+      }
+    } else {
+      wbs::RandomTape tape(107);
+      tape.set_logging(false);
+      auto items = wbs::stream::ZipfStream(universe, ingest, 1.2, &tape);
+      s.reserve(items.size());
+      for (const auto& u : items) s.push_back({u.item, 1});
+    }
+    for (size_t off = 0; off < s.size(); off += 32768) {
+      if (!client.value()
+               ->Submit(s.data() + off, std::min<size_t>(32768,
+                                                         s.size() - off))
+               .ok()) {
+        break;
+      }
+    }
+    if (!client.value()->Flush().ok()) continue;
+
+    const auto t0 = clock::now();
+    wbs::Status moved =
+        client.value()->MoveShard(0, wbs::engine::InProcessBackendFactory());
+    const auto t1 = clock::now();
+    // Phase timings come from the engine's recorded trace spans — the
+    // single source of truth, no external re-measurement that could
+    // disagree with what the tracer reports. The externally-timed total
+    // stays, because it additionally covers the router barrier drain.
+    uint64_t flush_us = 0, serialize_us = 0, import_us = 0, state_bytes = 0;
+    {
+      const auto spans = client.value()->TraceSpans();
+      uint64_t move_id = 0;
+      for (const auto& span : spans) {
+        if (span.name == "move_shard") {
+          move_id = span.id;
+          state_bytes = span.Attr("state_bytes");
+        }
+      }
+      for (const auto& span : spans) {
+        if (span.parent != move_id) continue;
+        if (span.name == "move_shard.flush") flush_us = span.duration_us;
+        if (span.name == "move_shard.serialize") {
+          serialize_us = span.duration_us;
+        }
+        if (span.name == "move_shard.import") import_us = span.duration_us;
+      }
+    }
+    (void)client.value()->Finish();
+    if (!moved.ok()) continue;
+    const double total_us =
+        std::chrono::duration<double, std::micro>(t1 - t0).count();
+    const double phases_us =
+        double(flush_us) + double(serialize_us) + double(import_us);
+    wbs::bench::JsonRow()
+        .Field("bench", "engine_reshard")
+        .Field("op", "move_shard")
+        .Field("sketch", name)
+        .Field("target", "inprocess")
+        .Field("ingested_updates", uint64_t(s.size()))
+        .Field("state_bytes", state_bytes)
+        .Field("flush_us", flush_us)
+        .Field("serialize_us", serialize_us)
+        .Field("import_us", import_us)
+        .Field("drain_us", total_us > phases_us ? total_us - phases_us : 0)
+        .Field("total_us", total_us)
+        .Emit();
   }
 
   // ---- (b) throughput around a live AddShards step -----------------------
@@ -927,7 +920,7 @@ void RunEngineReshardBench(uint64_t num_updates) {
 
 // ------------------------------------------------------------- failover --
 //
-// The availability contract as a number: a supervised loopback shard is
+// The availability contract as a number: a supervised tcp shard is
 // killed mid-stream (clean death and torn-frame death), and the row reports
 // how long each recovery phase took — heartbeat detection (crash ->
 // kDead), MoveShard re-home from the last checkpoint (kDead -> recovered),
@@ -937,7 +930,7 @@ void RunEngineReshardBench(uint64_t num_updates) {
 void RunEngineFailoverBench(uint64_t num_updates) {
   wbs::bench::Banner(
       "engine_failover",
-      "supervised loopback shard killed mid-stream: heartbeat detection, "
+      "supervised tcp shard killed mid-stream: heartbeat detection, "
       "MoveShard re-home from the last checkpoint, and crash-to-first-"
       "correct-answer latency, with exact bounded-loss accounting");
   using clock = std::chrono::steady_clock;
@@ -976,13 +969,12 @@ void RunEngineFailoverBench(uint64_t num_updates) {
     opts.ingest.sketches = {"ams_f2"};
     opts.ingest.config.universe = universe;
     opts.ingest.config.seed = 2025;
-    opts.ingest.backend = wbs::engine::LoopbackBackendFactory();
+    opts.ingest.backend = wbs::engine::TcpBackendFactory();
     opts.ingest.failover.heartbeat_interval_ms = 5;
     opts.ingest.failover.heartbeat_timeout_ms = 25;
     opts.ingest.failover.dead_after_misses = 2;
     opts.ingest.failover.auto_recover = true;
-    opts.ingest.failover.recovery_backend =
-        wbs::engine::LoopbackBackendFactory();
+    opts.ingest.failover.recovery_backend = wbs::engine::TcpBackendFactory();
     auto client = wbs::engine::Client::Create(opts);
     if (!client.ok()) continue;
     auto handle = client.value()->Handle("ams_f2");

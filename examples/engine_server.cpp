@@ -23,10 +23,11 @@
 // chunk empty.
 //
 // The shard backend is selectable: --backend=inprocess (default) keeps the
-// shards in this process; --backend=loopback runs every shard behind a
-// socketpair server speaking the engine wire format; --backend=mixed
+// shards in this process; --backend=tcp runs every shard behind its own
+// localhost TCP listener speaking the engine wire format; --backend=mixed
 // alternates the two — same Client code, same answers, shard state
-// crossing a process-style boundary where placed.
+// crossing a process boundary where placed. --connect=<host:port> puts
+// every shard on running engine_shardd daemons instead.
 //
 // While the tenants ingest, the main thread RESHARDS THE ENGINE LIVE:
 // AddShards(2) grows the topology mid-traffic (slots rebalance onto the
@@ -61,7 +62,7 @@
 // final shard count) goes to stderr.
 //
 //   $ ./examples/engine_server
-//   $ ./examples/engine_server --backend=loopback
+//   $ ./examples/engine_server --backend=tcp
 //   $ ./examples/engine_server --stats-interval=250 --stats-jsonl=stats.jsonl
 //   $ ./examples/engine_server --workload=step --autoscale
 
@@ -342,7 +343,7 @@ int main(int argc, char** argv) {
       autoscale = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--backend=inprocess|loopback|mixed|tcp]"
+                   "usage: %s [--backend=inprocess|mixed|tcp]"
                    " [--connect=<host:port>[,<host:port>...]]"
                    " [--stats-interval=<ms>] [--stats-jsonl=<path>]"
                    " [--workload=step|diurnal] [--autoscale]\n",
@@ -493,15 +494,16 @@ int main(int argc, char** argv) {
 
   // ---- live reshard while the tenants hammer the engine ------------------
   // Scale out by two shards, then hand shard 0 off to the other kind of
-  // placement (in-process <-> loopback). Both ops linearize at a batch
+  // placement: tcp engines (self-hosted or daemon) move it in-process,
+  // every other engine moves it to tcp. Both ops linearize at a batch
   // barrier through the router; the racing producers and the monitor never
   // see an error, and the linear sketches make the final answers
   // independent of where in the interleaving the barrier lands.
   uint64_t reshard_failures = 0;
   if (!client->AddShards(2).ok()) ++reshard_failures;
-  auto handoff_target = backend_name == "loopback"
-                            ? wbs::engine::InProcessBackendFactory()
-                            : wbs::engine::LoopbackBackendFactory();
+  const bool tcp_engine = backend_name.rfind("tcp", 0) == 0;
+  auto handoff_target = tcp_engine ? wbs::engine::InProcessBackendFactory()
+                                   : wbs::engine::TcpBackendFactory();
   if (!client->MoveShard(0, handoff_target).ok()) {
     ++reshard_failures;
   }
@@ -582,7 +584,7 @@ int main(int argc, char** argv) {
   std::printf(
       "live reshard: AddShards(2) + MoveShard(0 -> %s cell) mid-traffic; "
       "topology generation %llu, %zu shards over %zu slots\n",
-      backend_name == "loopback" ? "inprocess" : "loopback",
+      tcp_engine ? "inprocess" : "tcp",
       (unsigned long long)topo.generation, topo.num_shards, topo.num_slots);
   // A raw query COUNT would be scheduling-dependent and the examples
   // double as determinism probes (byte-identical output across runs), so

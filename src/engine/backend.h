@@ -74,7 +74,7 @@ class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  /// Stable backend identifier ("inprocess", "loopback", ...).
+  /// Stable backend identifier ("inprocess" or "tcp").
   virtual const std::string& name() const = 0;
 
   /// Applies `count` turnstile updates (single caller at a time; see the
@@ -84,7 +84,7 @@ class ShardBackend {
                             size_t count) = 0;
 
   /// The cell's snapshot publication count. Monotone; cheap enough to poll
-  /// per query (an atomic load in process, one small frame over loopback).
+  /// per query (an atomic load in process, one small frame over tcp).
   virtual Result<uint64_t> Epoch() const = 0;
 
   /// The published snapshot of one sketch, as a live Sketch instance the
@@ -132,8 +132,8 @@ class ShardBackend {
     return Status::OK();
   }
 
-  /// Fault injection for tests and drills: kills the cell's serving loop
-  /// (see ShardServer crash modes); `torn` first emits a checksum-corrupted
+  /// Fault injection for tests and drills: kills the cell's serving host
+  /// (see TcpShardHost::CrashNow); `torn` first emits a checksum-corrupted
   /// frame. Unimplemented by default — cells that cannot crash
   /// independently (in-process) cannot fake it either.
   virtual Status InjectCrash(bool torn) {
@@ -151,10 +151,10 @@ class ShardBackend {
   }
 
   /// The network endpoint ("host:port") serving this cell, or "" for cells
-  /// with no endpoint (in-process, socketpair loopback). Placements record
-  /// this so supervision can group shards into per-host failure domains:
-  /// when one shard on an endpoint misses a heartbeat, every placement on
-  /// that endpoint goes kSuspect together.
+  /// with no endpoint (in-process). Placements record this so supervision
+  /// can group shards into per-host failure domains: when one shard on an
+  /// endpoint misses a heartbeat, every placement on that endpoint goes
+  /// kSuspect together.
   virtual std::string Endpoint() const { return std::string(); }
 
   /// Live (not snapshot) summary of one sketch. Quiescence only.

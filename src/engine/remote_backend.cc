@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -15,322 +16,17 @@
 #include <vector>
 
 #include "common/random.h"
-#include "engine/shard_server.h"
 #include "engine/tcp_transport.h"
 #include "engine/wire.h"
 
 namespace wbs::engine {
 namespace {
 
-class LoopbackRemoteBackend final : public ShardBackend {
- public:
-  static Result<std::unique_ptr<ShardBackend>> Create(
-      const BackendOptions& options) {
-    ShardServerOptions sopts;
-    sopts.sketches = options.sketches;
-    sopts.config = options.config;
-    sopts.snapshot_min_updates = options.snapshot_min_updates;
-    auto server = ShardServer::Start(sopts);
-    if (!server.ok()) return server.status();
-    return Result<std::unique_ptr<ShardBackend>>(
-        std::unique_ptr<LoopbackRemoteBackend>(new LoopbackRemoteBackend(
-            options, std::move(server).value())));
-  }
-
-  const std::string& name() const override {
-    static const std::string kName = "loopback";
-    return kName;
-  }
-
-  Status ApplyBatch(const stream::TurnstileUpdate* data,
-                    size_t count) override {
-    wire::Writer w;
-    wire::EncodeUpdates(data, count, &w);
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/true, wire::kReqApply, w.data(),
-                         &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;  // trailing epoch is advisory; the dirty scan polls it
-  }
-
-  Result<uint64_t> Epoch() const override {
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/false, wire::kReqEpoch, {}, &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    uint64_t epoch = 0;
-    if (Status se = r.U64(&epoch); !se.ok()) return se;
-    return epoch;
-  }
-
-  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
-    auto serialized = SnapshotSerialized(sketch_index);
-    if (!serialized.ok()) return serialized.status();
-    ShardSnapshot snap;
-    snap.epoch = serialized.value().epoch;
-    if (serialized.value().state.empty()) return snap;  // never published
-    const auto t0 = std::chrono::steady_clock::now();
-    auto sketch = DeserializeSketch(options_.sketches[sketch_index],
-                                    options_.config, serialized.value().state);
-    if (!sketch.ok()) return sketch.status();
-    deserialize_us_.Record(ElapsedUs(t0));
-    snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
-    return snap;
-  }
-
-  Result<SerializedSnapshot> SnapshotSerialized(
-      size_t sketch_index) const override {
-    if (sketch_index >= options_.sketches.size()) {
-      return Status::OutOfRange("loopback backend: sketch out of range");
-    }
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/false, wire::kReqSnapshot,
-                         req.data(), &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    SerializedSnapshot out;
-    if (Status se = r.U64(&out.epoch); !se.ok()) return se;
-    if (Status ss = r.Str(&out.state); !ss.ok()) return ss;
-    return out;
-  }
-
-  Status Flush() override {
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/false, wire::kReqFlush, {}, &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
-  }
-
-  Status ImportShardState(const std::vector<std::string>& frames) override {
-    if (frames.size() != options_.sketches.size()) {
-      return Status::InvalidArgument(
-          "loopback backend: handoff frame count does not match the "
-          "configured sketch group");
-    }
-    // The handoff frame: a kReqImport whose payload is the sketch-state
-    // frames, length-prefixed in sketch order. The server decodes and
-    // installs them atomically, then publishes, so the imported history is
-    // merge-visible on the first post-handoff query.
-    wire::Writer req;
-    req.U32(uint32_t(frames.size()));
-    for (const std::string& frame : frames) req.Str(frame);
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/true, wire::kReqImport, req.data(),
-                         &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
-  }
-
-  Status Heartbeat(uint64_t timeout_ms) override {
-    if (poisoned_.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "loopback shard unreachable (poisoned channel)");
-    }
-    std::lock_guard<std::mutex> lock(control_mu_);
-    const int fd = server_->control_fd();
-    Status s = wire::WriteFrameFd(fd, wire::kReqHeartbeat, {});
-    if (!s.ok()) return TransportFailure(s);
-    frames_out_.Inc();
-    bytes_out_.Inc(FramedBytes(0));
-    uint8_t resp_type = 0;
-    std::string_view resp_payload;
-    s = wire::ReadFrameFdTimeout(fd, int(timeout_ms), &frame_scratch(),
-                                 &resp_type, &resp_payload);
-    if (s.code() == Status::Code::kDeadlineExceeded) {
-      // The deadline passed with no answer. A LATE answer arriving after we
-      // give up would desync the channel framing for the next caller, so
-      // the cell's channels are poisoned — every later call fails fast as
-      // Unavailable until the placement is re-homed.
-      recv_errors_.Inc();
-      poisoned_.store(true, std::memory_order_release);
-      return s;
-    }
-    if (!s.ok()) return TransportFailure(s);
-    frames_in_.Inc();
-    bytes_in_.Inc(FramedBytes(resp_payload.size()));
-    if (resp_type != wire::kResp) {
-      return TransportFailure(
-          Status::Internal("loopback backend: unexpected response type"));
-    }
-    wire::Reader r(resp_payload);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
-  }
-
-  Status InjectCrash(bool torn) override {
-    server_->CrashNow(torn);
-    return Status::OK();
-  }
-
-  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/false, wire::kReqSummary,
-                         req.data(), &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    SketchSummary summary;
-    if (Status ss = wire::DecodeSummary(&r, &summary); !ss.ok()) return ss;
-    return summary;
-  }
-
-  Result<std::vector<MetricSample>> Metrics() const override {
-    // The cell's own samples (epoch, snapshot lag, serialize latency)
-    // report THROUGH the control channel — the remote cell is the source
-    // of truth for its state, exactly like every other query.
-    std::string resp;
-    Status s = RoundTrip(/*data_channel=*/false, wire::kReqMetrics, {}, &resp);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
-    std::vector<MetricSample> out;
-    if (Status sm = wire::DecodeMetricSamples(&r, &out); !sm.ok()) return sm;
-    // Client-side channel counters ride along under the wire.* prefix.
-    out.push_back(CounterSample("wire.frames_out_total", frames_out_));
-    out.push_back(CounterSample("wire.frames_in_total", frames_in_));
-    out.push_back(CounterSample("wire.bytes_out_total", bytes_out_));
-    out.push_back(CounterSample("wire.bytes_in_total", bytes_in_));
-    out.push_back(CounterSample("wire.crc_rejects_total", crc_rejects_));
-    out.push_back(CounterSample("wire.recv_errors_total", recv_errors_));
-    out.push_back(HistogramSample("wire.roundtrip_us", roundtrip_us_));
-    out.push_back(HistogramSample("wire.deserialize_us", deserialize_us_));
-    return out;
-  }
-
-  uint64_t SpaceBits() const override {
-    std::string resp;
-    if (!RoundTrip(false, wire::kReqSpaceBits, {}, &resp).ok()) return 0;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    uint64_t bits = 0;
-    if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
-        !r.U64(&bits).ok()) {
-      return 0;
-    }
-    return bits;
-  }
-
- private:
-  LoopbackRemoteBackend(BackendOptions options,
-                        std::unique_ptr<ShardServer> server)
-      : options_(std::move(options)), server_(std::move(server)) {}
-
-  static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
-    return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-  }
-
-  /// Bytes one frame occupies on the wire for a payload of `n` bytes:
-  /// u32 length + version + type + payload + u32 crc.
-  static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }
-
-  /// Classifies and records a transport-level failure, poisons the cell's
-  /// channels, and maps it to Unavailable — the code the engine's failover
-  /// layer keys off to distinguish "the placement is unreachable" (degrade,
-  /// recover) from "the sketch rejected the request" (poison the pipeline).
-  Status TransportFailure(const Status& s) const {
-    // A checksum reject means the bytes arrived but failed validation —
-    // the corruption counter the health surface watches. Everything else
-    // (EOF, EPIPE, short frame, protocol desync) is a receive error.
-    if (s.message().find("checksum") != std::string::npos) {
-      crc_rejects_.Inc();
-    } else {
-      recv_errors_.Inc();
-    }
-    poisoned_.store(true, std::memory_order_release);
-    return Status::Unavailable("loopback shard unreachable: " + s.ToString());
-  }
-
-  /// One request/response exchange on the chosen channel. The response
-  /// payload (after frame validation) lands in `resp`.
-  Status RoundTrip(bool data_channel, uint8_t type, std::string_view payload,
-                   std::string* resp) const {
-    if (poisoned_.load(std::memory_order_acquire)) {
-      return Status::Unavailable(
-          "loopback shard unreachable (poisoned channel)");
-    }
-    std::mutex& mu = data_channel ? data_mu_ : control_mu_;
-    const int fd = data_channel ? server_->data_fd() : server_->control_fd();
-    std::lock_guard<std::mutex> lock(mu);
-    // Timed from the write, like tcp: waiting for the channel is not part
-    // of the round trip.
-    const auto t0 = std::chrono::steady_clock::now();
-    Status s = wire::WriteFrameFd(fd, type, payload);
-    if (!s.ok()) return TransportFailure(s);
-    frames_out_.Inc();
-    bytes_out_.Inc(FramedBytes(payload.size()));
-    uint8_t resp_type = 0;
-    std::string_view resp_payload;
-    s = wire::ReadFrameFd(fd, &frame_scratch(), &resp_type, &resp_payload);
-    if (!s.ok()) return TransportFailure(s);
-    frames_in_.Inc();
-    bytes_in_.Inc(FramedBytes(resp_payload.size()));
-    roundtrip_us_.Record(ElapsedUs(t0));
-    if (resp_type != wire::kResp) {
-      return TransportFailure(
-          Status::Internal("loopback backend: unexpected response type"));
-    }
-    resp->assign(resp_payload);
-    return Status::OK();
-  }
-
-  /// Per-thread frame buffer so concurrent round trips (different cells /
-  /// channels) do not share scratch.
-  static std::string& frame_scratch() {
-    thread_local std::string buf;
-    return buf;
-  }
-
-  const BackendOptions options_;  ///< config carries the resolved shard seed
-  std::unique_ptr<ShardServer> server_;
-  // The data channel has a single caller by the backend contract, but the
-  // mutex also covers inline mode and keeps the channel framing safe by
-  // construction; the control channel is shared by query threads.
-  mutable std::mutex data_mu_;
-  mutable std::mutex control_mu_;
-  // Client-side channel observability (relaxed atomics, safe from both
-  // channels at once). Counted per round trip in RoundTrip().
-  mutable Counter frames_out_;
-  mutable Counter frames_in_;
-  mutable Counter bytes_out_;  ///< framed bytes written (incl. headers/CRC)
-  mutable Counter bytes_in_;
-  mutable Counter crc_rejects_;  ///< responses rejected for a bad checksum
-  mutable Counter recv_errors_;  ///< other failed response reads
-  mutable Histogram roundtrip_us_;
-  mutable Histogram deserialize_us_;  ///< snapshot state decode latency
-  /// Sticky failure flag: set on the first transport-level failure
-  /// (failed write, failed/corrupt read, heartbeat timeout). Once the
-  /// stream alignment cannot be trusted, every later call fails fast with
-  /// Unavailable instead of reading a stale frame.
-  mutable std::atomic<bool> poisoned_{false};
-};
-
-// ---- TCP backend -----------------------------------------------------------
+// The dialer's reconnection policy (see remote_backend.h).
+constexpr int kConnectTimeoutMs = 1000;  ///< per connect() attempt
+constexpr int kOpDeadlineMs = 1000;      ///< whole-call budget incl. redials
+constexpr int kBackoffInitialMs = 1;     ///< doubles per failed redial...
+constexpr int kBackoffMaxMs = 50;        ///< ...up to this cap
 
 /// Session tokens must be unique per (process, shard instance): a daemon
 /// keyed on a colliding token would hand a foreign session to the dialer.
@@ -342,18 +38,17 @@ uint64_t NewSessionToken() {
   return token == 0 ? 1 : token;
 }
 
-/// A ShardBackend whose shard lives behind a TCP session (tcp_transport.h).
-/// The channel discipline mirrors loopback (data channel for applies and
-/// handoff imports, control channel for queries, one mutex each), but a
-/// broken connection is REDIALED inside the failing call's deadline and the
-/// handshake's last_applied_seq resyncs in-flight applies exactly-once —
-/// transient partitions heal with no re-home and no topology churn.
+/// A ShardBackend whose shard lives behind a TCP session (tcp_transport.h):
+/// a data channel for applies and handoff imports, a control channel for
+/// queries, one mutex each. A broken connection is REDIALED inside the
+/// failing call's deadline and the handshake's last_applied_seq resyncs
+/// in-flight applies exactly-once — transient partitions heal with no
+/// re-home and no topology churn.
 class TcpRemoteBackend final : public ShardBackend {
  public:
   static Result<std::unique_ptr<ShardBackend>> Create(
       const BackendOptions& options, const TcpBackendOptions& topts) {
-    std::unique_ptr<TcpRemoteBackend> cell(
-        new TcpRemoteBackend(options, topts.dialer));
+    std::unique_ptr<TcpRemoteBackend> cell(new TcpRemoteBackend(options));
     cell->spec_.sketches = options.sketches;
     cell->spec_.config = options.config;
     cell->spec_.snapshot_min_updates = options.snapshot_min_updates;
@@ -394,27 +89,16 @@ class TcpRemoteBackend final : public ShardBackend {
     wire::Writer w;
     w.U64(seq);
     wire::EncodeUpdates(data, count, &w);
-    std::string resp;
-    Status s = Call(/*data_channel=*/true, wire::kReqApplySeq, w.data(), &resp,
-                    dialer_.op_deadline_ms, seq);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    // The trailing epoch is advisory; the dirty scan polls it.
+    return Request(/*data_channel=*/true, wire::kReqApplySeq, w.data(), NoBody,
+                   kOpDeadlineMs, seq);
   }
 
   Result<uint64_t> Epoch() const override {
-    std::string resp;
-    Status s = Call(/*data_channel=*/false, wire::kReqEpoch, {}, &resp,
-                    dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
     uint64_t epoch = 0;
-    if (Status se = r.U64(&epoch); !se.ok()) return se;
+    Status s = Request(/*data_channel=*/false, wire::kReqEpoch, {},
+                       [&](wire::Reader& r) { return r.U64(&epoch); });
+    if (!s.ok()) return s;
     last_epoch_.store(epoch, std::memory_order_relaxed);
     return epoch;
   }
@@ -441,29 +125,18 @@ class TcpRemoteBackend final : public ShardBackend {
     }
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = Call(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
-                    &resp, dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
     SerializedSnapshot out;
-    if (Status se = r.U64(&out.epoch); !se.ok()) return se;
-    if (Status ss = r.Str(&out.state); !ss.ok()) return ss;
+    Status s = Request(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
+                       [&](wire::Reader& r) {
+                         Status se = r.U64(&out.epoch);
+                         return se.ok() ? r.Str(&out.state) : se;
+                       });
+    if (!s.ok()) return s;
     return out;
   }
 
   Status Flush() override {
-    std::string resp;
-    Status s = Call(/*data_channel=*/false, wire::kReqFlush, {}, &resp,
-                    dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return Request(/*data_channel=*/false, wire::kReqFlush, {}, NoBody);
   }
 
   Status ImportShardState(const std::vector<std::string>& frames) override {
@@ -472,30 +145,22 @@ class TcpRemoteBackend final : public ShardBackend {
           "tcp backend: handoff frame count does not match the configured "
           "sketch group");
     }
+    // The handoff frame: a kReqImport whose payload is the sketch-state
+    // frames, length-prefixed in sketch order. The host decodes and
+    // installs them atomically, then publishes, so the imported history is
+    // merge-visible on the first post-handoff query.
     wire::Writer req;
     req.U32(uint32_t(frames.size()));
     for (const std::string& frame : frames) req.Str(frame);
-    std::string resp;
-    Status s = Call(/*data_channel=*/true, wire::kReqImport, req.data(), &resp,
-                    dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return Request(/*data_channel=*/true, wire::kReqImport, req.data(),
+                   NoBody);
   }
 
   Status Heartbeat(uint64_t timeout_ms) override {
-    std::string resp;
     // The probe's timeout IS the call deadline: a dead peer costs exactly
     // the supervisor's probe budget, never the full op deadline.
-    Status s = Call(/*data_channel=*/false, wire::kReqHeartbeat, {}, &resp,
-                    int(timeout_ms));
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    return remote;
+    return Request(/*data_channel=*/false, wire::kReqHeartbeat, {}, NoBody,
+                   int(timeout_ms));
   }
 
   Status InjectCrash(bool torn) override {
@@ -532,30 +197,26 @@ class TcpRemoteBackend final : public ShardBackend {
   Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
-    std::string resp;
-    Status s = Call(/*data_channel=*/false, wire::kReqSummary, req.data(),
-                    &resp, dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
     SketchSummary summary;
-    if (Status ss = wire::DecodeSummary(&r, &summary); !ss.ok()) return ss;
+    Status s = Request(/*data_channel=*/false, wire::kReqSummary, req.data(),
+                       [&](wire::Reader& r) {
+                         return wire::DecodeSummary(&r, &summary);
+                       });
+    if (!s.ok()) return s;
     return summary;
   }
 
   Result<std::vector<MetricSample>> Metrics() const override {
-    std::string resp;
-    Status s = Call(/*data_channel=*/false, wire::kReqMetrics, {}, &resp,
-                    dialer_.op_deadline_ms);
-    if (!s.ok()) return s;
-    wire::Reader r(resp);
-    Status remote = Status::OK();
-    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
-    if (!remote.ok()) return remote;
+    // The cell's own samples (epoch, snapshot lag, serialize latency)
+    // report THROUGH the control channel — the remote cell is the source
+    // of truth for its state, exactly like every other query.
     std::vector<MetricSample> out;
-    if (Status sm = wire::DecodeMetricSamples(&r, &out); !sm.ok()) return sm;
+    Status s = Request(/*data_channel=*/false, wire::kReqMetrics, {},
+                       [&](wire::Reader& r) {
+                         return wire::DecodeMetricSamples(&r, &out);
+                       });
+    if (!s.ok()) return s;
+    // Client-side channel counters ride along under the wire.* prefix.
     out.push_back(CounterSample("wire.frames_out_total", frames_out_));
     out.push_back(CounterSample("wire.frames_in_total", frames_in_));
     out.push_back(CounterSample("wire.bytes_out_total", bytes_out_));
@@ -570,19 +231,10 @@ class TcpRemoteBackend final : public ShardBackend {
   }
 
   uint64_t SpaceBits() const override {
-    std::string resp;
-    if (!Call(false, wire::kReqSpaceBits, {}, &resp, dialer_.op_deadline_ms)
-             .ok()) {
-      return 0;
-    }
-    wire::Reader r(resp);
-    Status remote = Status::OK();
     uint64_t bits = 0;
-    if (!wire::DecodeStatus(&r, &remote).ok() || !remote.ok() ||
-        !r.U64(&bits).ok()) {
-      return 0;
-    }
-    return bits;
+    Status s = Request(/*data_channel=*/false, wire::kReqSpaceBits, {},
+                       [&](wire::Reader& r) { return r.U64(&bits); });
+    return s.ok() ? bits : 0;
   }
 
  private:
@@ -591,10 +243,8 @@ class TcpRemoteBackend final : public ShardBackend {
     int fd = -1;  ///< -1 = not connected (dialed lazily / after failure)
   };
 
-  TcpRemoteBackend(BackendOptions options, TcpDialerOptions dialer)
-      : options_(std::move(options)),
-        dialer_(dialer),
-        token_(NewSessionToken()) {}
+  explicit TcpRemoteBackend(BackendOptions options)
+      : options_(std::move(options)), token_(NewSessionToken()) {}
 
   static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
     return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -602,6 +252,8 @@ class TcpRemoteBackend final : public ShardBackend {
                         .count());
   }
 
+  /// Bytes one frame occupies on the wire for a payload of `n` bytes:
+  /// u32 length + version + type + payload + u32 crc.
   static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }
 
   static int RemainingMs(std::chrono::steady_clock::time_point deadline) {
@@ -638,8 +290,7 @@ class TcpRemoteBackend final : public ShardBackend {
     if (remaining <= 0) {
       return Status::DeadlineExceeded("tcp: no deadline left to connect");
     }
-    auto fd = TcpConnectFd(host_, port_,
-                           std::min(dialer_.connect_timeout_ms, remaining));
+    auto fd = TcpConnectFd(host_, port_, std::min(kConnectTimeoutMs, remaining));
     if (!fd.ok()) return fd.status();
     TcpHello hello;
     hello.channel = data_channel ? 0 : 1;
@@ -698,7 +349,7 @@ class TcpRemoteBackend final : public ShardBackend {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(deadline_ms);
     std::lock_guard<std::mutex> lock(ch.mu);
-    int backoff_ms = dialer_.backoff_initial_ms;
+    int backoff_ms = kBackoffInitialMs;
     bool redialing = false;
     for (;;) {
       if (ch.fd < 0) {
@@ -711,7 +362,7 @@ class TcpRemoteBackend final : public ShardBackend {
           }
           std::this_thread::sleep_for(std::chrono::milliseconds(
               std::min(backoff_ms, std::max(1, RemainingMs(deadline)))));
-          backoff_ms = std::min(backoff_ms * 2, dialer_.backoff_max_ms);
+          backoff_ms = std::min(backoff_ms * 2, kBackoffMaxMs);
           continue;
         }
         if (redialing) reconnects_.Inc();
@@ -742,6 +393,9 @@ class TcpRemoteBackend final : public ShardBackend {
         s = Status::Internal("tcp backend: unexpected response type");
       }
       if (!s.ok()) {
+        // A checksum reject means the bytes arrived but failed validation —
+        // the corruption counter the health surface watches. Everything
+        // else (EOF, EPIPE, short frame, timeout) is a receive error.
         if (s.message().find("checksum") != std::string::npos) {
           crc_rejects_.Inc();
         } else {
@@ -763,13 +417,34 @@ class TcpRemoteBackend final : public ShardBackend {
     }
   }
 
+  static Status NoBody(wire::Reader&) { return Status::OK(); }
+
+  /// Call plus the response's leading Status: a transport failure or a
+  /// remote error comes back as is; on OK, `decode` reads the
+  /// request-specific data that follows the Status.
+  template <typename Decode>
+  Status Request(bool data_channel, uint8_t type, std::string_view payload,
+                 Decode&& decode, int deadline_ms = kOpDeadlineMs,
+                 uint64_t apply_seq = 0) const {
+    std::string resp;
+    Status s = Call(data_channel, type, payload, &resp, deadline_ms,
+                    apply_seq);
+    if (!s.ok()) return s;
+    wire::Reader r(resp);
+    Status remote = Status::OK();
+    if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
+    if (!remote.ok()) return remote;
+    return decode(r);
+  }
+
+  /// Per-thread frame buffer so concurrent round trips (different cells /
+  /// channels) do not share scratch.
   static std::string& frame_scratch() {
     thread_local std::string buf;
     return buf;
   }
 
   const BackendOptions options_;  ///< config carries the resolved shard seed
-  const TcpDialerOptions dialer_;
   const uint64_t token_;  ///< the host's session key (NewSessionToken)
   std::string host_;
   uint16_t port_ = 0;
@@ -786,25 +461,21 @@ class TcpRemoteBackend final : public ShardBackend {
   uint64_t next_apply_seq_ = 1;  ///< single caller per the backend contract
   mutable std::atomic<uint64_t> last_epoch_{0};
 
+  // Client-side channel observability (relaxed atomics, safe from both
+  // channels at once). Counted per round trip in Call().
   mutable Counter frames_out_;
   mutable Counter frames_in_;
-  mutable Counter bytes_out_;
+  mutable Counter bytes_out_;  ///< framed bytes written (incl. headers/CRC)
   mutable Counter bytes_in_;
-  mutable Counter crc_rejects_;
-  mutable Counter recv_errors_;
+  mutable Counter crc_rejects_;  ///< responses rejected for a bad checksum
+  mutable Counter recv_errors_;  ///< other failed response reads
   mutable Counter reconnects_;  ///< successful REdials (not first connects)
   mutable Counter resyncs_;     ///< applies acked from the hello's seq cursor
   mutable Histogram roundtrip_us_;
-  mutable Histogram deserialize_us_;
+  mutable Histogram deserialize_us_;  ///< snapshot state decode latency
 };
 
 }  // namespace
-
-BackendFactory LoopbackBackendFactory() {
-  return [](const BackendOptions& options) {
-    return LoopbackRemoteBackend::Create(options);
-  };
-}
 
 BackendFactory TcpBackendFactory(TcpBackendOptions topts) {
   return [topts](const BackendOptions& options) {
@@ -814,14 +485,14 @@ BackendFactory TcpBackendFactory(TcpBackendOptions topts) {
 
 Result<BackendFactory> BackendFactoryByName(const std::string& name) {
   if (name.empty() || name == "inprocess") return InProcessBackendFactory();
-  if (name == "loopback") return LoopbackBackendFactory();
   if (name == "mixed") {
     // Alternating placement by global shard id: even shards in-process, odd
-    // shards behind the loopback wire — one engine spanning both worlds at
+    // shards behind self-hosted tcp — one engine spanning both worlds at
     // once, topology-op cells included.
     return BackendFactory([](const BackendOptions& options) {
-      return options.shard % 2 == 0 ? InProcessBackendFactory()(options)
-                                    : LoopbackRemoteBackend::Create(options);
+      return options.shard % 2 == 0
+                 ? InProcessBackendFactory()(options)
+                 : TcpRemoteBackend::Create(options, TcpBackendOptions{});
     });
   }
   if (name == "tcp") return TcpBackendFactory();
@@ -846,7 +517,7 @@ Result<BackendFactory> BackendFactoryByName(const std::string& name) {
   }
   return Status::InvalidArgument(
       "unknown shard backend \"" + name +
-      "\" (want inprocess | loopback | mixed | tcp | tcp:HOST:PORT,...)");
+      "\" (want inprocess | mixed | tcp | tcp:HOST:PORT,...)");
 }
 
 }  // namespace wbs::engine

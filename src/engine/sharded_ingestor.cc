@@ -361,8 +361,8 @@ void ShardedIngestor::WorkerLoop(Worker* worker) {
     // mutating state.
     if (!has_error_.load(std::memory_order_acquire)) {
       // Degraded mode: a shard already declared dead drops its sub-batches
-      // without touching the backend (fast, and a poisoned loopback channel
-      // would only fail again). The drops are counted — they become
+      // without touching the backend (fast, and a dead peer's channel would
+      // only fail again). The drops are counted — they become
       // updates_lost_total at the next recovery.
       if (job.health != nullptr &&
           job.health->health.load(std::memory_order_acquire) ==

@@ -14,11 +14,10 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <utility>
-
-#include "engine/shard_server.h"
+#include <vector>
 
 namespace wbs::engine {
 
@@ -55,6 +54,155 @@ Status SetNonBlocking(int fd, bool nonblocking) {
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// Whether a request of `type` must hold the session's cell lock. True for
+/// the requests that change the cell or read its live, worker-owned state
+/// (apply-seq, import, flush, summary, space-bits) and for the heartbeat —
+/// on purpose, so a shard wedged inside a locked request also fails its
+/// liveness probe. False for kReqEpoch, kReqSnapshot and kReqMetrics: the
+/// ShardBackend contract already lets any thread read the epoch, the
+/// published snapshot and the metric samples concurrently with
+/// ApplyBatch. Unknown types take the lock.
+bool ShardRequestTakesCellLock(uint8_t type) {
+  switch (type) {
+    case wire::kReqEpoch:
+    case wire::kReqSnapshot:
+    case wire::kReqMetrics:
+      return false;
+    default:
+      return true;
+  }
+}
+
+/// Handles one shard request frame against a session's cell and appends
+/// the response payload (Status first, then request-specific data) to `w`.
+/// kReqHello and kReqApplySeq need the session itself and never get here
+/// (ServeConn handles them); any other type is an InvalidArgument answer
+/// on a connection that stays usable.
+void DispatchShardRequest(ShardBackend& cell, size_t num_sketches,
+                          uint8_t type, std::string_view payload,
+                          wire::Writer* w) {
+  switch (type) {
+    case wire::kReqFlush: {
+      wire::EncodeStatus(cell.Flush(), w);
+      w->U64(cell.Epoch().value_or(0));
+      break;
+    }
+    case wire::kReqEpoch: {
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(cell.Epoch().value_or(0));
+      break;
+    }
+    case wire::kReqSnapshot: {
+      wire::Reader r(payload);
+      uint32_t sketch_index = 0;
+      Status s = r.U32(&sketch_index);
+      if (s.ok()) s = r.ExpectEnd();
+      if (s.ok() && sketch_index >= num_sketches) {
+        s = Status::OutOfRange("tcp shard host: sketch index out of range");
+      }
+      if (!s.ok()) {
+        wire::EncodeStatus(s, w);
+        break;
+      }
+      auto snap = cell.SnapshotSerialized(sketch_index);
+      if (!snap.ok()) {
+        wire::EncodeStatus(snap.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(snap.value().epoch);
+      w->Str(snap.value().state);  // empty = never published
+      break;
+    }
+    case wire::kReqSummary: {
+      wire::Reader r(payload);
+      uint32_t sketch_index = 0;
+      Status s = r.U32(&sketch_index);
+      if (s.ok()) s = r.ExpectEnd();
+      if (!s.ok()) {
+        wire::EncodeStatus(s, w);
+        break;
+      }
+      auto summary = cell.LiveSummary(sketch_index);
+      if (!summary.ok()) {
+        wire::EncodeStatus(summary.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      wire::EncodeSummary(summary.value(), w);
+      break;
+    }
+    case wire::kReqSpaceBits: {
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(cell.SpaceBits());
+      break;
+    }
+    case wire::kReqHeartbeat: {
+      // Liveness probe: answering at all is the signal; the epoch rides
+      // along so supervisors can watch progress for free. Deliberately
+      // served under the cell lock (ShardRequestTakesCellLock) — a shard
+      // wedged inside an apply fails its heartbeat deadline too.
+      wire::EncodeStatus(Status::OK(), w);
+      w->U64(cell.Epoch().value_or(0));
+      break;
+    }
+    case wire::kReqMetrics: {
+      // Observability: the in-process cell's per-shard samples (epoch,
+      // snapshot lag, serialize latency) ship to the dialer, which prefixes
+      // them with the global shard id and appends its own wire counters.
+      auto samples = cell.Metrics();
+      if (!samples.ok()) {
+        wire::EncodeStatus(samples.status(), w);
+        break;
+      }
+      wire::EncodeStatus(Status::OK(), w);
+      wire::EncodeMetricSamples(samples.value(), w);
+      break;
+    }
+    case wire::kReqImport: {
+      // Shard handoff: install the serialized sketch states shipped from
+      // the retiring placement, then publish (ImportShardState does both).
+      wire::Reader r(payload);
+      uint32_t count = 0;
+      Status s = r.U32(&count);
+      std::vector<std::string> frames;
+      if (s.ok() && count != num_sketches) {
+        s = Status::InvalidArgument(
+            "tcp shard host: handoff frame count does not match the sketch "
+            "group");
+      }
+      for (uint32_t i = 0; s.ok() && i < count; ++i) {
+        std::string frame;
+        s = r.Str(&frame);
+        if (s.ok()) frames.push_back(std::move(frame));
+      }
+      if (s.ok()) s = r.ExpectEnd();
+      if (s.ok()) s = cell.ImportShardState(frames);
+      wire::EncodeStatus(s, w);
+      w->U64(cell.Epoch().value_or(0));
+      break;
+    }
+    default:
+      wire::EncodeStatus(
+          Status::InvalidArgument("tcp shard host: unknown request type " +
+                                  std::to_string(int(type))),
+          w);
+      break;
+  }
+}
+
+/// Emits a length-valid frame whose body was corrupted AFTER the checksum
+/// was computed — the `torn` crash flavor. The dialer MUST reject it via
+/// CRC32, not via framing. A short write only makes the tear more
+/// realistic.
+void WriteTornFrame(int fd) {
+  std::string frame = wire::EncodeFrame(wire::kResp, "torn");
+  frame[frame.size() - 5] ^= 0x5a;  // flip a payload byte, keep the CRC
+  // MSG_NOSIGNAL: the dialer may already have hung up; EPIPE is fine here,
+  // SIGPIPE is not.
+  (void)!::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
 }
 
 }  // namespace
@@ -293,16 +441,6 @@ Result<std::unique_ptr<TcpShardHost>> TcpShardHost::Start(
   host->listen_fd_ = fd;
   host->port_ = ntohs(bound.sin_port);
 
-  // Same birth-armed crash spec as ShardServer, so env-driven crash drills
-  // cover the TCP transport without test changes.
-  int64_t crash_after = -1;
-  bool crash_torn = false;
-  if (ParseCrashEnvSpec(std::getenv("WBS_ENGINE_CRASH"), &crash_after,
-                        &crash_torn)) {
-    host->crash_torn_.store(crash_torn, std::memory_order_relaxed);
-    host->crash_after_.store(crash_after, std::memory_order_relaxed);
-  }
-
   TcpShardHost* raw = host.get();
   host->accept_thread_ = std::thread([raw] { raw->AcceptLoop(); });
   return host;
@@ -356,25 +494,10 @@ void TcpShardHost::ServeConn(Conn* conn) {
     uint8_t type = 0;
     std::string_view payload;
     Status s = wire::ReadFrameFd(fd, &frame_buf, &type, &payload);
-    if (!s.ok()) break;
+    // A crashed host reads the frame but never answers it — the window a
+    // real process death between recv and send leaves behind.
+    if (!s.ok() || crashed_.load(std::memory_order_acquire)) break;
 
-    // Crash threshold accounting, mirroring ShardServer: the frame that
-    // crosses the threshold is read but never answered, and the whole host
-    // (listener included) goes dark.
-    const int64_t served = 1 + frames_served_.fetch_add(1);
-    const int64_t crash_at = crash_after_.load(std::memory_order_acquire);
-    if (crash_at >= 0 && served >= crash_at &&
-        !crashed_.load(std::memory_order_acquire)) {
-      SeverConnections(/*kill_listener=*/true,
-                       crash_torn_.load(std::memory_order_relaxed) ? fd : -1);
-      break;
-    }
-    if (crashed_.load(std::memory_order_acquire)) break;
-
-    if (type == wire::kReqShutdown) {
-      (void)wire::WriteFrameFd(fd, wire::kResp, {});
-      break;
-    }
     std::string resp;
     if (type == wire::kReqHello) {
       bool close_conn = false;
@@ -407,13 +530,17 @@ void TcpShardHost::ServeConn(Conn* conn) {
           wire::EncodeStatus(session->last_apply_status, &w);
           w.U64(session->cell->Epoch().value_or(0));
         } else {
-          DispatchShardRequest(*session->cell, session->num_sketches,
-                               wire::kReqApply, payload.substr(8), &w);
-          wire::Reader resp_r(w.data());
-          Status applied;
-          (void)wire::DecodeStatus(&resp_r, &applied);
+          std::vector<stream::TurnstileUpdate> updates;
+          Status applied = wire::DecodeUpdates(&r, &updates);
+          if (applied.ok()) applied = r.ExpectEnd();
+          if (applied.ok()) {
+            applied = session->cell->ApplyBatch(updates.data(),
+                                                updates.size());
+          }
           session->last_applied_seq = seq;
           session->last_apply_status = applied;
+          wire::EncodeStatus(applied, &w);
+          w.U64(session->cell->Epoch().value_or(0));
         }
       } else {
         DispatchShardRequest(*session->cell, session->num_sketches, type,
@@ -490,7 +617,7 @@ void TcpShardHost::SeverConnections(bool kill_listener, int torn_fd) {
   std::lock_guard<std::mutex> lock(mu_);
   if (kill_listener) {
     crashed_.store(true, std::memory_order_release);
-    if (torn_fd >= 0) WriteTornFrameFd(torn_fd);
+    if (torn_fd >= 0) WriteTornFrame(torn_fd);
     // shutdown() (not close) takes the socket out of LISTEN so redials are
     // REFUSED immediately, while the fd number stays ours until Stop() —
     // the accept thread may still be polling it.
@@ -505,12 +632,6 @@ void TcpShardHost::SeverConnections(bool kill_listener, int torn_fd) {
 
 void TcpShardHost::DropConnections() {
   SeverConnections(/*kill_listener=*/false, /*torn_fd=*/-1);
-}
-
-void TcpShardHost::CrashAfter(int64_t n_frames, bool torn) {
-  crash_torn_.store(torn, std::memory_order_relaxed);
-  crash_after_.store(frames_served_.load(std::memory_order_acquire) + n_frames,
-                     std::memory_order_release);
 }
 
 void TcpShardHost::CrashNow(bool torn) {

@@ -1,13 +1,12 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
 // TCP shard transport — the listener/dialer pair that turns the engine's
-// wire protocol into a real multi-process system.
-//
-// Everything below shard_server.h's request dispatch is transport-agnostic
-// by construction; what this header adds is the transport itself:
+// wire protocol into a real multi-process system. It is the engine's only
+// remote transport:
 //
 //   * `TcpShardHost` — a TCP listener (SO_REUSEADDR, TCP_NODELAY) serving
-//     the ShardServer data/control protocol to any number of connections.
+//     the shard requests of wire.h to any number of connections, each
+//     dialer holding a data and a control connection per shard.
 //     One host can serve MANY shards: each shard is a session keyed by a
 //     client-chosen 64-bit token, created on the first kReqHello that
 //     carries the shard's spec (sketch names + resolved config). This is
@@ -36,9 +35,9 @@
 //     last_applied_seq tells the dialer which case it is in.
 //
 // The dialer half (`TcpRemoteBackend`, remote_backend.h) reconnects with
-// bounded retry/backoff inside each call's deadline instead of poisoning
-// the channel — only a peer that stays unreachable past the deadline
-// surfaces Unavailable, which feeds the PR 7 supervision path unchanged.
+// bounded retry/backoff inside each call's deadline — only a peer that
+// stays unreachable past the deadline surfaces Unavailable, which feeds the
+// heartbeat supervision and re-home path.
 
 #ifndef WBS_ENGINE_TCP_TRANSPORT_H_
 #define WBS_ENGINE_TCP_TRANSPORT_H_
@@ -118,10 +117,12 @@ struct TcpShardHostOptions {
 
 /// The serving half. Start() binds + listens and spawns an accept thread;
 /// each accepted connection is served by its own thread against the
-/// sessions table. Crash modes mirror ShardServer's (armable at birth via
-/// WBS_ENGINE_CRASH="after=N[,torn]") but additionally close the LISTENER,
-/// so a crashed host refuses reconnects exactly like a dead process —
-/// required for failover drills to re-home instead of resync.
+/// sessions table. Every request answers with a Status first; a request
+/// that fails (bad payload, unknown sketch index or request type) answers
+/// with that Status and the connection stays usable. Requests that change
+/// a cell or read its live state take the session's cell lock; epoch,
+/// snapshot and metrics reads do not, so a query never queues behind an
+/// apply.
 class TcpShardHost {
  public:
   static Result<std::unique_ptr<TcpShardHost>> Start(
@@ -145,13 +146,15 @@ class TcpShardHost {
   /// resync; nothing is lost and no re-home is needed.
   void DropConnections();
 
-  /// Crash modes (see ShardServer): the request frame that crosses the
-  /// threshold is read but never answered, every connection dies, and the
-  /// listener closes so redials are refused. Session state is kept (it is
-  /// unreachable — the point), Stop() still reclaims everything.
-  void CrashAfter(int64_t n_frames, bool torn = false);
+  /// Crash injection, callable from any thread: every connection dies, a
+  /// request read after the crash is never answered, and the listener
+  /// closes so redials are refused exactly like a dead process — failover
+  /// drills re-home instead of resync. With `torn`, one live connection
+  /// first gets a frame whose body no longer matches its checksum, so the
+  /// dialer's CRC32 check (not just EOF) observes the crash. Session state
+  /// is kept (it is unreachable — the point); Stop() still reclaims
+  /// everything.
   void CrashNow(bool torn = false);
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   /// Hosted session count (tests, daemon stats).
   size_t sessions() const;
@@ -163,7 +166,7 @@ class TcpShardHost {
     std::unique_ptr<ShardBackend> cell;
     size_t num_sketches = 0;
     /// The cell lock: held for the requests ShardRequestTakesCellLock
-    /// names (shard_server.h) and for the apply-sequence cursor below.
+    /// names (tcp_transport.cc) and for the apply-sequence cursor below.
     /// Epoch, snapshot and metrics reads run without it.
     std::mutex mu;
     uint64_t last_applied_seq = 0;
@@ -200,9 +203,6 @@ class TcpShardHost {
   bool stopped_ = false;
   uint64_t shard_seed_override_ = 0;
 
-  std::atomic<int64_t> crash_after_{-1};
-  std::atomic<int64_t> frames_served_{0};
-  std::atomic<bool> crash_torn_{false};
   std::atomic<bool> crashed_{false};
 };
 

@@ -59,17 +59,16 @@ class ShardBackend;
 /// ownership of the cell: a retired placement (its shard moved away, or its
 /// peer crashed and was re-homed) lives exactly as long as the last
 /// TopologyView referencing it, then its destructor reclaims the cell —
-/// including a loopback server's threads and fds. A long-lived engine that
-/// reshards and recovers continuously therefore holds a bounded set of
-/// cells, not one per change ever made.
+/// including a self-hosted tcp host's threads and fds. A long-lived engine
+/// that reshards and recovers continuously therefore holds a bounded set
+/// of cells, not one per change ever made.
 struct ShardPlacement {
   std::shared_ptr<ShardBackend> backend;
-  /// The cell's network endpoint ("host:port"), empty for
-  /// shards with no network home (in-process, loopback socketpairs). This is
-  /// the supervision layer's FAILURE DOMAIN key: when one shard on an
-  /// endpoint misses a heartbeat, every healthy placement sharing that
-  /// endpoint goes suspect together — a dead host takes all its shards, not
-  /// one probe victim at a time.
+  /// The cell's network endpoint ("host:port"), empty for in-process
+  /// cells, which have no network home. This is the supervision layer's
+  /// FAILURE DOMAIN key: when one shard on an endpoint misses a heartbeat,
+  /// every healthy placement sharing that endpoint goes suspect together —
+  /// a dead host takes all its shards, not one probe victim at a time.
   std::string endpoint;
 };
 

@@ -18,7 +18,7 @@
 // with the buffer, and any checksum mismatch (a single corrupted byte
 // anywhere in the body fails the CRC). The same frame layout is used for
 // update batches, serialized sketch states, query answers, and the
-// request/response messages of the loopback shard server.
+// request/response messages of the tcp shard host (tcp_transport.h).
 //
 // Compound codecs for the engine's value types (TurnstileUpdate batches,
 // SketchSummary, Status) live here too, so every backend and the tests
@@ -46,25 +46,25 @@ namespace wire {
 /// DecodeFrame rejects frames from a different version.
 inline constexpr uint8_t kFormatVersion = 1;
 
-/// Frame types. 1..31 are sketch/engine payloads; 32..63 are shard-server
-/// requests; 64+ are shard-server responses.
+/// Frame types. 1..31 are sketch/engine payloads; 32..63 are shard-host
+/// requests; 64+ are shard-host responses. 32 and 38 are retired (an
+/// unsequenced apply and a shutdown request): never reuse them — a host
+/// answers them like any unknown type, with InvalidArgument.
 enum FrameType : uint8_t {
   kSketchState = 1,   ///< one sketch's serialized state
   kUpdateBatch = 2,   ///< a batch of turnstile updates
   kSummary = 3,       ///< a serialized SketchSummary
 
-  kReqApply = 32,     ///< apply an update batch to the shard
   kReqFlush = 33,     ///< publish the shard's snapshot if it lags
   kReqEpoch = 34,     ///< read the shard's snapshot epoch
   kReqSnapshot = 35,  ///< fetch (epoch, serialized state) of one sketch
   kReqSummary = 36,   ///< live summary of one sketch (quiescent callers)
   kReqSpaceBits = 37, ///< total state bits of the shard
-  kReqShutdown = 38,  ///< close the connection
   kReqImport = 39,    ///< shard handoff: install serialized sketch states
   kReqMetrics = 40,   ///< read the shard's metric samples (observability)
   kReqHeartbeat = 41, ///< liveness probe: responds OK + current epoch
   kReqHello = 42,     ///< TCP session handshake (tcp_transport.h layout)
-  kReqApplySeq = 43,  ///< kReqApply prefixed with a u64 apply sequence number
+  kReqApplySeq = 43,  ///< apply a batch: u64 apply sequence + update batch
 
   kResp = 64,         ///< response: Status followed by request-specific data
 };

@@ -10,10 +10,10 @@
 //   * a slot move is ROUTING-ONLY: summaries right after a MoveSlots are
 //     bit-identical to right before for all six builtin families (no
 //     sketch state moves — the source keeps its frozen prefix
-//     merge-visible), across in-process, loopback, and TCP placements;
+//     merge-visible), across in-process and TCP placements;
 //   * a run that peels slots mid-ingest and keeps ingesting ends
 //     bit-identical to a never-moved reference for the linear families
-//     (ams_f2, sis_l0, rank_decision), across all three placements —
+//     (ams_f2, sis_l0, rank_decision), across both placements —
 //     the same merge-over-all-shards-ever argument as scale-out;
 //   * the controller scales out on a hot load (manual-mode EvaluateOnce,
 //     deterministic) and the post-scale-out answers still equal a static
@@ -73,11 +73,10 @@ struct BackendCase {
   BackendFactory factory;
 };
 
-/// The three placements slot moves must be transparent to. TCP here is the
+/// The placements slot moves must be transparent to. TCP here is the
 /// self-hosted factory: every shard behind a real localhost socket.
 std::vector<BackendCase> SlotMovePlacements() {
   return {{"inprocess", InProcessBackendFactory()},
-          {"loopback", LoopbackBackendFactory()},
           {"tcp", TcpBackendFactory()}};
 }
 
@@ -304,7 +303,7 @@ TEST(SlotMoveFidelityTest, SummariesIdenticalAcrossTheMove) {
 // A run that peels slots mid-stream and KEEPS INGESTING must end
 // bit-identical to a run that never moved anything, for the linear
 // families — answers merge over all shards ever, so re-partitioning the
-// suffix is invisible. Pinned across all three placements.
+// suffix is invisible. Pinned across both placements.
 TEST(SlotMoveFidelityTest, MidIngestMoveSlotsBitIdenticalOnZipf) {
   const uint64_t universe = 1 << 12;
   auto s = ZipfTurnstile(universe, 24000, 902);
@@ -569,14 +568,14 @@ TEST(AutoscaleTest, DeadShardNeverPickedAsDestination) {
   const uint64_t universe = 1 << 12;
   SketchConfig cfg = TestConfig(universe, 101);
 
-  // Loopback shards with heartbeat supervision and NO auto-recovery: the
+  // Tcp shards with heartbeat supervision and NO auto-recovery: the
   // crashed shard stays visibly dead for the whole scenario.
   ClientOptions opts;
   opts.ingest.num_shards = 3;
   opts.ingest.num_threads = 2;
   opts.ingest.sketches = {"ams_f2"};
   opts.ingest.config = cfg;
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   opts.ingest.slot_sample_shift = 1;
   opts.ingest.failover.heartbeat_interval_ms = 10;
   opts.ingest.failover.heartbeat_timeout_ms = 50;
@@ -636,7 +635,7 @@ TEST(AutoscaleTest, DeadShardNeverPickedAsDestination) {
   EXPECT_EQ(decision.dest, 2u) << "dead shard selected as destination";
 
   // Rescue the dead shard so teardown is a clean, loss-free engine.
-  ASSERT_TRUE(client->RecoverShard(1, LoopbackBackendFactory()).ok());
+  ASSERT_TRUE(client->RecoverShard(1, TcpBackendFactory()).ok());
   EXPECT_EQ(client->Health(1).health, ShardHealth::kHealthy);
   ASSERT_TRUE(client->Finish().ok());
 }

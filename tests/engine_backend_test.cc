@@ -2,20 +2,16 @@
 //
 // The pluggable ShardBackend boundary:
 //
-//   * InProcessBackend vs LoopbackRemoteBackend equivalence — the same
-//     single-producer submissions must produce BIT-IDENTICAL answers for
-//     the state-mergeable families (and, in this controlled setting, for
-//     the sampling families too: the server replays the identical per-shard
-//     substreams with identical derived seeds) on Zipf / planted / churn
-//     workloads, plus equal per-shard summaries and space accounting;
-//   * quiescence-free typed queries racing producers over the loopback
-//     wire (the TSan target for the socket path);
+//   * tcp vs in-process answers in inline mode and on empty engines, and
+//     quiescence-free typed queries racing producers over the tcp wire
+//     (the TSan target for the socket path);
+//   * backend selection by name: "mixed" really alternates placement by
+//     shard id, topology-op cells included, and retired names fail loudly;
 //   * ticket-aware flow control: the max_inflight_bytes valve blocks
 //     Submit and fails TrySubmit fast, deterministically pinned with a
 //     gate sketch that parks the worker inside ApplyBatch;
 //   * no head-of-line blocking on remote shards: with an apply parked in
-//     the shard host, Epoch / Snapshot / Metrics still answer promptly
-//     (loopback and tcp).
+//     the shard host, Epoch / Snapshot / Metrics still answer promptly.
 
 #include <gtest/gtest.h>
 
@@ -58,164 +54,53 @@ stream::TurnstileStream ZipfTurnstile(uint64_t universe, size_t n,
 }
 
 // ------------------------------------------------- cross-backend equality --
-
-/// Replays `s` through one client per backend (single producer, so ticket
-/// order is submission order on both) and requires bit-identical merged
-/// answers, per-shard live summaries, and space accounting.
-void CheckBackendsAgree(const stream::TurnstileStream& s,
-                        const SketchConfig& cfg,
-                        const std::vector<std::string>& sketches,
-                        size_t shards, size_t threads) {
-  auto inprocess =
-      MakeClient(sketches, cfg, shards, threads, InProcessBackendFactory());
-  auto loopback =
-      MakeClient(sketches, cfg, shards, threads, LoopbackBackendFactory());
-  // Loopback cells report channel counters; in-process cells have none.
-  const MetricsSnapshot inprocess_metrics = inprocess->Metrics();
-  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.wire.frames_out_total"),
-            nullptr);
-  EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.tcp.reconnects_total"),
-            nullptr);
-  const MetricsSnapshot loopback_metrics = loopback->Metrics();
-  EXPECT_NE(loopback_metrics.Find("engine.shard.0.wire.frames_out_total"),
-            nullptr);
-
-  // Opt out of env-injected replay ops (WBS_ENGINE_TOPOLOGY / WBS_ENGINE_
-  // CRASH): this harness asserts bit-identical equality BETWEEN the two
-  // backends, and a crash drill is asymmetric by design — it fires on the
-  // loopback client but is Unimplemented for in-process placements — so an
-  // injected op would make the two replays diverge rather than exercise
-  // anything. Injection coverage for these workloads lives in the dedicated
-  // churn and failover suites.
-  ASSERT_TRUE(Replay(inprocess.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(Replay(loopback.get(), s, 1024, ReplayChurn::kDisabled).ok());
-  ASSERT_TRUE(inprocess->Finish().ok());
-  ASSERT_TRUE(loopback->Finish().ok());
-
-  for (const std::string& name : sketches) {
-    auto h_in = inprocess->Handle(name);
-    auto h_lo = loopback->Handle(name);
-    ASSERT_TRUE(h_in.ok() && h_lo.ok()) << name;
-    auto want = inprocess->RawSummary(h_in.value());
-    auto got = loopback->RawSummary(h_lo.value());
-    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
-    EXPECT_EQ(got.value().scalar, want.value().scalar) << name;
-    EXPECT_EQ(got.value().has_scalar, want.value().has_scalar) << name;
-    EXPECT_EQ(got.value().updates, want.value().updates) << name;
-    ASSERT_EQ(got.value().items.size(), want.value().items.size()) << name;
-    for (size_t i = 0; i < got.value().items.size(); ++i) {
-      EXPECT_EQ(got.value().items[i].item, want.value().items[i].item)
-          << name;
-      EXPECT_EQ(got.value().items[i].estimate, want.value().items[i].estimate)
-          << name;
-    }
-
-    // Per-shard live summaries cross the wire too (kReqSummary).
-    for (size_t shard = 0; shard < shards; ++shard) {
-      auto shard_want = inprocess->ingestor().ShardSummary(shard, name);
-      auto shard_got = loopback->ingestor().ShardSummary(shard, name);
-      ASSERT_TRUE(shard_want.ok() && shard_got.ok()) << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().scalar, shard_want.value().scalar)
-          << name << "@" << shard;
-      EXPECT_EQ(shard_got.value().updates, shard_want.value().updates)
-          << name << "@" << shard;
-      ASSERT_EQ(shard_got.value().items.size(),
-                shard_want.value().items.size())
-          << name << "@" << shard;
-      for (size_t i = 0; i < shard_got.value().items.size(); ++i) {
-        EXPECT_EQ(shard_got.value().items[i].item,
-                  shard_want.value().items[i].item);
-        EXPECT_EQ(shard_got.value().items[i].estimate,
-                  shard_want.value().items[i].estimate);
-      }
-    }
-  }
-  EXPECT_EQ(loopback->ingestor().SpaceBits(),
-            inprocess->ingestor().SpaceBits());
-}
-
-TEST(BackendEquivalenceTest, ZipfAllFamilies) {
-  const uint64_t universe = 1 << 12;
-  CheckBackendsAgree(
-      ZipfTurnstile(universe, 30000, 61), TestConfig(universe, 7),
-      {"misra_gries", "ams_f2", "sis_l0", "robust_hh", "crhf_hh"}, 4, 2);
-}
-
-TEST(BackendEquivalenceTest, PlantedHeavyHitters) {
-  const uint64_t universe = 1 << 16;
-  wbs::RandomTape tape(62);
-  tape.set_logging(false);
-  std::vector<uint64_t> planted;
-  auto items = stream::PlantedHeavyHitterStream(universe, 30000, 3, 0.2,
-                                                &tape, &planted);
-  stream::TurnstileStream s;
-  s.reserve(items.size());
-  for (const auto& u : items) s.push_back({u.item, 1});
-  CheckBackendsAgree(s, TestConfig(universe, 8),
-                     {"misra_gries", "robust_hh", "crhf_hh"}, 4, 2);
-}
-
-TEST(BackendEquivalenceTest, ChurnLinearFamilies) {
-  const uint64_t universe = 1 << 12;
-  wbs::RandomTape tape(63);
-  tape.set_logging(false);
-  auto s = stream::InsertDeleteChurnStream(universe, 120, 2500, &tape);
-  CheckBackendsAgree(s, TestConfig(universe, 9), {"ams_f2", "sis_l0"}, 4, 2);
-}
-
-TEST(BackendEquivalenceTest, RankDecision) {
-  SketchConfig cfg = TestConfig(1, 17);
-  cfg.rank.n = 32;
-  cfg.rank.k = 8;
-  stream::TurnstileStream diag;
-  for (size_t i = 0; i < 8; ++i) {
-    diag.push_back({uint64_t(i) * cfg.rank.n + i, 1});
-  }
-  CheckBackendsAgree(diag, cfg, {"rank_decision"}, 2, 1);
-}
+//
+// The bit-identity of tcp and in-process engines on Zipf / planted / churn /
+// rank workloads lives in engine_tcp_test.cc (TcpEquivalenceTest); these
+// cover the corners it does not: inline mode, empty engines, and queries
+// racing producers.
 
 TEST(BackendEquivalenceTest, InlineModeAndQueriesBeforeAnySubmit) {
   const std::vector<std::string> sketches = {"ams_f2", "misra_gries"};
   const SketchConfig cfg = TestConfig(1 << 10, 19);
-  // Queries on an empty loopback engine must answer like an empty local one
+  // Queries on an empty tcp engine must answer like an empty local one
   // (all shards unpublished), not error.
-  auto loopback = MakeClient(sketches, cfg, 2, 0, LoopbackBackendFactory());
+  auto tcp = MakeClient(sketches, cfg, 2, 0, TcpBackendFactory());
   auto inprocess =
       MakeClient(sketches, cfg, 2, 0, InProcessBackendFactory());
-  auto f2_lo = loopback->Handle("ams_f2").value();
+  auto f2_tc = tcp->Handle("ams_f2").value();
   auto f2_in = inprocess->Handle("ams_f2").value();
-  auto got = loopback->QueryScalar(f2_lo);
+  auto got = tcp->QueryScalar(f2_tc);
   auto want = inprocess->QueryScalar(f2_in);
   ASSERT_TRUE(got.ok() && want.ok());
   EXPECT_EQ(got.value().value, want.value().value);
   EXPECT_EQ(got.value().updates, want.value().updates);
 
-  // Inline mode (num_threads == 0) drives the loopback data channel from
-  // the submitting thread; answers still line up.
+  // Inline mode (num_threads == 0) drives the tcp data channel from the
+  // submitting thread; answers still line up.
   auto s = ZipfTurnstile(1 << 10, 5000, 64);
-  ASSERT_TRUE(Replay(loopback.get(), s).ok());
+  ASSERT_TRUE(Replay(tcp.get(), s).ok());
   ASSERT_TRUE(Replay(inprocess.get(), s).ok());
-  ASSERT_TRUE(loopback->Flush().ok());
+  ASSERT_TRUE(tcp->Flush().ok());
   ASSERT_TRUE(inprocess->Flush().ok());
-  got = loopback->QueryScalar(f2_lo);
+  got = tcp->QueryScalar(f2_tc);
   want = inprocess->QueryScalar(f2_in);
   ASSERT_TRUE(got.ok() && want.ok());
   EXPECT_EQ(got.value().value, want.value().value);
   EXPECT_EQ(got.value().updates, uint64_t(s.size()));
-  ASSERT_TRUE(loopback->Finish().ok());
+  ASSERT_TRUE(tcp->Finish().ok());
   ASSERT_TRUE(inprocess->Finish().ok());
 }
 
-// Producers racing a typed-query thread across the loopback wire: no
-// errors, and the final answer matches a quiescent in-process reference
-// (TSan hunts the socket framing and server dispatch here).
-TEST(BackendEquivalenceTest, LoopbackQueriesRaceProducersSafely) {
+// Producers racing a typed-query thread across the tcp wire: no errors,
+// and the final answer matches a quiescent in-process reference (TSan
+// hunts the socket framing and host dispatch here).
+TEST(BackendEquivalenceTest, TcpQueriesRaceProducersSafely) {
   const uint64_t universe = 1 << 12;
   auto s = ZipfTurnstile(universe, 40000, 65);
   const SketchConfig cfg = TestConfig(universe, 101);
   auto client =
-      MakeClient({"ams_f2", "sis_l0"}, cfg, 4, 2, LoopbackBackendFactory());
+      MakeClient({"ams_f2", "sis_l0"}, cfg, 4, 2, TcpBackendFactory());
   auto f2 = client->Handle("ams_f2").value();
   auto l0 = client->Handle("sis_l0").value();
 
@@ -356,9 +241,9 @@ std::unique_ptr<Client> MakeGatedClient(size_t max_inflight_tickets,
   opts.ingest.max_inflight_tickets = max_inflight_tickets;
   opts.ingest.max_inflight_bytes = max_inflight_bytes;
   // The gate parks the worker inside the backend, so keep this test on the
-  // in-process backend regardless of WBS_ENGINE_BACKEND (under loopback the
-  // park happens on a server thread; semantics hold but Finish() ordering
-  // in the teardown path would depend on gate state).
+  // in-process backend regardless of WBS_ENGINE_BACKEND (under tcp the park
+  // happens on a host thread; semantics hold but Finish() ordering in the
+  // teardown path would depend on gate state).
   opts.ingest.backend = InProcessBackendFactory();
   auto client = Client::Create(opts);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
@@ -448,22 +333,22 @@ TEST(FlowControlTest, OversizedBatchIsAdmittedWhenIdle) {
   ASSERT_TRUE(client->Finish().ok());
 }
 
-TEST(BackendContractTest, SerializationlessSketchFailsLoopbackQueries) {
+TEST(BackendContractTest, SerializationlessSketchFailsRemoteQueries) {
   // A custom sketch without SerializeState/DeserializeState works on the
-  // in-process backend but cannot cross a remote shard boundary: the
-  // loopback engine must surface Unimplemented at snapshot-query time —
-  // never a silent empty answer.
+  // in-process backend but cannot cross a remote shard boundary: the tcp
+  // engine must surface Unimplemented at snapshot-query time — never a
+  // silent empty answer.
   EXPECT_TRUE(RegisterGateSketch());  // gate_sketch has no wire format
   ClientOptions opts;
   opts.ingest.num_shards = 2;
   opts.ingest.num_threads = 0;
   opts.ingest.sketches = {"gate_sketch"};
   opts.ingest.config = TestConfig(1 << 10, 11);
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   auto client = Client::Create(opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client.value()->Submit(FourUpdates()).ok());
-  ASSERT_TRUE(client.value()->Flush().ok());  // server-side publish is fine
+  ASSERT_TRUE(client.value()->Flush().ok());  // host-side publish is fine
   auto handle = client.value()->Handle("gate_sketch").value();
   auto scalar = client.value()->QueryScalar(handle);
   ASSERT_FALSE(scalar.ok());
@@ -482,7 +367,7 @@ TEST(BackendContractTest, FailedMetricsPollIsCountedNotSilent) {
   opts.ingest.num_threads = 1;
   opts.ingest.sketches = {"ams_f2"};
   opts.ingest.config = TestConfig(1 << 10, 23);
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   // Supervision on so the dead placement degrades instead of poisoning
   // the pipeline at Finish(); no auto-recovery — the socket must STAY
   // closed for the polls below.
@@ -503,6 +388,42 @@ TEST(BackendContractTest, FailedMetricsPollIsCountedNotSilent) {
   EXPECT_NE(degraded.Find("engine.shard.0.wire.frames_out_total"), nullptr);
   EXPECT_NE(degraded.Find("engine.shard.1.health"), nullptr);
   ASSERT_TRUE(client.value()->Finish().ok());
+}
+
+// ------------------------------------------------------ backend by name --
+
+// "mixed" alternates placement by global shard id — even ids in-process, odd
+// ids on self-hosted tcp — for the initial cells and for the cells a
+// topology op builds with it. Only a tcp cell reports wire and dialer
+// counters, so they tell the two apart: a mixed factory that put every cell
+// in one place would pass every other suite, but not this one.
+TEST(BackendFactoryByNameTest, MixedAlternatesPlacementByShardId) {
+  auto factory = BackendFactoryByName("mixed");
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  auto client =
+      MakeClient({"ams_f2"}, TestConfig(1 << 10, 31), 2, 1, factory.value());
+  ASSERT_TRUE(client->AddShards(2, factory.value()).ok());
+  ASSERT_TRUE(client->Submit(FourUpdates()).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  const MetricsSnapshot metrics = client->Metrics();
+  for (size_t shard = 0; shard < 4; ++shard) {
+    const std::string prefix = "engine.shard." + std::to_string(shard) + ".";
+    const bool tcp = shard % 2 == 1;
+    EXPECT_EQ(metrics.Find(prefix + "wire.frames_out_total") != nullptr, tcp)
+        << prefix;
+    EXPECT_EQ(metrics.Find(prefix + "tcp.reconnects_total") != nullptr, tcp)
+        << prefix;
+  }
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+// A stale WBS_ENGINE_BACKEND=loopback (a backend that no longer exists)
+// must fail loudly, never fall back to some default placement.
+TEST(BackendFactoryByNameTest, RetiredBackendNameIsRejected) {
+  auto factory = BackendFactoryByName("loopback");
+  ASSERT_FALSE(factory.ok());
+  EXPECT_EQ(factory.status().code(), Status::Code::kInvalidArgument)
+      << factory.status().ToString();
 }
 
 TEST(FlowControlTest, InlineModeTrySubmitAppliesSynchronously) {
@@ -529,17 +450,13 @@ TEST(FlowControlTest, InlineModeTrySubmitAppliesSynchronously) {
 // on the control channel with a 1 s budget each. Once the gate opens, the
 // remote answers must be bit-identical to an in-process cell fed the same
 // batches.
-class HeadOfLineTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
+TEST(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   ASSERT_TRUE(RegisterGateSketch());
-  auto factory = BackendFactoryByName(GetParam());
-  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
   BackendOptions bopts;
   bopts.sketches = {"gate_sketch", "ams_f2"};
   bopts.config = TestConfig(1 << 10, 29);
   bopts.snapshot_min_updates = 0;  // every batch publishes
-  auto remote = factory.value()(bopts);
+  auto remote = TcpBackendFactory()(bopts);
   auto reference = InProcessBackendFactory()(bopts);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -631,9 +548,6 @@ TEST_P(HeadOfLineTest, PublishedReadsDoNotQueueBehindAParkedApply) {
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   EXPECT_EQ(live.value().updates, uint64_t(first.size() + second.size()));
 }
-
-INSTANTIATE_TEST_SUITE_P(RemoteBackends, HeadOfLineTest,
-                         ::testing::Values("loopback", "tcp"));
 
 }  // namespace
 }  // namespace wbs::engine

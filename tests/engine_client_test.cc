@@ -245,7 +245,7 @@ TEST(ClientTypedQueryTest, RankVerdictMatchesLegacy) {
 // eviction-free Misra-Gries are order-insensitive, so the merged answers
 // must equal a single-threaded reference run bit-for-bit no matter how the
 // producers' batches interleave. Runs against a caller-chosen shard backend
-// so the guarantee is pinned on BOTH the in-process and the loopback-remote
+// so the guarantee is pinned on BOTH the in-process and the tcp-remote
 // paths (the ShardBackend boundary must not change any answer).
 void CheckConcurrentProducersMatchSingleThreadedRun(
     const BackendFactory& backend) {
@@ -313,8 +313,8 @@ TEST(ClientMultiProducerTest, ConcurrentProducersMatchOnInProcessBackend) {
   CheckConcurrentProducersMatchSingleThreadedRun(InProcessBackendFactory());
 }
 
-TEST(ClientMultiProducerTest, ConcurrentProducersMatchOnLoopbackBackend) {
-  CheckConcurrentProducersMatchSingleThreadedRun(LoopbackBackendFactory());
+TEST(ClientMultiProducerTest, ConcurrentProducersMatchOnTcpBackend) {
+  CheckConcurrentProducersMatchSingleThreadedRun(TcpBackendFactory());
 }
 
 // Producers racing with a typed-query thread: no errors, and the final

@@ -3,7 +3,7 @@
 // Shard failure as a first-class scenario (PR 7): crash injection,
 // heartbeat supervision, checkpoints, and MoveShard-based failover.
 //
-//   * detection + recovery: an injected crash of a loopback shard is
+//   * detection + recovery: an injected crash of a tcp shard is
 //     noticed by heartbeat timeout (kSuspect -> kDead), auto-re-homed from
 //     its last checkpoint, and post-recovery answers are BIT-IDENTICAL to
 //     an in-process reference — the recovered cell restores the exact
@@ -17,7 +17,7 @@
 //   * graceful degradation: a dead shard fails TrySubmit fast with
 //     Unavailable, queries keep answering from the last folded snapshot
 //     with the staleness flag set, and WaitFor bounds producer waits;
-//   * reclamation: retired cells (and their loopback server threads and
+//   * reclamation: retired cells (and their self-hosted tcp threads and
 //     socket fds) are destroyed when the last topology view drops, so a
 //     reshard/recover loop does not leak (the ASan CI pass runs this too).
 //
@@ -74,8 +74,8 @@ const std::vector<std::string>& FiveFamilies() {
   return kNames;
 }
 
-/// A supervised loopback client: fast heartbeats so detection completes in
-/// test time, recovery re-homing into fresh loopback cells (placement stays
+/// A supervised tcp client: fast heartbeats so detection completes in test
+/// time, recovery re-homing into fresh tcp cells (placement stays
 /// homogeneous, so cross-backend equality keeps holding afterwards).
 std::unique_ptr<Client> MakeSupervisedClient(std::vector<std::string> sketches,
                                              const SketchConfig& cfg,
@@ -86,12 +86,12 @@ std::unique_ptr<Client> MakeSupervisedClient(std::vector<std::string> sketches,
   opts.ingest.num_threads = threads;
   opts.ingest.sketches = std::move(sketches);
   opts.ingest.config = cfg;
-  opts.ingest.backend = LoopbackBackendFactory();
+  opts.ingest.backend = TcpBackendFactory();
   opts.ingest.failover.heartbeat_interval_ms = 10;
   opts.ingest.failover.heartbeat_timeout_ms = 50;
   opts.ingest.failover.dead_after_misses = 2;
   opts.ingest.failover.auto_recover = auto_recover;
-  opts.ingest.failover.recovery_backend = LoopbackBackendFactory();
+  opts.ingest.failover.recovery_backend = TcpBackendFactory();
   auto client = Client::Create(opts);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   return std::move(client).value();
@@ -246,7 +246,7 @@ TEST(FailoverTest, HeartbeatDetectsCleanCrashAndAutoRecovers) {
 /// batch boundary — bit-identically, for every family (the state-exact
 /// families trivially, the sampling heavy hitters because both sides
 /// continue as the identical frozen prefix + identically-seeded fresh
-/// sampler). `torn` leaves a torn frame on the data channel — the death is
+/// sampler). `torn` leaves a torn frame on a live connection — the death is
 /// observed through the CRC32 reject instead of a failed heartbeat, and
 /// must not poison the pipeline.
 void CheckDrillIsLossFree(bool torn) {
@@ -257,14 +257,14 @@ void CheckDrillIsLossFree(bool torn) {
   const size_t batches = (s.size() + batch - 1) / batch;
   const size_t drill_at = (batches * 3) / 4;
 
-  auto client = MakeClient(FiveFamilies(), cfg, 4, 2, LoopbackBackendFactory());
+  auto client = MakeClient(FiveFamilies(), cfg, 4, 2, TcpBackendFactory());
   auto reference =
       MakeClient(FiveFamilies(), cfg, 4, 0, InProcessBackendFactory());
   size_t index = 0;
   for (size_t off = 0; off < s.size(); off += batch, ++index) {
     if (index == drill_at) {
       ASSERT_TRUE(
-          client->FailoverDrill(0, torn, LoopbackBackendFactory()).ok());
+          client->FailoverDrill(0, torn, TcpBackendFactory()).ok());
       ASSERT_TRUE(reference->MoveShard(0, InProcessBackendFactory()).ok());
     }
     const size_t n = std::min(batch, s.size() - off);
@@ -301,10 +301,10 @@ TEST(FailoverTest, FailoverDrillPreservesRankDecision) {
   }
   for (bool torn : {false, true}) {
     auto client = MakeClient({"rank_decision"}, cfg, 2, 1,
-                             LoopbackBackendFactory());
+                             TcpBackendFactory());
     ASSERT_TRUE(client->Submit(diag.data(), 4).ok());
     ASSERT_TRUE(client->FailoverDrill(0, torn,
-                                      LoopbackBackendFactory()).ok());
+                                      TcpBackendFactory()).ok());
     ASSERT_TRUE(client->Submit(diag.data() + 4, 4).ok());
     ASSERT_TRUE(client->Finish().ok());
     EXPECT_EQ(client->Health(0).updates_lost_total, 0u) << "torn=" << torn;
@@ -347,7 +347,7 @@ TEST(FailoverTest, DrillRacingProducersLosesNothing) {
   for (int drill = 0; drill < 3; ++drill) {
     ASSERT_TRUE(
         client->FailoverDrill(drill % 4, /*torn=*/drill == 1,
-                              LoopbackBackendFactory()).ok());
+                              TcpBackendFactory()).ok());
   }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(client->Finish().ok());
@@ -412,7 +412,7 @@ TEST(FailoverTest, DeadShardFailsFastServesStaleAndRecoversExactly) {
 
   // Manual rescue restores the checkpointed cut: zero loss, staleness
   // clears, and the engine continues bit-identically.
-  ASSERT_TRUE(client->RecoverShard(0, LoopbackBackendFactory()).ok());
+  ASSERT_TRUE(client->RecoverShard(0, TcpBackendFactory()).ok());
   EXPECT_EQ(client->Health(0).health, ShardHealth::kHealthy);
   EXPECT_EQ(client->Health(0).recoveries, 1u);
   EXPECT_EQ(client->Health(0).updates_lost_total, 0u);
@@ -567,15 +567,16 @@ TEST(FailoverTest, ReshardRecoverLoopReclaimsCellsAndThreads) {
 #ifndef __linux__
   GTEST_SKIP() << "fd/thread accounting reads /proc";
 #else
-  // Every drill and move retires a loopback cell (server threads + two
-  // socketpairs). shared_ptr placement ownership must reclaim each one as
+  // Every drill and move retires a tcp cell (a self-hosted listener with
+  // its accept and serving threads, plus both channels' sockets).
+  // shared_ptr placement ownership must reclaim each one as
   // the last topology view referencing it drops — a long-lived engine that
   // reshards continuously would otherwise bleed fds and threads. The ASan
   // CI pass runs this same loop with leak detection on.
   const SketchConfig cfg = TestConfig(1 << 10, 85);
   auto s = ZipfTurnstile(1 << 10, 4000, 86);
   auto client = MakeClient({"ams_f2", "misra_gries"}, cfg, 2, 1,
-                           LoopbackBackendFactory());
+                           TcpBackendFactory());
   auto f2 = client->Handle("ams_f2").value();
   ASSERT_TRUE(Replay(client.get(), s, 1024, ReplayChurn::kDisabled).ok());
 
@@ -583,9 +584,9 @@ TEST(FailoverTest, ReshardRecoverLoopReclaimsCellsAndThreads) {
     if (i % 2 == 0) {
       ASSERT_TRUE(
           client->FailoverDrill(0, /*torn=*/i % 4 == 2,
-                                LoopbackBackendFactory()).ok());
+                                TcpBackendFactory()).ok());
     } else {
-      ASSERT_TRUE(client->MoveShard(0, LoopbackBackendFactory()).ok());
+      ASSERT_TRUE(client->MoveShard(0, TcpBackendFactory()).ok());
     }
     ASSERT_TRUE(client->Submit(s.data(), 256).ok());
     ASSERT_TRUE(client->Flush().ok());
@@ -601,26 +602,26 @@ TEST(FailoverTest, ReshardRecoverLoopReclaimsCellsAndThreads) {
   const size_t fds_after = OpenFdCount();
   const size_t threads_after = ThreadCount();
 
-  // Ten retired cells would hold ~40 fds and ~20 threads if leaked; a
+  // Ten retired cells would hold ~50 fds and ~30 threads if leaked; a
   // reclaiming engine stays flat (small slack for transient /proc noise).
   EXPECT_LE(fds_after, fds_before + 4)
-      << "retired loopback cells are leaking file descriptors";
+      << "retired tcp cells are leaking file descriptors";
   EXPECT_LE(threads_after, threads_before + 2)
-      << "retired loopback cells are leaking server threads";
+      << "retired tcp cells are leaking host threads";
   ASSERT_TRUE(client->Finish().ok());
 #endif
 }
 
-// The initial placements are cells like any other: moving a loopback shard
-// in-process retires its cell, and with it the ShardServer's two serving
-// threads.
+// The initial placements are cells like any other: moving a tcp shard
+// in-process retires its cell, and with it the self-hosted host's accept
+// and serving threads.
 TEST(FailoverTest, MovedInitialShardStopsItsServerThreads) {
 #ifndef __linux__
   GTEST_SKIP() << "thread accounting reads /proc";
 #else
   const SketchConfig cfg = TestConfig(1 << 10, 87);
   auto s = ZipfTurnstile(1 << 10, 2000, 88);
-  auto client = MakeClient({"ams_f2"}, cfg, 2, 1, LoopbackBackendFactory());
+  auto client = MakeClient({"ams_f2"}, cfg, 2, 1, TcpBackendFactory());
   auto f2 = client->Handle("ams_f2").value();
   ASSERT_TRUE(Replay(client.get(), s, 1024, ReplayChurn::kDisabled).ok());
   ASSERT_TRUE(client->Flush().ok());
@@ -632,7 +633,7 @@ TEST(FailoverTest, MovedInitialShardStopsItsServerThreads) {
   // A joined thread can stay listed in /proc for a moment after the join.
   EXPECT_TRUE(PollUntil(
       [&] { return ThreadCount() + 2 <= threads_before; }, 5000))
-      << "the retired loopback cell still runs its server threads ("
+      << "the retired tcp cell still runs its host threads ("
       << ThreadCount() << " threads, " << threads_before << " before)";
   ASSERT_TRUE(client->Finish().ok());
 #endif

@@ -9,7 +9,7 @@
 // because a metric that drifts from the quantity it claims to measure is
 // worse than no metric. Runs on the env-selected backend
 // (WBS_ENGINE_BACKEND) and under WBS_ENGINE_TOPOLOGY=churn, so the same
-// keys must be present across inprocess / loopback / mixed placements and
+// keys must be present across inprocess / tcp / mixed placements and
 // across live handoffs. The dump-while-ingesting test doubles as the TSan
 // probe for the relaxed-atomic snapshot path.
 
@@ -152,7 +152,7 @@ TEST(EngineMetricsTest, ShardCountersReconcileExactlyWithSubmissions) {
   EXPECT_GT(batches, 0u);
 
   // Backend-sourced per-shard samples are present for every current shard
-  // regardless of placement (inprocess / loopback / mixed).
+  // regardless of placement (inprocess / tcp / mixed).
   const size_t shards = client->ingestor().num_shards();
   for (size_t shard = 0; shard < shards; ++shard) {
     const std::string prefix = "engine.shard." + std::to_string(shard) + ".";

@@ -11,7 +11,9 @@
 //     silently serving an empty shard);
 //   * exactly-once applies — a replayed kReqApplySeq sequence answers from
 //     the cached status without re-applying (epoch does not advance), and
-//     the hello reply's last_applied_seq reports the resync cursor;
+//     the hello reply's last_applied_seq reports the resync cursor; the
+//     retired request types 32 and 38 apply nothing and answer
+//     InvalidArgument on a connection that keeps serving;
 //   * transient partition — severed connections reconnect and resync with
 //     zero answer divergence, zero accounted loss, and NO topology
 //     generation bump (a partition is not a re-home);
@@ -88,9 +90,13 @@ void CheckTcpAgreesWithInProcess(const stream::TurnstileStream& s,
   EXPECT_EQ(inprocess_metrics.Find("engine.shard.0.tcp.reconnects_total"),
             nullptr);
 
-  // Env-injected replay ops disabled for the same reason as the loopback
-  // equivalence harness: a crash drill is asymmetric between the two
-  // backends by design, so it would make the replays diverge.
+  // Opt out of env-injected replay ops (WBS_ENGINE_TOPOLOGY /
+  // WBS_ENGINE_CRASH): this harness asserts bit-identical equality BETWEEN
+  // the two backends, and a crash drill is asymmetric by design — it fires
+  // on the tcp client but is Unimplemented for in-process placements — so
+  // an injected op would make the two replays diverge rather than exercise
+  // anything. Injection coverage for these workloads lives in the
+  // dedicated churn and failover suites.
   ASSERT_TRUE(Replay(inprocess.get(), s, 1024, ReplayChurn::kDisabled).ok());
   ASSERT_TRUE(Replay(tcp.get(), s, 1024, ReplayChurn::kDisabled).ok());
   ASSERT_TRUE(inprocess->Finish().ok());
@@ -320,24 +326,32 @@ Status DialHello(uint16_t port, uint64_t token, bool has_spec,
   return r.ExpectEnd();
 }
 
+/// Sends one request frame on an established connection and decodes the
+/// reply's leading Status; `epoch` gets the u64 that follows an OK Status.
+Status RawRequest(int fd, uint8_t type, std::string_view payload,
+                  uint64_t* epoch = nullptr) {
+  Status s = wire::WriteFrameFd(fd, type, payload);
+  std::string buf;
+  uint8_t resp_type = 0;
+  std::string_view resp;
+  if (s.ok()) s = wire::ReadFrameFdTimeout(fd, 5000, &buf, &resp_type, &resp);
+  if (!s.ok()) return s;
+  wire::Reader r(resp);
+  Status remote;
+  if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
+  if (remote.ok() && epoch != nullptr) return r.U64(epoch);
+  return remote;
+}
+
 /// Sends one kReqApplySeq frame and returns the epoch in the OK reply.
 Result<uint64_t> ApplySeq(int fd, uint64_t seq,
                           const stream::TurnstileStream& batch) {
   wire::Writer w;
   w.U64(seq);
   wire::EncodeUpdates(batch.data(), batch.size(), &w);
-  Status s = wire::WriteFrameFd(fd, wire::kReqApplySeq, w.Take());
-  std::string buf;
-  uint8_t type = 0;
-  std::string_view resp;
-  if (s.ok()) s = wire::ReadFrameFdTimeout(fd, 5000, &buf, &type, &resp);
-  if (!s.ok()) return s;
-  wire::Reader r(resp);
-  Status remote;
-  if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
-  if (!remote.ok()) return remote;
   uint64_t epoch = 0;
-  if (Status ds = r.U64(&epoch); !ds.ok()) return ds;
+  Status s = RawRequest(fd, wire::kReqApplySeq, w.data(), &epoch);
+  if (!s.ok()) return s;
   return epoch;
 }
 
@@ -377,6 +391,32 @@ TEST(TcpExactlyOnceTest, ReplayedSequenceIsNotReapplied) {
   EXPECT_EQ(re.hello.last_applied_seq, 2u);
   EXPECT_EQ(re.hello.epoch, 2u);
   EXPECT_EQ(host.value()->sessions(), 1u);
+}
+
+// Frame types 32 (an unsequenced apply) and 38 (a shutdown request) are
+// retired. A host answers them like any unknown type — InvalidArgument,
+// nothing applied — and the connection keeps serving.
+TEST(TcpExactlyOnceTest, RetiredRequestTypesAreRejected) {
+  auto host = TcpShardHost::Start({});
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  TcpShardSpec spec = OneSketchSpec(1 << 10, 34);
+  RawConn conn;
+  ASSERT_TRUE(DialHello(host.value()->port(), 0x7E71, true, &spec, &conn).ok());
+
+  // A well-formed update batch: were type 32 still an apply, it would
+  // publish epoch 1 (snapshot_min_updates = 0).
+  const stream::TurnstileStream batch = {{5, 3}, {9, 1}};
+  wire::Writer w;
+  wire::EncodeUpdates(batch.data(), batch.size(), &w);
+  for (uint8_t retired : {uint8_t(32), uint8_t(38)}) {
+    Status s = RawRequest(conn.fd, retired, w.data());
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument)
+        << "type " << int(retired) << ": " << s.ToString();
+  }
+  uint64_t epoch = 99;
+  Status s = RawRequest(conn.fd, wire::kReqEpoch, {}, &epoch);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(epoch, 0u);
 }
 
 // --------------------------------------------------- transient partitions --

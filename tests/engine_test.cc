@@ -121,7 +121,7 @@ TEST(SketchRegistryTest, CustomSketchRoundTrip) {
   // Pinned to the in-process backend: CountingSketch implements no wire
   // format (Sketch::SerializeState default), so its state cannot cross a
   // remote shard boundary — engine_backend_test pins the Unimplemented
-  // error a loopback engine surfaces for such sketches.
+  // error a tcp engine surfaces for such sketches.
   auto client = MakeClient({"test_counting"}, TestConfig(1 << 10, 7), 4, 0,
                            InProcessBackendFactory());
   wbs::RandomTape tape(7);

@@ -2,9 +2,9 @@
 //
 // Shared helpers for the engine test suites: Client construction with
 // EXPECT-checked creation (and an environment-selected shard backend, so CI
-// can run every engine suite once per backend — inprocess, loopback, or
-// mixed placement), and materialized-stream replay through the ticketed
-// Submit surface.
+// can run every engine suite once per backend — inprocess, tcp, or mixed
+// placement), and materialized-stream replay through the ticketed Submit
+// surface.
 //
 // Topology churn mode: WBS_ENGINE_TOPOLOGY=churn makes every multi-batch
 // Replay() perform a live MoveShard(0) handoff halfway through the stream.
@@ -40,9 +40,10 @@
 namespace wbs::engine {
 
 /// The backend the suite runs against by default: WBS_ENGINE_BACKEND=
-/// inprocess (default) | loopback. CI sets the variable to run the engine
-/// suites once per backend; a bad value fails loudly instead of silently
-/// testing the default.
+/// inprocess (default) | mixed | tcp — any name BackendFactoryByName
+/// accepts. CI sets the variable to run the engine suites once per
+/// backend; a bad value fails loudly instead of silently testing the
+/// default.
 inline BackendFactory BackendFactoryFromEnv() {
   const char* env = std::getenv("WBS_ENGINE_BACKEND");
   auto factory = BackendFactoryByName(env == nullptr ? "" : env);
@@ -51,9 +52,8 @@ inline BackendFactory BackendFactoryFromEnv() {
 }
 
 /// Whether WBS_ENGINE_CRASH=replay is active (CI runs the engine suites
-/// once with it against the loopback backend, so every test path also
-/// survives a checkpoint + crash + recovery cycle). Values of the form
-/// "after=N[,torn]" arm the ShardServer directly and are not replay mode.
+/// once with it against the tcp backend, so every test path also survives
+/// a checkpoint + crash + recovery cycle). Any other value is ignored.
 inline bool CrashReplayEnabled() {
   const char* env = std::getenv("WBS_ENGINE_CRASH");
   return env != nullptr && std::string(env) == "replay";

@@ -3,7 +3,7 @@
 // The dynamic shard topology: the versioned routing layer (slot table,
 // generations), live scale-out (AddShards) and live shard handoff
 // (MoveShard), and mixed backend placement (even ids in-process, odd ids
-// behind the loopback wire).
+// behind self-hosted tcp).
 //
 // The load-bearing guarantees pinned here:
 //   * the initial slot table reproduces the legacy hash-mod-shards
@@ -13,7 +13,7 @@
 //     families), and runs that continue ingesting afterwards stay
 //     bit-identical to a no-handoff run for the state-exact families
 //     (misra_gries, ams_f2, sis_l0, rank_decision) on Zipf / planted /
-//     churn workloads, across in-process, loopback, and mixed placements
+//     churn workloads, across in-process, tcp, and mixed placements
 //     and both handoff targets;
 //   * the sampling families (robust_hh, crhf_hh) continue as mergeable
 //     frozen-prefix + fresh-sampler summaries: identical across every
@@ -71,7 +71,7 @@ struct BackendCase {
 
 std::vector<BackendCase> AllPlacements() {
   return {{"inprocess", InProcessBackendFactory()},
-          {"loopback", LoopbackBackendFactory()},
+          {"tcp", TcpBackendFactory()},
           {"mixed", BackendFactoryByName("mixed").value()}};
 }
 
@@ -237,7 +237,7 @@ TEST(TopologyHandoffTest, MidIngestMoveBitIdenticalOnZipf) {
   for (const BackendCase& primary : AllPlacements()) {
     for (const BackendCase& target :
          {BackendCase{"inprocess", InProcessBackendFactory()},
-          BackendCase{"loopback", LoopbackBackendFactory()}}) {
+          BackendCase{"tcp", TcpBackendFactory()}}) {
       CheckMidIngestMovePreservesAnswers(
           s, cfg, sketches, primary.factory, target.factory,
           std::string("primary=") + primary.name + " target=" + target.name);
@@ -253,12 +253,12 @@ TEST(TopologyHandoffTest, MidIngestMoveBitIdenticalOnChurn) {
   SketchConfig cfg = TestConfig(universe, 35);
   CheckMidIngestMovePreservesAnswers(s, cfg, {"ams_f2", "sis_l0"},
                                      InProcessBackendFactory(),
-                                     LoopbackBackendFactory(),
-                                     "churn inprocess->loopback");
+                                     TcpBackendFactory(),
+                                     "churn inprocess->tcp");
   CheckMidIngestMovePreservesAnswers(s, cfg, {"ams_f2", "sis_l0"},
-                                     LoopbackBackendFactory(),
+                                     TcpBackendFactory(),
                                      InProcessBackendFactory(),
-                                     "churn loopback->inprocess");
+                                     "churn tcp->inprocess");
 }
 
 TEST(TopologyHandoffTest, MidIngestMoveBitIdenticalOnRankDecision) {
@@ -276,7 +276,7 @@ TEST(TopologyHandoffTest, MidIngestMoveBitIdenticalOnRankDecision) {
   auto moved = MakeClient({"rank_decision"}, cfg, 2, 1,
                           InProcessBackendFactory());
   ASSERT_TRUE(ReplayWithMidpoint(moved.get(), diag, 2, [&] {
-                return moved->MoveShard(0, LoopbackBackendFactory());
+                return moved->MoveShard(0, TcpBackendFactory());
               }).ok());
   ASSERT_TRUE(moved->Finish().ok());
   auto got = moved->QueryRank(moved->Handle("rank_decision").value());
@@ -312,7 +312,7 @@ TEST(TopologyHandoffTest, MoveShardDoesNotDoubleCountSpace) {
 // Sampler internals do not cross the wire, so a moved sampling shard
 // continues as frozen-prefix + fresh-sampler. That continuation is
 // deterministic and placement-independent: the same handoff schedule must
-// produce IDENTICAL answers on in-process, loopback, and mixed engines —
+// produce IDENTICAL answers on in-process, tcp, and mixed engines —
 // and planted heavy hitters must still be recovered.
 TEST(TopologyHandoffTest, SamplingHandoffIdenticalAcrossPlacements) {
   const uint64_t universe = 1 << 16;
@@ -388,7 +388,7 @@ TEST(TopologyScaleOutTest, MidIngestAddShardsPreservesLinearAnswers) {
 
     for (const BackendCase& cell :
          {BackendCase{"inprocess", InProcessBackendFactory()},
-          BackendCase{"loopback", LoopbackBackendFactory()}}) {
+          BackendCase{"tcp", TcpBackendFactory()}}) {
       auto grown = MakeClient({"ams_f2", "sis_l0"}, cfg, 4, 2,
                               InProcessBackendFactory());
       ASSERT_TRUE(ReplayWithMidpoint(grown.get(), *s, 1024, [&] {
@@ -521,7 +521,7 @@ TEST(TopologyFailureTest, MoveOfNeverIngestedShardWorks) {
   // ship) and ingests correctly afterwards.
   SketchConfig cfg = TestConfig(1 << 10, 7);
   auto client = MakeClient({"ams_f2"}, cfg, 2, 0);
-  ASSERT_TRUE(client->MoveShard(1, LoopbackBackendFactory()).ok());
+  ASSERT_TRUE(client->MoveShard(1, TcpBackendFactory()).ok());
   auto s = ZipfTurnstile(1 << 10, 4000, 309);
   ASSERT_TRUE(Replay(client.get(), s, 1024, ReplayChurn::kDisabled).ok());
   ASSERT_TRUE(client->Finish().ok());
@@ -569,7 +569,7 @@ TEST(TopologyLiveTest, QueriesKeepAnsweringThroughTopologyOps) {
       ASSERT_TRUE(client->AddShards(2).ok());
     }
     if (index == batches / 2) {
-      ASSERT_TRUE(client->MoveShard(0, LoopbackBackendFactory()).ok());
+      ASSERT_TRUE(client->MoveShard(0, TcpBackendFactory()).ok());
     }
     if (index == 3 * batches / 4) {
       ASSERT_TRUE(client->MoveShard(5, InProcessBackendFactory()).ok());
