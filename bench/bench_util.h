@@ -1,8 +1,7 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
 // Shared helpers for the experiment harness: fixed-width table printing in
-// the style of the paper-claim tables indexed in EXPERIMENTS.md (which also
-// documents the JSONL row schema JsonRow emits and how CI scrapes it).
+// the style of the paper-claim tables indexed in EXPERIMENTS.md.
 
 #ifndef WBS_BENCH_BENCH_UTIL_H_
 #define WBS_BENCH_BENCH_UTIL_H_
@@ -75,68 +74,6 @@ class Table {
   int width_;
   bool in_row_ = false;
   size_t col_ = 0;
-};
-
-/// One machine-readable benchmark row, emitted as a single JSON object per
-/// line (JSONL) so CI logs can be scraped for perf-trajectory tracking.
-/// Usage: JsonRow().Field("bench", "x").Field("updates_per_sec", 1e7).Emit();
-class JsonRow {
- public:
-  JsonRow& Field(const std::string& key, const std::string& value) {
-    Key(key);
-    buf_ += '"';
-    for (char c : value) {
-      if (c == '"' || c == '\\') buf_ += '\\';
-      buf_ += c;
-    }
-    buf_ += '"';
-    return *this;
-  }
-  JsonRow& Field(const std::string& key, const char* value) {
-    return Field(key, std::string(value));
-  }
-  JsonRow& Field(const std::string& key, uint64_t value) {
-    Key(key);
-    buf_ += std::to_string(value);
-    return *this;
-  }
-  JsonRow& Field(const std::string& key, int value) {
-    Key(key);
-    buf_ += std::to_string(value);
-    return *this;
-  }
-  JsonRow& Field(const std::string& key, double value) {
-    Key(key);
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.6g", value);
-    buf_ += num;
-    return *this;
-  }
-  JsonRow& Field(const std::string& key, bool value) {
-    Key(key);
-    buf_ += value ? "true" : "false";
-    return *this;
-  }
-
-  /// Prints the row and resets the builder.
-  void Emit() {
-    std::printf("{%s}\n", buf_.c_str());
-    std::fflush(stdout);
-    buf_.clear();
-    first_ = true;
-  }
-
- private:
-  void Key(const std::string& key) {
-    if (!first_) buf_ += ',';
-    first_ = false;
-    buf_ += '"';
-    buf_ += key;
-    buf_ += "\":";
-  }
-
-  std::string buf_;
-  bool first_ = true;
 };
 
 }  // namespace wbs::bench

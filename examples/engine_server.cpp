@@ -578,7 +578,7 @@ int main(int argc, char** argv) {
       "\nupdates ingested: %llu across %zu shards (%zu worker threads, "
       "3 producer threads, %s backend)\n",
       (unsigned long long)client->updates_submitted(),
-      client->ingestor().num_shards(), client->ingestor().num_threads(),
+      client->num_shards(), client->num_threads(),
       backend_name.c_str());
   auto topo = client->Topology();
   std::printf(
@@ -596,7 +596,7 @@ int main(int argc, char** argv) {
   // producers' interleavings (AMS counter magnitudes are per-shard), so
   // report it coarsely to keep the rest of the output a determinism probe.
   std::printf("engine state: ~%llu KiB across all shard sketches\n",
-              (unsigned long long)(client->ingestor().SpaceBits() / 8192));
+              (unsigned long long)(client->SpaceBits() / 8192));
   std::printf(
       "client C streamed %zu cancellation updates: the naive sum counter\n"
       "reports its chunks empty, the SIS-backed engine answer does not.\n",

@@ -49,7 +49,7 @@ int main() {
   wbs::RandomTape tape(2022);
   auto workload =
       wbs::stream::ZipfStream(uint64_t{1} << 30, 1'000'000, 1.2, &tape);
-  auto ticket = client->SubmitItems(workload);
+  auto ticket = client->SubmitItems(workload.data(), workload.size());
   if (!ticket.ok()) {
     std::fprintf(stderr, "submit failed: %s\n",
                  ticket.status().ToString().c_str());
@@ -87,8 +87,8 @@ int main() {
   }
 
   std::printf("engine state: %llu bits across %zu shards\n",
-              (unsigned long long)client->ingestor().SpaceBits(),
-              client->ingestor().num_shards());
+              (unsigned long long)client->SpaceBits(),
+              client->num_shards());
   (void)client->Finish();
   return 0;
 }

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "engine/client.h"
 #include "engine/metrics.h"
-#include "engine/sharded_ingestor.h"
 #include "engine/topology.h"
 #include "engine/trace.h"
 
@@ -22,9 +22,9 @@ uint64_t NowUs() {
 
 }  // namespace
 
-Autoscaler::Autoscaler(ShardedIngestor* ingestor, AutoscaleOptions options)
-    : ingestor_(ingestor), options_(std::move(options)) {
-  EngineMetrics* m = ingestor_->metrics_.get();
+Autoscaler::Autoscaler(Client* client, AutoscaleOptions options)
+    : client_(client), options_(std::move(options)) {
+  EngineMetrics* m = client_->metrics_.get();
   if (m != nullptr) {
     MetricsRegistry& reg = m->registry();
     evaluations_total_ = reg.NewCounter("engine.autoscaler.evaluations_total");
@@ -83,9 +83,9 @@ AutoscaleDecision Autoscaler::EvaluateOnce() {
 AutoscaleDecision Autoscaler::DecideLocked() {
   AutoscaleDecision decision;
   const uint64_t now = NowUs();
-  std::shared_ptr<const TopologyView> view = ingestor_->topology_->View();
+  std::shared_ptr<const TopologyView> view = client_->topology_->View();
   const size_t num_shards = view->num_shards();
-  EngineMetrics* metrics = ingestor_->metrics_.get();
+  EngineMetrics* metrics = client_->metrics_.get();
   if (metrics == nullptr || num_shards == 0) return decision;
 
   // ---- sample & EWMA-smooth per-shard ingest rates ----------------------
@@ -127,11 +127,11 @@ AutoscaleDecision Autoscaler::DecideLocked() {
   // ---- sample valve pressure & worker queue depth -----------------------
   uint64_t valve_waiters = 0;
   {
-    std::lock_guard<std::mutex> tlock(ingestor_->ticket_mu_);
-    valve_waiters = ingestor_->valve_next_ - ingestor_->valve_serving_;
+    std::lock_guard<std::mutex> tlock(client_->ticket_mu_);
+    valve_waiters = client_->valve_next_ - client_->valve_serving_;
   }
   int64_t max_queue_depth = 0;
-  for (size_t w = 0; w < ingestor_->workers_.size(); ++w) {
+  for (size_t w = 0; w < client_->workers_.size(); ++w) {
     max_queue_depth =
         std::max(max_queue_depth, metrics->worker(w)->queue_depth->Value());
   }
@@ -157,7 +157,7 @@ AutoscaleDecision Autoscaler::DecideLocked() {
       view->SlotsOwnedBy(hottest) >= 2) {
     // Peel the hottest slots off the hottest shard — if slot heat is
     // visible (sampling on) and a healthy destination exists.
-    std::vector<uint64_t> heat = ingestor_->SlotHeat();
+    std::vector<uint64_t> heat = client_->SlotHeat();
     if (!heat.empty()) {
       dest = PickDestinationLocked(hottest, num_shards);
       if (dest < num_shards) {
@@ -191,7 +191,7 @@ AutoscaleDecision Autoscaler::DecideLocked() {
       cooldown_suppressed_total_->Inc();
     }
     Tracer::Span span =
-        ingestor_->tracer_->StartSpan("autoscale.decision");
+        client_->tracer_->StartSpan("autoscale.decision");
     span.Attr("kind", uint64_t(decision.kind))
         .Attr("mean_rate", uint64_t(mean_rate))
         .Attr("max_rate", uint64_t(max_rate))
@@ -200,7 +200,7 @@ AutoscaleDecision Autoscaler::DecideLocked() {
   }
 
   // ---- act (one action per cycle) ---------------------------------------
-  Tracer::Span span = ingestor_->tracer_->StartSpan("autoscale.decision");
+  Tracer::Span span = client_->tracer_->StartSpan("autoscale.decision");
   span.Attr("mean_rate", uint64_t(mean_rate))
       .Attr("max_rate", uint64_t(max_rate))
       .Attr("valve_waiters", valve_waiters)
@@ -211,7 +211,7 @@ AutoscaleDecision Autoscaler::DecideLocked() {
         std::min(options_.scale_step, options_.max_shards - num_shards);
     decision.kind = AutoscaleDecision::Kind::kScaleOut;
     decision.slots.resize(adds);  // size() = shards added
-    decision.status = ingestor_->AddShards(adds, options_.backend);
+    decision.status = client_->AddShards(adds, options_.backend);
     span.Attr("kind", uint64_t(decision.kind)).Attr("added", adds);
     if (scaleouts_total_ != nullptr && decision.status.ok()) {
       scaleouts_total_->Inc();
@@ -222,7 +222,7 @@ AutoscaleDecision Autoscaler::DecideLocked() {
     decision.source = hottest;
     decision.dest = dest;
     decision.slots = slots;
-    decision.status = ingestor_->MoveSlots(hottest, slots, dest);
+    decision.status = client_->MoveSlots(hottest, slots, dest);
     span.Attr("kind", uint64_t(decision.kind))
         .Attr("source", hottest)
         .Attr("dest", dest)
@@ -251,7 +251,7 @@ size_t Autoscaler::PickDestinationLocked(size_t source, size_t num_shards) {
   size_t best = num_shards;
   for (size_t s = 0; s < num_shards; ++s) {
     if (s == source) continue;
-    if (ingestor_->Health(s).health != ShardHealth::kHealthy) continue;
+    if (client_->Health(s).health != ShardHealth::kHealthy) continue;
     if (best == num_shards || samples_[s].rate < samples_[best].rate) {
       best = s;
     }

@@ -54,7 +54,7 @@
 
 namespace wbs::engine {
 
-class ShardedIngestor;
+class Client;
 class MetricsRegistry;
 class Tracer;
 class Counter;
@@ -120,14 +120,14 @@ struct AutoscaleDecision {
   Status status = Status::OK();
 };
 
-/// The controller. Owned by ShardedIngestor (constructed in Init when
+/// The controller. Owned by the Client (constructed at creation when
 /// options.autoscale.enabled, stopped in Finish before the router goes
-/// down); tests construct it manually against a live ingestor.
+/// down); tests drive it through Client::autoscaler().
 class Autoscaler {
  public:
-  /// `ingestor` must outlive the controller. Registers the
-  /// engine.autoscaler.* instruments in the ingestor's registry.
-  Autoscaler(ShardedIngestor* ingestor, AutoscaleOptions options);
+  /// `client` must outlive the controller. Registers the
+  /// engine.autoscaler.* instruments in the client's registry.
+  Autoscaler(Client* client, AutoscaleOptions options);
   ~Autoscaler();
 
   Autoscaler(const Autoscaler&) = delete;
@@ -136,7 +136,7 @@ class Autoscaler {
   /// Starts the controller thread (no-op in manual mode or if running).
   void Start();
   /// Stops and joins the controller thread. Idempotent; safe if never
-  /// started. Called by ShardedIngestor::Finish before router teardown.
+  /// started. Called by Client::Finish before router teardown.
   void Stop();
 
   /// One full control cycle: sample → smooth → decide → act. Thread-safe
@@ -160,7 +160,7 @@ class Autoscaler {
   /// num_shards when no healthy destination exists.
   size_t PickDestinationLocked(size_t source, size_t num_shards);
 
-  ShardedIngestor* const ingestor_;
+  Client* const client_;
   const AutoscaleOptions options_;
 
   std::mutex mu_;

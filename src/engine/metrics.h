@@ -46,9 +46,6 @@ inline constexpr bool kMetricsCompiled = false;
 inline constexpr bool kMetricsCompiled = true;
 #endif
 
-/// How DumpMetrics renders a snapshot.
-enum class MetricsDumpFormat { kTable = 0, kJsonl = 1 };
-
 // Instruments are hammered from many threads with relaxed RMWs, and sibling
 // instruments in a metrics struct are typically updated by DIFFERENT threads
 // (e.g. per-worker counters declared side by side). Padding each live

@@ -50,11 +50,6 @@ Result<std::unique_ptr<Sketch>> SketchRegistry::Create(
   return sketch;
 }
 
-bool SketchRegistry::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.count(name) > 0;
-}
-
 Result<SketchFamily> SketchRegistry::FamilyOf(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = factories_.find(name);

@@ -48,8 +48,6 @@ class SketchRegistry {
   Result<std::unique_ptr<Sketch>> Create(const std::string& name,
                                          const SketchConfig& config) const;
 
-  bool Has(const std::string& name) const;
-
   /// The declared answer family of `name`.
   Result<SketchFamily> FamilyOf(const std::string& name) const;
 

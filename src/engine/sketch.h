@@ -252,7 +252,7 @@ struct SketchSummary {
   uint64_t updates = 0;      ///< effective (nonzero-delta) updates summarized
   /// Degradation marker: true when one or more shards were unreachable and
   /// the answer was served from the last successfully folded state instead
-  /// of the live epochs (see ShardedIngestor failover docs). Always false
+  /// of the live epochs (see FailoverOptions in client.h). Always false
   /// for healthy engines; propagated onto the typed query results.
   bool stale = false;
 

@@ -130,7 +130,7 @@ struct TopologyInfo {
 };
 
 /// The mutable holder: one swappable current view. All mutations go
-/// through Install() at a barrier chosen by the owner (the ingestor's
+/// through Install() at a barrier chosen by the owner (the Client's
 /// router); readers call View() from any thread at any time — a mutex
 /// held only for the shared_ptr copy. (Not std::atomic<shared_ptr>:
 /// libstdc++'s _Sp_atomic::load releases its spinlock with a relaxed
@@ -178,10 +178,8 @@ class ShardTopology {
     return view_;
   }
 
-  uint64_t generation() const { return View()->generation; }
-
   /// Installs a successor view. Caller is responsible for ordering (the
-  /// ingestor installs only at router barriers).
+  /// Client installs only at router barriers).
   void Install(std::shared_ptr<const TopologyView> next) {
     // Drop the displaced view OUTSIDE the lock: releasing the last ref
     // can tear down backend cells (threads, fds), which must not run

@@ -44,7 +44,6 @@
 #include "engine/backend.h"
 #include "engine/client.h"
 #include "engine/remote_backend.h"
-#include "engine/sharded_ingestor.h"
 #include "engine/topology.h"
 #include "stream/workload.h"
 
@@ -413,7 +412,7 @@ TEST(AutoscaleTest, ScaleOutFiresOnHotLoadAndPreservesAnswers) {
   ASSERT_EQ(decision.kind, AutoscaleDecision::Kind::kScaleOut);
   ASSERT_TRUE(decision.status.ok()) << decision.status.ToString();
   EXPECT_GT(decision.mean_rate, 1.0);
-  EXPECT_EQ(client->ingestor().num_shards(), 4u);
+  EXPECT_EQ(client->num_shards(), 4u);
 
   MetricsSnapshot snap = client->Metrics();
   EXPECT_EQ(snap.Value("engine.autoscaler.scaleouts_total"), 1u);
@@ -465,7 +464,7 @@ TEST(AutoscaleTest, HysteresisAtMostOneReshardPerCooldownWindow) {
   AutoscaleDecision first = client->autoscaler()->EvaluateOnce();
   ASSERT_EQ(first.kind, AutoscaleDecision::Kind::kScaleOut);
   ASSERT_TRUE(first.status.ok());
-  EXPECT_EQ(client->ingestor().num_shards(), 3u);
+  EXPECT_EQ(client->num_shards(), 3u);
 
   // The load keeps flapping; the window keeps the controller still.
   const size_t kFlaps = 5;
@@ -474,7 +473,7 @@ TEST(AutoscaleTest, HysteresisAtMostOneReshardPerCooldownWindow) {
     AutoscaleDecision flap = client->autoscaler()->EvaluateOnce();
     EXPECT_EQ(flap.kind, AutoscaleDecision::Kind::kCooldown) << "flap " << i;
   }
-  EXPECT_EQ(client->ingestor().num_shards(), 3u);
+  EXPECT_EQ(client->num_shards(), 3u);
   MetricsSnapshot snap = client->Metrics();
   EXPECT_EQ(snap.Value("engine.autoscaler.scaleouts_total"), 1u);
   EXPECT_EQ(snap.Value("engine.autoscaler.cooldown_suppressed_total"),

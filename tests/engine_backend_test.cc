@@ -260,18 +260,18 @@ TEST(FlowControlTest, TrySubmitFailsFastWhenBytesValveIsFull) {
                                 FourUpdates().size() *
                                     sizeof(stream::TurnstileUpdate));
   Gate().Close();
-  auto first = client->Submit(FourUpdates());  // fills the whole valve
+  auto first = SubmitAll(*client, FourUpdates());  // fills the whole valve
   ASSERT_TRUE(first.ok());
   Gate().AwaitWaiter();  // worker parked inside ApplyBatch
 
-  auto second = client->TrySubmit(FourUpdates());
+  auto second = TrySubmitAll(*client, FourUpdates());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), Status::Code::kResourceExhausted);
 
   Gate().Open();
   ASSERT_TRUE(client->Wait(first.value()).ok());
   // Valve drained: the same submission is admitted now.
-  auto third = client->TrySubmit(FourUpdates());
+  auto third = TrySubmitAll(*client, FourUpdates());
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   ASSERT_TRUE(client->Finish().ok());
   auto handle = client->Handle("gate_sketch").value();
@@ -282,10 +282,10 @@ TEST(FlowControlTest, TrySubmitFailsFastWhenBytesValveIsFull) {
 TEST(FlowControlTest, TrySubmitFailsFastWhenTicketValveIsFull) {
   auto client = MakeGatedClient(/*tickets=*/1, /*bytes=*/0);
   Gate().Close();
-  auto first = client->Submit(FourUpdates());
+  auto first = SubmitAll(*client, FourUpdates());
   ASSERT_TRUE(first.ok());
   Gate().AwaitWaiter();
-  auto second = client->TrySubmit(FourUpdates());
+  auto second = TrySubmitAll(*client, FourUpdates());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), Status::Code::kResourceExhausted);
   Gate().Open();
@@ -298,13 +298,13 @@ TEST(FlowControlTest, SubmitBlocksOnBytesValveUntilDrain) {
                                 FourUpdates().size() *
                                     sizeof(stream::TurnstileUpdate));
   Gate().Close();
-  auto first = client->Submit(FourUpdates());
+  auto first = SubmitAll(*client, FourUpdates());
   ASSERT_TRUE(first.ok());
   Gate().AwaitWaiter();
 
   std::atomic<bool> second_returned{false};
   std::thread producer([&] {
-    auto second = client->Submit(FourUpdates());  // must block on the valve
+    auto second = SubmitAll(*client, FourUpdates());  // must block on the valve
     EXPECT_TRUE(second.ok());
     second_returned.store(true, std::memory_order_release);
   });
@@ -327,7 +327,7 @@ TEST(FlowControlTest, OversizedBatchIsAdmittedWhenIdle) {
   auto client = MakeGatedClient(/*tickets=*/0, /*bytes=*/16);
   stream::TurnstileStream big;
   for (uint64_t i = 0; i < 64; ++i) big.push_back({i % 100, 1});  // 1 KiB
-  auto t = client->Submit(big);  // gate open: applies and drains
+  auto t = SubmitAll(*client, big);  // gate open: applies and drains
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(client->Wait(t.value()).ok());
   ASSERT_TRUE(client->Finish().ok());
@@ -347,7 +347,7 @@ TEST(BackendContractTest, SerializationlessSketchFailsRemoteQueries) {
   opts.ingest.backend = TcpBackendFactory();
   auto client = Client::Create(opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(client.value()->Submit(FourUpdates()).ok());
+  ASSERT_TRUE(SubmitAll(*client.value(), FourUpdates()).ok());
   ASSERT_TRUE(client.value()->Flush().ok());  // host-side publish is fine
   auto handle = client.value()->Handle("gate_sketch").value();
   auto scalar = client.value()->QueryScalar(handle);
@@ -375,7 +375,7 @@ TEST(BackendContractTest, FailedMetricsPollIsCountedNotSilent) {
   opts.ingest.failover.auto_recover = false;
   auto client = Client::Create(opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  ASSERT_TRUE(client.value()->Submit(FourUpdates()).ok());
+  ASSERT_TRUE(SubmitAll(*client.value(), FourUpdates()).ok());
   ASSERT_TRUE(client.value()->Flush().ok());
   MetricsSnapshot healthy = client.value()->Metrics();
   EXPECT_EQ(healthy.Value("engine.shard.1.metrics_errors_total"), 0u);
@@ -403,7 +403,7 @@ TEST(BackendFactoryByNameTest, MixedAlternatesPlacementByShardId) {
   auto client =
       MakeClient({"ams_f2"}, TestConfig(1 << 10, 31), 2, 1, factory.value());
   ASSERT_TRUE(client->AddShards(2, factory.value()).ok());
-  ASSERT_TRUE(client->Submit(FourUpdates()).ok());
+  ASSERT_TRUE(SubmitAll(*client, FourUpdates()).ok());
   ASSERT_TRUE(client->Flush().ok());
   const MetricsSnapshot metrics = client->Metrics();
   for (size_t shard = 0; shard < 4; ++shard) {
@@ -436,7 +436,7 @@ TEST(FlowControlTest, InlineModeTrySubmitAppliesSynchronously) {
   opts.ingest.max_inflight_bytes = 16;
   auto client = Client::Create(opts);
   ASSERT_TRUE(client.ok());
-  auto t = client.value()->TrySubmit(FourUpdates());
+  auto t = TrySubmitAll(*client.value(), FourUpdates());
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t.value().seq, 0u);  // inline: applied before returning
   ASSERT_TRUE(client.value()->Finish().ok());

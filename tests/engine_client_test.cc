@@ -21,7 +21,6 @@
 #include "engine/client.h"
 #include "engine/registry.h"
 #include "engine/remote_backend.h"
-#include "engine/sharded_ingestor.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
 
@@ -431,7 +430,7 @@ TEST(IngestTicketTest, EmptySubmitReturnsCompletedTicket) {
 TEST(IngestTicketTest, InlineModeTicketsCompleteSynchronously) {
   auto client = MakeClient({"ams_f2"}, TestConfig(1 << 10, 5), 2, 0);
   stream::TurnstileStream s{{1, 1}, {2, 2}, {3, 1}};
-  auto t = client->Submit(s);
+  auto t = SubmitAll(*client, s);
   ASSERT_TRUE(t.ok());
   auto done = client->TryWait(t.value());
   ASSERT_TRUE(done.ok());
@@ -443,7 +442,7 @@ TEST(IngestTicketTest, WaitSurfacesIngestErrors) {
   // completes (workers drain) and Wait hands the pipeline error back.
   auto client = MakeClient({"ams_f2"}, TestConfig(16, 1), 2, 2);
   stream::TurnstileStream bad{{uint64_t{1} << 20, 1}};
-  auto t = client->Submit(bad);
+  auto t = SubmitAll(*client, bad);
   ASSERT_TRUE(t.ok());  // submission itself succeeds; the failure is async
   EXPECT_FALSE(client->Wait(t.value()).ok());
   // Once drained, TryWait reports the error too.
@@ -451,7 +450,7 @@ TEST(IngestTicketTest, WaitSurfacesIngestErrors) {
   EXPECT_FALSE(done.ok());
   // And so does any later submission attempt.
   stream::TurnstileStream good{{1, 1}};
-  EXPECT_FALSE(client->Submit(good).ok());
+  EXPECT_FALSE(SubmitAll(*client, good).ok());
 }
 
 // ------------------------------------------------------------ point lookup --

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -311,7 +312,7 @@ TEST(FailoverTest, FailoverDrillPreservesRankDecision) {
 
     auto reference = MakeClient({"rank_decision"}, cfg, 2, 0,
                                 InProcessBackendFactory());
-    ASSERT_TRUE(reference->Submit(diag).ok());
+    ASSERT_TRUE(SubmitAll(*reference, diag).ok());
     ASSERT_TRUE(reference->Finish().ok());
     auto got = client->QueryRank(client->Handle("rank_decision").value());
     auto want =
@@ -395,7 +396,7 @@ TEST(FailoverTest, DeadShardFailsFastServesStaleAndRecoversExactly) {
   // Fail-fast ingest: a non-blocking submit routed onto the dead shard is
   // refused with Unavailable — the caller owns the redirect/retry policy,
   // and no valve fills up behind a shard that cannot drain.
-  auto rejected = client->TrySubmit(s2);
+  auto rejected = TrySubmitAll(*client, s2);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), Status::Code::kUnavailable)
       << rejected.status().ToString();
@@ -523,16 +524,29 @@ TEST(FailoverTest, WaitForTimesOutThenSucceedsOnTheSameTicket) {
 
   Gate().Close();
   const stream::TurnstileStream four{{1, 1}, {2, 1}, {3, 1}, {4, 1}};
-  auto ticket = client.value()->Submit(four);
+  auto ticket = SubmitAll(*client.value(), four);
   ASSERT_TRUE(ticket.ok());
   Status timed_out = client.value()->WaitFor(ticket.value(), 50);
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.code(), Status::Code::kDeadlineExceeded)
       << timed_out.ToString();
 
+  // A timeout past any real deadline waits like Wait: still pending after
+  // 50 ms, then OK once the worker unparks.
+  std::atomic<bool> returned{false};
+  Status forever;
+  std::thread waiter([&] {
+    forever = client.value()->WaitFor(ticket.value(), UINT64_MAX);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+
   // The ticket survives the timeout: re-waiting after the worker unparks
   // completes normally.
   Gate().Open();
+  waiter.join();
+  EXPECT_TRUE(forever.ok()) << forever.ToString();
   EXPECT_TRUE(client.value()->WaitFor(ticket.value(), 30000).ok());
   EXPECT_TRUE(client.value()->Wait(ticket.value()).ok());
   ASSERT_TRUE(client.value()->Finish().ok());

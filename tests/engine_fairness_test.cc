@@ -192,14 +192,14 @@ TEST(SessionFairnessTest, RouterDrainsSessionsRoundRobin) {
   Gate().Close();
   // Hot session A parks five batches; the first reaches the worker and
   // blocks on the gate, the rest pile up (worker queue capped at one).
-  ASSERT_TRUE(client->Submit(a.value(), OneUpdate(10)).ok());
+  ASSERT_TRUE(SubmitAll(*client, OneUpdate(10), a.value()).ok());
   Gate().AwaitWaiter();
   for (uint64_t i = 1; i < 5; ++i) {
-    ASSERT_TRUE(client->Submit(a.value(), OneUpdate(10 + i)).ok());
+    ASSERT_TRUE(SubmitAll(*client, OneUpdate(10 + i), a.value()).ok());
   }
   // Session B arrives with its own backlog while A's is parked.
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client->Submit(b.value(), OneUpdate(20 + i)).ok());
+    ASSERT_TRUE(SubmitAll(*client, OneUpdate(20 + i), b.value()).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Gate().Open();
@@ -228,18 +228,18 @@ TEST(SessionFairnessTest, ValveAdmitsBlockedProducersInArrivalOrder) {
   auto client =
       MakeFairClient(FourUpdates(0).size() * sizeof(stream::TurnstileUpdate));
   Gate().Close();
-  ASSERT_TRUE(client->Submit(FourUpdates(100)).ok());  // fills the valve
+  ASSERT_TRUE(SubmitAll(*client, FourUpdates(100)).ok());  // fills the valve
   Gate().AwaitWaiter();
 
   std::atomic<bool> victim_submitted{false};
   std::thread victim([&] {
-    EXPECT_TRUE(client->Submit(FourUpdates(200)).ok());  // first waiter
+    EXPECT_TRUE(SubmitAll(*client, FourUpdates(200)).ok());  // first waiter
     victim_submitted.store(true, std::memory_order_release);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_FALSE(victim_submitted.load(std::memory_order_acquire));
   std::thread hot([&] {
-    EXPECT_TRUE(client->Submit(FourUpdates(300)).ok());  // second waiter
+    EXPECT_TRUE(SubmitAll(*client, FourUpdates(300)).ok());  // second waiter
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
@@ -265,7 +265,7 @@ TEST(MultiProducerFlowControlTest, TrySubmitFailsFastForEveryRacingProducer) {
   auto client =
       MakeFairClient(FourUpdates(0).size() * sizeof(stream::TurnstileUpdate));
   Gate().Close();
-  auto first = client->Submit(FourUpdates(1));
+  auto first = SubmitAll(*client, FourUpdates(1));
   ASSERT_TRUE(first.ok());
   Gate().AwaitWaiter();  // worker parked; the valve is full
 
@@ -279,7 +279,7 @@ TEST(MultiProducerFlowControlTest, TrySubmitFailsFastForEveryRacingProducer) {
     for (size_t p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         for (size_t i = 0; i < kAttempts; ++i) {
-          auto t = client->TrySubmit(FourUpdates(1000 + p));
+          auto t = TrySubmitAll(*client, FourUpdates(1000 + p));
           if (t.ok()) {
             ++successes;
           } else if (t.status().code() ==
@@ -307,7 +307,7 @@ TEST(MultiProducerFlowControlTest, TrySubmitFailsFastForEveryRacingProducer) {
     std::vector<std::thread> producers;
     for (size_t p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
-        auto t = client->TrySubmit(FourUpdates(2000 + p));
+        auto t = TrySubmitAll(*client, FourUpdates(2000 + p));
         if (t.ok()) ++admitted;
       });
     }
@@ -349,7 +349,7 @@ TEST(SessionFairnessTest, BuriedTopologyBarrierFencesOtherSessions) {
   // Default lane: four data tickets; the first parks the worker, the rest
   // pile up in front of the barrier.
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(client->Submit(OneUpdate(i)).ok());
+    ASSERT_TRUE(SubmitAll(*client, OneUpdate(i)).ok());
   }
   Gate().AwaitWaiter();
   // The barrier enqueues behind them in lane 0.
@@ -360,16 +360,16 @@ TEST(SessionFairnessTest, BuriedTopologyBarrierFencesOtherSessions) {
   // table.
   stream::TurnstileStream wide;
   for (uint64_t item = 0; item < 1000; ++item) wide.push_back({item, 1});
-  ASSERT_TRUE(client->Submit(other.value(), wide).ok());
+  ASSERT_TRUE(SubmitAll(*client, wide, other.value()).ok());
 
   Gate().Open();
   grower.join();
   ASSERT_TRUE(client->Finish().ok());
-  ASSERT_EQ(client->ingestor().num_shards(), 5u);
+  ASSERT_EQ(client->num_shards(), 5u);
   // The new shard owns 1/5 of the slots; the wide batch must have reached
   // it. (With the barrier fenced only on lane fronts, the wide batch was
   // dispatched under the old 4-shard table and the new shard saw nothing.)
-  auto moved_share = client->ingestor().ShardSummary(4, "fair_recording");
+  auto moved_share = client->ShardSummary(4, "fair_recording");
   ASSERT_TRUE(moved_share.ok()) << moved_share.status().ToString();
   EXPECT_GT(moved_share.value().updates, 0u)
       << "post-barrier batch was routed by the pre-barrier table";
@@ -385,12 +385,20 @@ TEST(SessionFairnessTest, UnknownSessionRejectedAndIdsAreDistinct) {
   EXPECT_NE(a.value().id, b.value().id);
   EXPECT_NE(a.value().id, 0u);  // 0 is the shared default session
 
+  // Every submit verb rejects an id this engine never issued.
   ProducerSession bogus{1234};
-  auto t = client->Submit(bogus, OneUpdate(1));
-  ASSERT_FALSE(t.ok());
-  EXPECT_EQ(t.status().code(), Status::Code::kInvalidArgument);
+  const stream::ItemUpdate item{1};
+  const auto expect_rejected = [&](Client& c) {
+    EXPECT_EQ(SubmitAll(c, OneUpdate(1), bogus).status().code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(TrySubmitAll(c, OneUpdate(1), bogus).status().code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(c.SubmitItems(&item, 1, bogus).status().code(),
+              Status::Code::kInvalidArgument);
+  };
+  expect_rejected(*client);
   // The default session keeps working.
-  ASSERT_TRUE(client->Submit(OneUpdate(2)).ok());
+  ASSERT_TRUE(SubmitAll(*client, OneUpdate(2)).ok());
   ASSERT_TRUE(client->Finish().ok());
   auto handle = client->Handle("fair_recording").value();
   EXPECT_EQ(client->QueryScalar(handle).value().updates, 1u);
@@ -403,12 +411,11 @@ TEST(SessionFairnessTest, UnknownSessionRejectedAndIdsAreDistinct) {
   opts.ingest.config = SketchConfig{}.WithUniverse(1 << 10).WithSeed(5);
   auto inline_client = Client::Create(opts);
   ASSERT_TRUE(inline_client.ok());
-  auto bad = inline_client.value()->Submit(bogus, OneUpdate(1));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), Status::Code::kInvalidArgument);
+  expect_rejected(*inline_client.value());
   auto opened = inline_client.value()->OpenSession();
   ASSERT_TRUE(opened.ok());
-  ASSERT_TRUE(inline_client.value()->Submit(opened.value(), OneUpdate(1)).ok());
+  ASSERT_TRUE(
+      SubmitAll(*inline_client.value(), OneUpdate(1), opened.value()).ok());
   ASSERT_TRUE(inline_client.value()->Finish().ok());
 }
 

@@ -26,7 +26,6 @@
 #include "common/random.h"
 #include "engine/client.h"
 #include "engine/metrics.h"
-#include "engine/sharded_ingestor.h"
 #include "engine/trace.h"
 #include "stream/workload.h"
 
@@ -153,7 +152,7 @@ TEST(EngineMetricsTest, ShardCountersReconcileExactlyWithSubmissions) {
 
   // Backend-sourced per-shard samples are present for every current shard
   // regardless of placement (inprocess / tcp / mixed).
-  const size_t shards = client->ingestor().num_shards();
+  const size_t shards = client->num_shards();
   for (size_t shard = 0; shard < shards; ++shard) {
     const std::string prefix = "engine.shard." + std::to_string(shard) + ".";
     EXPECT_NE(snap.Find(prefix + "epoch"), nullptr) << prefix;
@@ -204,16 +203,20 @@ TEST(EngineMetricsTest, PerSessionCountersSplitByProducer) {
   auto session = client->OpenSession();
   ASSERT_TRUE(session.ok());
   auto s = ZipfTurnstile(universe, 4096, 405);
-  // 3 batches on the dedicated session, 1 on the shared session 0.
+  // 3 update batches and 1 item batch on the dedicated session, 1 update
+  // batch on the shared session 0.
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        client->Submit(session.value(), s.data() + i * 1024, 1024).ok());
+        client->Submit(s.data() + i * 1024, 1024, session.value()).ok());
   }
+  const stream::ItemStream items{{1}, {2}, {3}};
+  ASSERT_TRUE(
+      client->SubmitItems(items.data(), items.size(), session.value()).ok());
   ASSERT_TRUE(client->Submit(s.data() + 3 * 1024, 1024).ok());
   ASSERT_TRUE(client->Flush().ok());
   const auto snap = client->Metrics();
   EXPECT_EQ(snap.Value("engine.session.0.submits_total"), 1u);
-  EXPECT_EQ(snap.Value("engine.session.1.submits_total"), 3u);
+  EXPECT_EQ(snap.Value("engine.session.1.submits_total"), 4u);
   ASSERT_TRUE(client->Finish().ok());
 }
 
@@ -257,7 +260,7 @@ TEST(EngineMetricsTest, DumpFormatsRenderEverySample) {
   ASSERT_TRUE(client->Flush().ok());
 
   std::ostringstream jsonl;
-  client->DumpMetrics(jsonl, MetricsDumpFormat::kJsonl);
+  client->Metrics().WriteJsonl(jsonl);
   size_t lines = 0;
   std::string line;
   std::istringstream in(jsonl.str());
@@ -271,7 +274,7 @@ TEST(EngineMetricsTest, DumpFormatsRenderEverySample) {
   EXPECT_GE(lines, client->Metrics().samples.size());
 
   std::ostringstream table;
-  client->DumpMetrics(table, MetricsDumpFormat::kTable);
+  client->Metrics().WriteTable(table);
   EXPECT_NE(table.str().find("engine.shard.0.updates_total"),
             std::string::npos);
   ASSERT_TRUE(client->Finish().ok());
@@ -279,7 +282,7 @@ TEST(EngineMetricsTest, DumpFormatsRenderEverySample) {
 
 // ------------------------------------------------- dump while ingesting --
 
-// Metrics(), DumpMetrics(), and TraceSpans() run concurrently with
+// Metrics(), its JSONL rendering, and TraceSpans() run concurrently with
 // producers, workers, and a topology change — the TSan build of this test
 // is the race probe for the relaxed-atomic snapshot path (and the
 // dump-while-moving backend pointer stability).
@@ -303,7 +306,7 @@ TEST(EngineMetricsTest, SnapshotWhileIngestingAndResharding) {
           (void)sample.ApproxQuantile(0.99);
         }
       }
-      client->DumpMetrics(sink, MetricsDumpFormat::kJsonl);
+      client->Metrics().WriteJsonl(sink);
       (void)client->TraceSpans();
       sink.str("");
       ++dumps;

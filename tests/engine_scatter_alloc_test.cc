@@ -7,7 +7,8 @@
 // on every call) and whose multi-shard path retains sub-vector capacity
 // across submissions. The test counts every global operator new in the
 // binary and pins the hot window at zero; a no-op backend keeps sketch
-// internals (which allocate by design) out of the measurement.
+// internals (which allocate by design) out of the measurement. The same
+// counter pins that Health() of an unknown shard id allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "engine/backend.h"
-#include "engine/sharded_ingestor.h"
+#include "engine/client.h"
 #include "stream/updates.h"
 
 // ---- global allocation counter ---------------------------------------------
@@ -96,17 +97,17 @@ class NullBackend : public ShardBackend {
   uint64_t applied_ = 0;
 };
 
-std::unique_ptr<ShardedIngestor> MakeInlineEngine(size_t shards) {
-  IngestorOptions opts;
-  opts.num_shards = shards;
-  opts.num_threads = 0;        // inline: apply on the submitting thread
-  opts.metrics_enabled = false;  // no instruments, no clock reads
-  opts.sketches = {"ams_f2"};  // ignored by NullBackend
-  opts.backend = [](const BackendOptions&)
+std::unique_ptr<Client> MakeInlineEngine(size_t shards) {
+  ClientOptions opts;
+  opts.ingest.num_shards = shards;
+  opts.ingest.num_threads = 0;  // inline: apply on the submitting thread
+  opts.ingest.metrics_enabled = false;  // no instruments, no clock reads
+  opts.ingest.sketches.emplace_back("ams_f2");  // ignored by NullBackend
+  opts.ingest.backend = [](const BackendOptions&)
       -> Result<std::unique_ptr<ShardBackend>> {
     return std::unique_ptr<ShardBackend>(std::make_unique<NullBackend>());
   };
-  auto engine = ShardedIngestor::Create(opts);
+  auto engine = Client::Create(opts);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return engine.ok() ? std::move(engine).value() : nullptr;
 }
@@ -132,14 +133,14 @@ TEST(ScatterAllocTest, SingleShardInlineResubmitAllocatesNothing) {
   const stream::TurnstileStream s = MakeStream(1000);
 
   // Warm-up sizes the scratch: capacity is rounded to bit_ceil(1000) = 1024.
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->Submit(s.data(), s.size()).ok());
 
   // Steady state, including batches LARGER than the warm-up (up to the
   // power-of-two capacity): zero allocations.
   for (size_t n : {size_t{1}, size_t{500}, size_t{1000}, size_t{1024}}) {
     const stream::TurnstileStream b = MakeStream(n);
     const size_t allocs = AllocsDuring(
-        [&] { ASSERT_TRUE(engine->SubmitAsync(b.data(), b.size()).ok()); });
+        [&] { ASSERT_TRUE(engine->Submit(b.data(), b.size()).ok()); });
     EXPECT_EQ(allocs, 0u) << "batch=" << n;
   }
 }
@@ -151,12 +152,12 @@ TEST(ScatterAllocTest, MultiShardInlineResubmitAllocatesNothing) {
 
   // Two warm-ups: the first sizes the per-shard sub-vectors, the second
   // confirms sizing converged before the measured window.
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
-  ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->Submit(s.data(), s.size()).ok());
+  ASSERT_TRUE(engine->Submit(s.data(), s.size()).ok());
 
   for (int round = 0; round < 3; ++round) {
     const size_t allocs = AllocsDuring(
-        [&] { ASSERT_TRUE(engine->SubmitAsync(s.data(), s.size()).ok()); });
+        [&] { ASSERT_TRUE(engine->Submit(s.data(), s.size()).ok()); });
     EXPECT_EQ(allocs, 0u) << "round=" << round;
   }
 }
@@ -170,12 +171,12 @@ TEST(ScatterAllocTest, ItemPathInlineResubmitAllocatesNothing) {
     items.push_back({uint64_t(i) * 0x9e3779b97f4a7c15ULL});
   }
 
-  ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
-  ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
+  ASSERT_TRUE(engine->SubmitItems(items.data(), items.size()).ok());
+  ASSERT_TRUE(engine->SubmitItems(items.data(), items.size()).ok());
 
   for (int round = 0; round < 3; ++round) {
     const size_t allocs = AllocsDuring([&] {
-      ASSERT_TRUE(engine->SubmitItemsAsync(items.data(), items.size()).ok());
+      ASSERT_TRUE(engine->SubmitItems(items.data(), items.size()).ok());
     });
     EXPECT_EQ(allocs, 0u) << "round=" << round;
   }
@@ -191,10 +192,24 @@ TEST(ScatterAllocTest, GrowingBatchesReallocateLogarithmically) {
   size_t growth_allocs = 0;
   for (size_t n = 1; n <= 1024; ++n) {
     growth_allocs +=
-        AllocsDuring([&] { ASSERT_TRUE(engine->SubmitAsync(s.data(), n).ok()); });
+        AllocsDuring([&] { ASSERT_TRUE(engine->Submit(s.data(), n).ok()); });
   }
   // 11 bit_ceil steps; leave headroom for one-off lazy initialization.
   EXPECT_LE(growth_allocs, 32u);
+}
+
+TEST(ScatterAllocTest, HealthOfAnUnknownShardAllocatesNothing) {
+  // Health() of an id the topology never issued returns the default
+  // verdict without growing per-shard state up to that id.
+  auto engine = MakeInlineEngine(2);
+  ASSERT_NE(engine, nullptr);
+  ShardHealthInfo info;
+  const size_t allocs =
+      AllocsDuring([&] { info = engine->Health(size_t{1} << 20); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(info.health, ShardHealth::kHealthy);
+  EXPECT_EQ(info.recoveries, 0u);
+  EXPECT_EQ(info.dropped_updates, 0u);
 }
 
 }  // namespace

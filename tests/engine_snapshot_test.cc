@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "engine/client.h"
 #include "engine/registry.h"
-#include "engine/sharded_ingestor.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
 
@@ -338,7 +337,7 @@ TEST(SnapshotQueryTest, FlushPublishesLaggingShards) {
   EXPECT_EQ(before.value().updates, 0u);
   uint64_t epochs_before = 0;
   for (size_t sh = 0; sh < 4; ++sh) {
-    epochs_before += client->ingestor().ShardEpoch(sh);
+    epochs_before += client->ShardEpoch(sh);
   }
   EXPECT_EQ(epochs_before, 0u);
   // ...and Flush() catches every lagging shard up.
@@ -356,7 +355,8 @@ TEST(SnapshotQueryTest, QueryReportsIngestionErrors) {
   auto f2 = client->Handle("ams_f2").value();
   ASSERT_TRUE(client->QueryScalar(f2).ok());
   stream::TurnstileStream bad{{uint64_t{1} << 20, 1}};
-  EXPECT_FALSE(client->Submit(bad).ok());  // inline mode: fails synchronously
+  // Inline mode: fails synchronously.
+  EXPECT_FALSE(SubmitAll(*client, bad).ok());
   EXPECT_FALSE(client->QueryScalar(f2).ok());
   EXPECT_FALSE(client->RawSummary(f2).ok());
 }

@@ -121,8 +121,8 @@ void CheckTcpAgreesWithInProcess(const stream::TurnstileStream& s,
           << name;
     }
     for (size_t shard = 0; shard < shards; ++shard) {
-      auto shard_want = inprocess->ingestor().ShardSummary(shard, name);
-      auto shard_got = tcp->ingestor().ShardSummary(shard, name);
+      auto shard_want = inprocess->ShardSummary(shard, name);
+      auto shard_got = tcp->ShardSummary(shard, name);
       ASSERT_TRUE(shard_want.ok() && shard_got.ok()) << name << "@" << shard;
       EXPECT_EQ(shard_got.value().scalar, shard_want.value().scalar)
           << name << "@" << shard;
@@ -139,7 +139,7 @@ void CheckTcpAgreesWithInProcess(const stream::TurnstileStream& s,
       }
     }
   }
-  EXPECT_EQ(tcp->ingestor().SpaceBits(), inprocess->ingestor().SpaceBits());
+  EXPECT_EQ(tcp->SpaceBits(), inprocess->SpaceBits());
 }
 
 TEST(TcpEquivalenceTest, ZipfAllFamilies) {
@@ -520,7 +520,7 @@ TEST(TcpPlacementTest, AddedShardsSpreadAcrossEndpoints) {
   TcpBackendOptions topts;
   topts.endpoints = {a.value()->endpoint(), b.value()->endpoint()};
   ASSERT_TRUE(client->AddShards(2, TcpBackendFactory(topts)).ok());
-  ASSERT_TRUE(client->Submit(ZipfTurnstile(1 << 10, 4000, 92)).ok());
+  ASSERT_TRUE(SubmitAll(*client, ZipfTurnstile(1 << 10, 4000, 92)).ok());
   ASSERT_TRUE(client->Flush().ok());
   EXPECT_EQ(a.value()->sessions(), 1u);
   EXPECT_EQ(b.value()->sessions(), 1u);
@@ -543,7 +543,7 @@ TEST(TcpPlacementTest, HostCrashSuspectsEveryShardOnTheHost) {
   failover.auto_recover = false;
   auto client = MakeTcpClient({"ams_f2"}, TestConfig(1 << 10, 93), 2, 1,
                               failover, std::move(factory).value());
-  ASSERT_TRUE(client->Submit(ZipfTurnstile(1 << 10, 2000, 94)).ok());
+  ASSERT_TRUE(SubmitAll(*client, ZipfTurnstile(1 << 10, 2000, 94)).ok());
   ASSERT_TRUE(client->Flush().ok());
   ASSERT_EQ(host.value()->sessions(), 2u);
 
@@ -670,7 +670,7 @@ TEST(TcpDaemonTest, Kill9RecoversFromCheckpointWithExactLoss) {
   ASSERT_EQ(tcp->Health(0).health, ShardHealth::kDead);
 
   // Everything submitted after the kill is dropped — with a receipt.
-  auto ticket = tcp->Submit(post);
+  auto ticket = SubmitAll(*tcp, post);
   ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
   ASSERT_TRUE(tcp->Wait(ticket.value()).ok());
   EXPECT_EQ(tcp->Health(0).dropped_updates, post.size());

@@ -24,7 +24,6 @@
 #include "engine/backend.h"
 #include "engine/client.h"
 #include "engine/registry.h"
-#include "engine/sharded_ingestor.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
 
@@ -643,9 +642,9 @@ TEST(EngineDeterminismTest, SamplingSketchDeterministicAcrossThreadCounts) {
   }
 }
 
-// ---------------------------------------------------------------- ingestor --
+// ------------------------------------------------------------------ client --
 
-TEST(ShardedIngestorTest, SlotOfIsStableAndCoversShards) {
+TEST(EngineClientTest, SlotOfIsStableAndCoversShards) {
   std::set<size_t> hit;
   for (uint64_t item = 0; item < 1000; ++item) {
     size_t shard = TopologyView::SlotOf(item, 8);
@@ -656,49 +655,65 @@ TEST(ShardedIngestorTest, SlotOfIsStableAndCoversShards) {
   EXPECT_EQ(hit.size(), 8u);  // 1000 items must touch all 8 shards
 }
 
-TEST(ShardedIngestorTest, SubmitAfterFinishFails) {
-  IngestorOptions opts;
-  opts.num_shards = 2;
-  opts.sketches = {"ams_f2"};
-  opts.config = TestConfig(1 << 10, 1);
-  auto ingestor = ShardedIngestor::Create(opts);
-  ASSERT_TRUE(ingestor.ok());
-  ASSERT_TRUE(ingestor.value()->Finish().ok());
+TEST(EngineClientTest, SubmitAfterFinishFails) {
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.sketches = {"ams_f2"};
+  opts.ingest.config = TestConfig(1 << 10, 1);
+  auto client = Client::Create(opts);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->Finish().ok());
   stream::TurnstileUpdate u{1, 1};
-  EXPECT_FALSE(ingestor.value()->Submit(&u, 1).ok());
-  EXPECT_FALSE(ingestor.value()->SubmitAsync(&u, 1).ok());
+  EXPECT_FALSE(client.value()->Submit(&u, 1).ok());
+  EXPECT_FALSE(client.value()->TrySubmit(&u, 1).ok());
 }
 
-TEST(ShardedIngestorTest, WorkerErrorSurfacesOnFlush) {
-  IngestorOptions opts;
-  opts.num_shards = 2;
-  opts.num_threads = 2;
-  opts.sketches = {"ams_f2"};
-  opts.config = TestConfig(/*universe=*/16, 1);
-  auto ingestor = ShardedIngestor::Create(opts);
-  ASSERT_TRUE(ingestor.ok());
+TEST(EngineClientTest, WorkerErrorSurfacesOnFlush) {
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.num_threads = 2;
+  opts.ingest.sketches = {"ams_f2"};
+  opts.ingest.config = TestConfig(/*universe=*/16, 1);
+  auto client = Client::Create(opts);
+  ASSERT_TRUE(client.ok());
   stream::TurnstileUpdate bad{1 << 20, 1};  // out of universe
-  Status submit = ingestor.value()->Submit(&bad, 1);
-  Status flush = ingestor.value()->Flush();
+  Status submit = client.value()->Submit(&bad, 1).status();
+  Status flush = client.value()->Flush();
   EXPECT_FALSE(submit.ok() && flush.ok());
 }
 
-TEST(ShardedIngestorTest, UnknownSketchNameRejectedAtCreate) {
-  IngestorOptions opts;
-  opts.num_shards = 2;
-  opts.sketches = {"definitely_not_registered"};
-  auto ingestor = ShardedIngestor::Create(opts);
-  EXPECT_FALSE(ingestor.ok());
+TEST(EngineClientTest, UnknownSketchNameRejectedAtCreate) {
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.sketches = {"definitely_not_registered"};
+  auto client = Client::Create(opts);
+  EXPECT_FALSE(client.ok());
 }
 
-TEST(ShardedIngestorTest, SpaceBitsAccumulatesAcrossShards) {
+TEST(EngineClientTest, CellFactoryErrorFailsCreate) {
+  ClientOptions opts;
+  opts.ingest.num_shards = 4;
+  opts.ingest.num_threads = 2;
+  opts.ingest.sketches = {"ams_f2"};
+  opts.ingest.config = TestConfig(1 << 10, 1);
+  opts.ingest.backend = [](const BackendOptions& cell)
+      -> Result<std::unique_ptr<ShardBackend>> {
+    if (cell.shard == 2) return Status::Unavailable("no cell for shard 2");
+    return InProcessBackendFactory()(cell);
+  };
+  auto client = Client::Create(opts);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), Status::Code::kUnavailable);
+}
+
+TEST(EngineClientTest, SpaceBitsAccumulatesAcrossShards) {
   SketchConfig cfg = TestConfig(1 << 10, 9);
   auto client = MakeClient({"misra_gries"}, cfg, 4, 0);
   wbs::RandomTape tape(9);
   auto s = stream::UniformStream(1 << 10, 2000, &tape);
   ASSERT_TRUE(Replay(client.get(), s).ok());
   ASSERT_TRUE(client->Finish().ok());
-  EXPECT_GT(client->ingestor().SpaceBits(), 0u);
+  EXPECT_GT(client->SpaceBits(), 0u);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // Shared helpers for the engine test suites: Client construction with
 // EXPECT-checked creation (and an environment-selected shard backend, so CI
 // can run every engine suite once per backend — inprocess, tcp, or mixed
-// placement), and materialized-stream replay through the ticketed Submit
-// surface.
+// placement), whole-vector forms of the pointer + count submit verbs, and
+// materialized-stream replay through the ticketed Submit surface.
 //
 // Topology churn mode: WBS_ENGINE_TOPOLOGY=churn makes every multi-batch
 // Replay() perform a live MoveShard(0) handoff halfway through the stream.
@@ -82,6 +82,20 @@ inline std::unique_ptr<Client> MakeClient(std::vector<std::string> sketches,
   auto client = Client::Create(opts);
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   return std::move(client).value();
+}
+
+/// Submits all of `s` as one batch (Client::Submit takes pointer + count).
+inline Result<IngestTicket> SubmitAll(Client& client,
+                                      const stream::TurnstileStream& s,
+                                      ProducerSession session = {}) {
+  return client.Submit(s.data(), s.size(), session);
+}
+
+/// TrySubmit form of SubmitAll.
+inline Result<IngestTicket> TrySubmitAll(Client& client,
+                                         const stream::TurnstileStream& s,
+                                         ProducerSession session = {}) {
+  return client.TrySubmit(s.data(), s.size(), session);
 }
 
 /// Whether WBS_ENGINE_TOPOLOGY=churn is active (CI runs the engine suites

@@ -39,7 +39,6 @@
 #include "engine/client.h"
 #include "engine/registry.h"
 #include "engine/remote_backend.h"
-#include "engine/sharded_ingestor.h"
 #include "engine/topology.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
@@ -304,7 +303,7 @@ TEST(TopologyHandoffTest, MoveShardDoesNotDoubleCountSpace) {
                 return moved->MoveShard(0, InProcessBackendFactory());
               }).ok());
   ASSERT_TRUE(moved->Finish().ok());
-  EXPECT_EQ(moved->ingestor().SpaceBits(), reference->ingestor().SpaceBits());
+  EXPECT_EQ(moved->SpaceBits(), reference->SpaceBits());
 }
 
 // --------------------------------------------- handoff: sampling families --
@@ -395,7 +394,7 @@ TEST(TopologyScaleOutTest, MidIngestAddShardsPreservesLinearAnswers) {
                     return grown->AddShards(3, cell.factory);
                   }).ok());
       ASSERT_TRUE(grown->Finish().ok());
-      EXPECT_EQ(grown->ingestor().num_shards(), 7u);
+      EXPECT_EQ(grown->num_shards(), 7u);
 
       for (const char* name : {"ams_f2", "sis_l0"}) {
         auto got = grown->QueryScalar(grown->Handle(name).value());
@@ -501,7 +500,7 @@ TEST(TopologyFailureTest, UnserializableSketchLeavesTopologyUnchanged) {
   auto client = MakeClient({"topology_opaque"}, TestConfig(1 << 10, 5), 2, 1,
                            InProcessBackendFactory());
   stream::TurnstileStream s{{1, 1}, {2, 1}, {3, 1}, {4, 1}};
-  ASSERT_TRUE(client->Submit(s).ok());
+  ASSERT_TRUE(SubmitAll(*client, s).ok());
   ASSERT_TRUE(client->Flush().ok());
   const uint64_t generation = client->Topology().generation;
   Status moved = client->MoveShard(0, InProcessBackendFactory());
@@ -509,7 +508,7 @@ TEST(TopologyFailureTest, UnserializableSketchLeavesTopologyUnchanged) {
   EXPECT_EQ(moved.code(), Status::Code::kUnimplemented) << moved.ToString();
   EXPECT_EQ(client->Topology().generation, generation);
   // The engine keeps working after the failed op.
-  ASSERT_TRUE(client->Submit(s).ok());
+  ASSERT_TRUE(SubmitAll(*client, s).ok());
   ASSERT_TRUE(client->Finish().ok());
   auto scalar = client->QueryScalar(client->Handle("topology_opaque").value());
   ASSERT_TRUE(scalar.ok());
@@ -583,7 +582,7 @@ TEST(TopologyLiveTest, QueriesKeepAnsweringThroughTopologyOps) {
   ASSERT_TRUE(client->Finish().ok());
   EXPECT_EQ(query_errors.load(), 0u);
   EXPECT_TRUE(monotone.load());
-  EXPECT_EQ(client->ingestor().num_shards(), 6u);
+  EXPECT_EQ(client->num_shards(), 6u);
   EXPECT_EQ(client->Topology().generation, 4u);
 
   // Final answer equals a single-topology reference (linear family).
