@@ -19,7 +19,8 @@
 //
 // Alignment contract: NONE. Every vector kernel uses unaligned loads and
 // handles arbitrary (including odd and zero) span lengths with a scalar
-// tail, so callers never pad or align buffers. All mod-q kernels require
+// tail (masked lanes for the AVX-512 SIS column update), so callers never
+// pad or align buffers. All mod-q kernels require
 // q < 2^62 (the BarrettQ bound — it also guarantees sums and 2q fit a
 // signed 64-bit lane compare) and entries already reduced into [0, q).
 
@@ -57,7 +58,8 @@ struct KernelDispatch {
   /// (see SisMatrix::Materialize); `d` is already reduced into [0, q). The
   /// Shoup product w*d - hi64(w'*d)*q lands in [0, 2q) and one conditional
   /// subtract yields the exact canonical residue, so the result matches
-  /// BarrettQ::MulMod word for word. `bq` serves the scalar tail/fallback.
+  /// BarrettQ::MulMod word for word. AVX-512 runs its n % 8 tail rows as
+  /// one masked Shoup step; `bq` serves the scalar tail/fallback.
   void (*sis_column_update)(uint64_t* v, const uint64_t* col,
                             const uint64_t* shoup, size_t n, uint64_t d,
                             const wbs::BarrettQ& bq);

@@ -84,22 +84,28 @@ void Avx512SubtractMod(uint64_t* acc, const uint64_t* sub, size_t n,
   ScalarSubtractMod(acc + i, sub + i, n - i, q);
 }
 
+// Eight rows per step; the last step masks off the lanes past n, so no row
+// falls to the scalar Barrett loop.
 void Avx512SisColumnUpdate(uint64_t* v, const uint64_t* col,
                            const uint64_t* shoup, size_t n, uint64_t d,
                            const wbs::BarrettQ& bq) {
   const __m512i vq = _mm512_set1_epi64(int64_t(bq.q));
   const __m512i vd = _mm512_set1_epi64(int64_t(d));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i w = Load(col + i);
-    const __m512i q_est = Mulhi64(Load(shoup + i), vd);
+  for (size_t i = 0; i < n; i += 8) {
+    const __mmask8 m =
+        n - i >= 8 ? __mmask8(0xff) : __mmask8((1u << (n - i)) - 1);
+    const __m512i w = _mm512_maskz_loadu_epi64(m, col + i);
+    // Shoup: q_est = hi64(w' * d); r = w*d - q_est*q  ∈ [0, 2q).
+    const __m512i q_est =
+        Mulhi64(_mm512_maskz_loadu_epi64(m, shoup + i), vd);
     const __m512i r =
         CondSubQ(_mm512_sub_epi64(_mm512_mullo_epi64(w, vd),
                                   _mm512_mullo_epi64(q_est, vq)),
                  vq);
-    Store(v + i, CondSubQ(_mm512_add_epi64(Load(v + i), r), vq));
+    _mm512_mask_storeu_epi64(
+        v + i, m,
+        CondSubQ(_mm512_add_epi64(_mm512_maskz_loadu_epi64(m, v + i), r), vq));
   }
-  ScalarSisColumnUpdate(v + i, col + i, shoup + i, n - i, d, bq);
 }
 
 void Avx512AmsRowMix(int64_t* counters, size_t rows, const uint64_t* mix,

@@ -2,6 +2,7 @@
 
 #include "crypto/sis.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -55,40 +56,44 @@ void SisMatrix::Materialize() {
   }
 }
 
-SisSketchVector::SisSketchVector(const SisMatrix* matrix)
-    : matrix_(matrix), v_(matrix->params().rows, 0) {}
-
-Status SisSketchVector::Update(size_t col, int64_t delta) {
-  const SisParams& p = matrix_->params();
-  if (col >= p.cols) {
-    return Status::OutOfRange("SisSketchVector::Update: column out of range");
+Status SisMatrix::AddColumn(uint64_t* v, size_t col, int64_t delta) const {
+  if (col >= params_.cols) {
+    return Status::OutOfRange("SisMatrix::AddColumn: column out of range");
   }
-  const uint64_t d = ReduceSigned(delta, p.q);
+  const size_t rows = params_.rows;
+  const uint64_t d = ReduceSigned(delta, params_.q);
   if (d == 0) return Status::OK();
-  const BarrettQ& bq = matrix_->barrett();
-  if (matrix_->materialized()) {
+  if (materialized()) {
     // Hot path: contiguous column of the materialized A through the
     // runtime-dispatched SIMD kernel (Shoup products on vector lanes, or
     // the scalar Barrett loop on the fallback table). Same canonical
     // residues as the generic AddMod/MulMod path below, entry for entry.
-    const uint64_t* column = matrix_->Column(col);
-    const uint64_t* shoup = matrix_->ShoupColumn(col);
+    const uint64_t* column = Column(col);
 #ifndef NDEBUG
     // Paranoia half of the bit-identity contract: replay the update on a
     // copy with the scalar Barrett path and require an exact match.
-    std::vector<uint64_t> want(v_);
-    for (size_t i = 0; i < p.rows; ++i) {
-      want[i] = bq.AddMod(want[i], bq.MulMod(d, column[i]));
+    std::vector<uint64_t> want(v, v + rows);
+    for (size_t i = 0; i < rows; ++i) {
+      want[i] = barrett_.AddMod(want[i], barrett_.MulMod(d, column[i]));
     }
 #endif
-    simd::Kernels().sis_column_update(v_.data(), column, shoup, p.rows, d, bq);
-    assert(v_ == want && "SIMD SIS column update diverged from scalar");
+    simd::Kernels().sis_column_update(v, column, ShoupColumn(col), rows, d,
+                                      barrett_);
+    assert(std::equal(want.begin(), want.end(), v) &&
+           "SIMD SIS column update diverged from scalar");
   } else {
-    for (size_t i = 0; i < p.rows; ++i) {
-      v_[i] = bq.AddMod(v_[i], bq.MulMod(d, matrix_->Entry(i, col)));
+    for (size_t i = 0; i < rows; ++i) {
+      v[i] = barrett_.AddMod(v[i], barrett_.MulMod(d, Entry(i, col)));
     }
   }
   return Status::OK();
+}
+
+SisSketchVector::SisSketchVector(const SisMatrix* matrix)
+    : matrix_(matrix), v_(matrix->params().rows, 0) {}
+
+Status SisSketchVector::Update(size_t col, int64_t delta) {
+  return matrix_->AddColumn(v_.data(), col, delta);
 }
 
 Status SisSketchVector::MergeFrom(const SisSketchVector& other) {
@@ -112,22 +117,6 @@ Status SisSketchVector::UnmergeFrom(const SisSketchVector& other) {
         "SisSketchVector::UnmergeFrom: parameter mismatch");
   }
   SubtractMod(v_.data(), other.v_.data(), v_.size(), p.q);
-  return Status::OK();
-}
-
-Status SisSketchVector::SetValue(const std::vector<uint64_t>& value) {
-  if (value.size() != v_.size()) {
-    return Status::InvalidArgument(
-        "SisSketchVector::SetValue: row count mismatch");
-  }
-  const uint64_t q = matrix_->params().q;
-  for (uint64_t x : value) {
-    if (x >= q) {
-      return Status::InvalidArgument(
-          "SisSketchVector::SetValue: entry not reduced mod q");
-    }
-  }
-  v_ = value;
   return Status::OK();
 }
 

@@ -83,6 +83,14 @@ class SisMatrix {
   /// vector drawn against it.
   const wbs::BarrettQ& barrett() const { return barrett_; }
 
+  /// The SIS column update on `rows` residues at `v`: v += delta * A_col
+  /// (mod q), the turnstile update f[col] += delta. Rejects `col` out of
+  /// range. Materialized matrices run the dispatched SIMD kernel (a Debug
+  /// build replays it with the scalar Barrett path and asserts an exact
+  /// match); otherwise the entries come from the oracle. Shared by
+  /// SisSketchVector and the L0 estimator's flat per-chunk state.
+  Status AddColumn(uint64_t* v, size_t col, int64_t delta) const;
+
   const SisParams& params() const { return params_; }
 
   /// Space charged to an algorithm storing this matrix: 0 if entries come
@@ -123,11 +131,6 @@ class SisSketchVector {
   Status UnmergeFrom(const SisSketchVector& other);
 
   const std::vector<uint64_t>& value() const { return v_; }
-
-  /// Replaces the sketch vector with a previously captured value() — the
-  /// deserialization half of shipping a sketch across a process boundary.
-  /// Rejects a size mismatch or any entry outside [0, q).
-  Status SetValue(const std::vector<uint64_t>& value);
 
   /// Bits to store the sketch vector (rows * ceil(log2 q)).
   uint64_t SpaceBits() const;

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/modmath.h"
@@ -41,7 +42,7 @@ SisL0Estimator::SisL0Estimator(const SisL0Params& params,
       matrix_(crypto::SisParams{params.q, params.sketch_rows,
                                 size_t(params.chunk_width), params.beta_inf},
               oracle, oracle_domain),
-      chunks_(params.num_chunks, crypto::SisSketchVector(&matrix_)) {
+      state_(size_t(params.num_chunks) * params.sketch_rows, 0) {
   // All chunks share the same oracle-derived A (the paper: "we use the same
   // sketching matrix A on each chunk").
 }
@@ -52,51 +53,63 @@ Status SisL0Estimator::Update(const stream::TurnstileUpdate& u) {
   }
   const uint64_t chunk = u.item / params_.chunk_width;
   const size_t col = size_t(u.item % params_.chunk_width);
-  return chunks_[size_t(chunk)].Update(col, u.delta);
+  return matrix_.AddColumn(state_.data() + size_t(chunk) * params_.sketch_rows,
+                           col, u.delta);
 }
 
+namespace {
+
+bool SameShape(const SisL0Params& a, const SisL0Params& b) {
+  return a.universe == b.universe && a.chunk_width == b.chunk_width &&
+         a.num_chunks == b.num_chunks && a.sketch_rows == b.sketch_rows &&
+         a.q == b.q;
+}
+
+}  // namespace
+
 Status SisL0Estimator::MergeFrom(const SisL0Estimator& other) {
-  const SisL0Params& o = other.params_;
-  if (params_.universe != o.universe || params_.chunk_width != o.chunk_width ||
-      params_.num_chunks != o.num_chunks ||
-      params_.sketch_rows != o.sketch_rows || params_.q != o.q) {
+  if (!SameShape(params_, other.params_)) {
     return Status::FailedPrecondition(
         "SisL0Estimator::MergeFrom: parameter mismatch");
   }
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    Status s = chunks_[i].MergeFrom(other.chunks_[i]);
-    if (!s.ok()) return s;
-  }
+  AccumulateMod(state_.data(), other.state_.data(), state_.size(), params_.q);
   return Status::OK();
 }
 
 Status SisL0Estimator::UnmergeFrom(const SisL0Estimator& other) {
-  const SisL0Params& o = other.params_;
-  if (params_.universe != o.universe || params_.chunk_width != o.chunk_width ||
-      params_.num_chunks != o.num_chunks ||
-      params_.sketch_rows != o.sketch_rows || params_.q != o.q) {
+  if (!SameShape(params_, other.params_)) {
     return Status::FailedPrecondition(
         "SisL0Estimator::UnmergeFrom: parameter mismatch");
   }
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    Status s = chunks_[i].UnmergeFrom(other.chunks_[i]);
-    if (!s.ok()) return s;
-  }
+  SubtractMod(state_.data(), other.state_.data(), state_.size(), params_.q);
   return Status::OK();
 }
 
-Status SisL0Estimator::RestoreChunk(size_t chunk,
-                                    const std::vector<uint64_t>& value) {
-  if (chunk >= chunks_.size()) {
-    return Status::OutOfRange("SisL0Estimator::RestoreChunk: chunk index");
+Status SisL0Estimator::RestoreState(std::vector<uint64_t> state) {
+  if (state.size() != state_.size()) {
+    return Status::InvalidArgument(
+        "SisL0Estimator::RestoreState: state size mismatch");
   }
-  return chunks_[chunk].SetValue(value);
+  for (uint64_t x : state) {
+    if (x >= params_.q) {
+      return Status::InvalidArgument(
+          "SisL0Estimator::RestoreState: residue not reduced mod q");
+    }
+  }
+  state_ = std::move(state);
+  return Status::OK();
 }
 
 double SisL0Estimator::Query() const {
   uint64_t nonzero = 0;
-  for (const auto& c : chunks_) {
-    if (!c.IsZero()) ++nonzero;
+  const size_t rows = params_.sketch_rows;
+  for (size_t base = 0; base < state_.size(); base += rows) {
+    for (size_t i = 0; i < rows; ++i) {
+      if (state_[base + i] != 0) {
+        ++nonzero;
+        break;
+      }
+    }
   }
   return double(nonzero);
 }
@@ -105,15 +118,11 @@ void SisL0Estimator::SerializeState(core::StateWriter* w) const {
   w->PutU64(params_.num_chunks);
   w->PutU64(params_.chunk_width);
   w->PutU64(params_.q);
-  for (const auto& c : chunks_) {
-    for (uint64_t v : c.value()) w->PutU64(v);
-  }
+  for (uint64_t v : state_) w->PutU64(v);
 }
 
 uint64_t SisL0Estimator::SpaceBits() const {
-  uint64_t bits = 0;
-  for (const auto& c : chunks_) bits += c.SpaceBits();
-  return bits;
+  return matrix_.params().EntryBits() * state_.size();
 }
 
 NaiveSumL0::NaiveSumL0(uint64_t universe, uint64_t chunk_width)

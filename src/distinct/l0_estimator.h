@@ -69,13 +69,14 @@ class SisL0Estimator final
   uint64_t SpaceBits() const override;
 
   /// Linear merge: adds the other estimator's chunk sketches (mod q) into
-  /// this one. Valid only when both instances were derived from identical
-  /// params and the same random oracle instance (then A is identical and
-  /// sketch(f) + sketch(g) = sketch(f + g), so the merged estimator is
-  /// bit-identical to one that ingested the concatenated stream).
+  /// this one, in one pass over the flat state. Valid only when both
+  /// instances were derived from identical params and the same random
+  /// oracle instance (then A is identical and sketch(f) + sketch(g) =
+  /// sketch(f + g), so the merged estimator is bit-identical to one that
+  /// ingested the concatenated stream).
   Status MergeFrom(const SisL0Estimator& other);
 
-  /// Exact inverse of MergeFrom (chunk-wise mod-q subtraction); same
+  /// Exact inverse of MergeFrom (mod-q subtraction of the whole state); same
   /// parameter/oracle requirements. Backs the engine's incremental merge
   /// cache: a stale shard contribution is subtracted, the fresh one added.
   Status UnmergeFrom(const SisL0Estimator& other);
@@ -87,19 +88,19 @@ class SisL0Estimator final
   const SisL0Params& params() const { return params_; }
   const crypto::SisMatrix& matrix() const { return matrix_; }
 
-  /// The per-chunk sketch vectors — the estimator's entire mutable state.
-  const std::vector<crypto::SisSketchVector>& chunks() const {
-    return chunks_;
-  }
+  /// The estimator's entire mutable state: every chunk's sketch vector
+  /// A * f_chunk, chunk-major, `sketch_rows` residues per chunk.
+  const std::vector<uint64_t>& state() const { return state_; }
 
-  /// Restores one chunk's sketch vector from a previously captured
-  /// value(); validates the chunk index, row count, and mod-q range.
-  Status RestoreChunk(size_t chunk, const std::vector<uint64_t>& value);
+  /// Replaces the whole state with a previously captured state(); rejects
+  /// a size mismatch or any residue outside [0, q), leaving the state as
+  /// it was.
+  Status RestoreState(std::vector<uint64_t> state);
 
  private:
   SisL0Params params_;
   crypto::SisMatrix matrix_;
-  std::vector<crypto::SisSketchVector> chunks_;
+  std::vector<uint64_t> state_;  // num_chunks x sketch_rows, chunk-major
 };
 
 /// Chunked sum baseline: one Z counter per chunk. Broken by design.

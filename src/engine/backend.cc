@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/random.h"
@@ -203,7 +202,7 @@ class InProcessBackend final : public ShardBackend {
   // weight-equivalent sketch via UpdateBatch. Touched only by the single
   // applier (see the ShardBackend contract).
   std::vector<stream::TurnstileUpdate> agg_;
-  std::unordered_map<uint64_t, size_t> agg_index_;
+  FlatItemIndex agg_index_;
 
   // Snapshot slot. `snaps_` are clones published at batch boundaries;
   // `epoch_` counts publications and is bumped (release) inside snap_mu_,

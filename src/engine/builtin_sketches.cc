@@ -22,7 +22,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,7 +130,7 @@ class SketchBase : public Sketch {
   std::string name_;
   uint64_t updates_applied_ = 0;
   std::vector<stream::TurnstileUpdate> scratch_;
-  std::unordered_map<uint64_t, size_t> index_;
+  FlatItemIndex index_;
 };
 
 /// Answer-level merge accumulator for sampling sketches: sums candidate
@@ -497,7 +496,8 @@ class SisL0EngineSketch final : public SketchBase {
   }
 
   /// State: derived chunking/modulus parameters (checked, since both sides
-  /// re-derive them from the config) plus every chunk's sketch vector.
+  /// re-derive them from the config) plus every chunk's sketch vector, in
+  /// the estimator's chunk-major order.
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
     const auto& p = est_.params();
@@ -506,9 +506,7 @@ class SisL0EngineSketch final : public SketchBase {
     w.U64(p.q);
     w.U64(oracle_.instance_id());
     w.U64(updates_applied_);
-    for (const auto& chunk : est_.chunks()) {
-      for (uint64_t v : chunk.value()) w.U64(v);
-    }
+    for (uint64_t v : est_.state()) w.U64(v);
     return Status::OK();
   }
 
@@ -528,13 +526,12 @@ class SisL0EngineSketch final : public SketchBase {
           "sis_l0: oracle mismatch (different config seed)");
     }
     if (Status s = r.U64(&updates); !s.ok()) return s;
-    std::vector<uint64_t> value(static_cast<size_t>(rows));
-    for (uint64_t c = 0; c < chunks; ++c) {
-      for (auto& v : value) {
-        if (Status s = r.U64(&v); !s.ok()) return s;
-      }
-      if (Status s = est_.RestoreChunk(size_t(c), value); !s.ok()) return s;
+    // The dimensions match the config, so the allocation is bounded by it.
+    std::vector<uint64_t> state(est_.state().size());
+    for (auto& v : state) {
+      if (Status s = r.U64(&v); !s.ok()) return s;
     }
+    if (Status s = est_.RestoreState(std::move(state)); !s.ok()) return s;
     updates_applied_ = updates;
     return Status::OK();
   }
@@ -756,29 +753,18 @@ class RobustHhEngineSketch final : public SketchBase {
 
 /// The CRHF images of one batch's distinct items, keyed by item: built once
 /// per batch (8 items per multi-lane SHA-256 call), then read once per raw
-/// update. Linear probing over a power-of-two slot array of at least twice
-/// the distinct count; a slot holds 1 + the item's position in the dense
-/// `items_`/`images_` arrays, 0 when empty. Storage is reused across
-/// batches; Image() requires a prior Build().
+/// update. `index_` maps an item to its position in the dense
+/// `items_`/`images_` arrays. Storage is reused across batches.
 class CrhfImageTable {
  public:
   /// Rebuilds the table for the items of `entries` (duplicates allowed).
   void Build(const stream::TurnstileUpdate* entries, size_t n,
              const crypto::Sha256Crhf& crhf) {
-    int bits = 4;
-    while ((size_t{1} << bits) < 2 * n) ++bits;
-    shift_ = 64 - bits;
-    slots_.assign(size_t{1} << bits, 0);
+    index_.Reset(n);
     items_.clear();
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t item = entries[i].item;
-      size_t h = Home(item);
-      while (slots_[h] != 0 && items_[slots_[h] - 1] != item) {
-        h = (h + 1) & (slots_.size() - 1);
-      }
-      if (slots_[h] == 0) {
-        items_.push_back(item);
-        slots_[h] = uint32_t(items_.size());
+      if (index_.emplace(entries[i].item, items_.size()).second) {
+        items_.push_back(entries[i].item);
       }
     }
     // Pad to whole 8-lane calls: one costs less than a single scalar hash.
@@ -795,21 +781,12 @@ class CrhfImageTable {
   /// crhf.HashU64(item): the cached image, or a fresh hash for an item the
   /// table was not built with.
   uint64_t Image(uint64_t item, const crypto::Sha256Crhf& crhf) const {
-    for (size_t h = Home(item);; h = (h + 1) & (slots_.size() - 1)) {
-      const uint32_t slot = slots_[h];
-      if (slot == 0) return crhf.HashU64(item);
-      if (items_[slot - 1] == item) return images_[slot - 1];
-    }
+    const FlatItemIndex::Entry* e = index_.find(item);
+    return e != nullptr ? images_[e->second] : crhf.HashU64(item);
   }
 
  private:
-  /// Fibonacci hashing: the top bits of item * 2^64/phi.
-  size_t Home(uint64_t item) const {
-    return size_t((item * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
-  int shift_ = 0;
-  std::vector<uint32_t> slots_;
+  FlatItemIndex index_;
   std::vector<uint64_t> items_;
   std::vector<uint64_t> images_;
 };

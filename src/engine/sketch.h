@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -203,19 +202,92 @@ struct UpdateBatch {
   bool has_negative_delta = false;  ///< any raw delta < 0 (insertion guard)
 };
 
+/// An open-addressing map from item to position, sized per batch and reused
+/// across batches: power-of-two slots, at least twice the entries, linear
+/// probing from a Fibonacci hash. Entries live in a dense array in insertion
+/// order; a slot holds 1 + the entry's index, 0 when empty. Reset() costs
+/// O(expected entries), never O(largest batch ever), and storage is kept:
+/// a batch no larger, in updates and in distinct items, than one the table
+/// has already held allocates nothing.
+class FlatItemIndex {
+ public:
+  using Entry = std::pair<uint64_t, size_t>;  ///< (item, position)
+
+  /// Empties the table and sizes it for up to `expected` entries.
+  void Reset(size_t expected) {
+    entries_.clear();
+    Resize(expected);
+  }
+
+  /// Inserts (item, pos) unless the item is present. Returns the item's
+  /// entry and whether it was inserted, like std::unordered_map::emplace.
+  std::pair<Entry*, bool> emplace(uint64_t item, size_t pos) {
+    if (2 * (entries_.size() + 1) > slots_.size()) Resize(entries_.size() + 1);
+    size_t h = Home(item);
+    for (; slots_[h] != 0; h = (h + 1) & (slots_.size() - 1)) {
+      Entry& e = entries_[slots_[h] - 1];
+      if (e.first == item) return {&e, false};
+    }
+    entries_.emplace_back(item, pos);
+    slots_[h] = uint32_t(entries_.size());
+    return {&entries_.back(), true};
+  }
+
+  /// The item's entry, or nullptr.
+  const Entry* find(uint64_t item) const {
+    if (slots_.empty()) return nullptr;
+    for (size_t h = Home(item); slots_[h] != 0;
+         h = (h + 1) & (slots_.size() - 1)) {
+      const Entry& e = entries_[slots_[h] - 1];
+      if (e.first == item) return &e;
+    }
+    return nullptr;
+  }
+
+ private:
+  /// Fibonacci hashing: the top bits of item * 2^64/phi.
+  size_t Home(uint64_t item) const {
+    return size_t((item * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  /// Rebuilds the slots for `entries` entries, re-homing the current ones.
+  void Resize(size_t entries) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * entries) ++bits;
+    shift_ = 64 - bits;
+    slots_.assign(size_t{1} << bits, 0);
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      size_t h = Home(entries_[i].first);
+      while (slots_[h] != 0) h = (h + 1) & (slots_.size() - 1);
+      slots_[h] = uint32_t(i + 1);
+    }
+  }
+
+  int shift_ = 60;
+  std::vector<uint32_t> slots_;
+  std::vector<Entry> entries_;
+};
+
 /// Aggregates `count` updates into `out` (first-occurrence order, zero
 /// deltas dropped), reusing `index` as scratch. Returns {effective updates,
 /// any-negative-delta}. A duplicate whose accumulation would overflow
 /// int64_t is kept as its own entry instead (the view is then only mostly
 /// deduplicated — consumers must apply entries sequentially, never assume
 /// item uniqueness). Shared by the ingestor's per-shard aggregation and the
-/// wrappers' local fallback so the two paths cannot diverge.
-inline std::pair<uint64_t, bool> AggregateUpdates(
+/// wrappers' local fallback so the two paths cannot diverge. The engine
+/// passes a FlatItemIndex, which allocates nothing once warm; any map with
+/// std::unordered_map's clear()/emplace() (item → position) also works and
+/// gives the same output entry for entry.
+template <typename Index>
+std::pair<uint64_t, bool> AggregateUpdates(
     const stream::TurnstileUpdate* data, size_t count,
-    std::vector<stream::TurnstileUpdate>* out,
-    std::unordered_map<uint64_t, size_t>* index) {
+    std::vector<stream::TurnstileUpdate>* out, Index* index) {
   out->clear();
-  index->clear();
+  if constexpr (requires { index->Reset(count); }) {
+    index->Reset(count);
+  } else {
+    index->clear();
+  }
   uint64_t effective = 0;
   bool has_negative = false;
   for (size_t i = 0; i < count; ++i) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/bits.h"
 #include "common/modmath.h"
@@ -98,6 +99,42 @@ TEST(SisL0Test, SpaceScalesWithChunksTimesRows) {
             p.num_chunks * p.sketch_rows * wbs::BitsForUniverse(p.q));
   // Sublinear in n * log: far below storing the frequency vector.
   EXPECT_LT(alg.SpaceBits(), n * 8);
+}
+
+TEST(SisL0Test, CopyOutlivesItsOriginal) {
+  // A copy owns everything it reads: updated and queried after its original
+  // is destroyed, it matches an estimator that was never copied, on the
+  // oracle path and on the materialized (engine) path.
+  const uint64_t n = 1 << 12;
+  auto oracle = SharedOracle();
+  const SisL0Params p = SisL0Params::Derive(n, 0.5, 0.25, 100);
+  wbs::RandomTape tape(23);
+  const auto updates = stream::InsertDeleteChurnStream(n, 300, 400, &tape);
+  const size_t half = updates.size() / 2;
+  for (bool materialized : {false, true}) {
+    SisL0Estimator reference(p, oracle, 5);
+    auto original = std::make_unique<SisL0Estimator>(p, oracle, 5);
+    if (materialized) {
+      reference.MaterializeMatrix();
+      original->MaterializeMatrix();
+    }
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(reference.Update(updates[i]).ok());
+      ASSERT_TRUE(original->Update(updates[i]).ok());
+    }
+    SisL0Estimator copy(*original);
+    original.reset();
+    for (size_t i = half; i < updates.size(); ++i) {
+      ASSERT_TRUE(reference.Update(updates[i]).ok());
+      ASSERT_TRUE(copy.Update(updates[i]).ok());
+    }
+    EXPECT_EQ(copy.Query(), reference.Query()) << materialized;
+    EXPECT_GE(copy.Query(), 1.0);
+    core::StateWriter got, want;
+    copy.SerializeState(&got);
+    reference.SerializeState(&want);
+    EXPECT_EQ(got.words(), want.words()) << materialized;
+  }
 }
 
 TEST(SisL0Test, RejectsOutOfUniverse) {

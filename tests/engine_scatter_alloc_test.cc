@@ -8,7 +8,8 @@
 // across submissions. The test counts every global operator new in the
 // binary and pins the hot window at zero; a no-op backend keeps sketch
 // internals (which allocate by design) out of the measurement. The same
-// counter pins that Health() of an unknown shard id allocates nothing.
+// counter pins that Health() of an unknown shard id allocates nothing, and
+// that a shard's batch aggregation allocates nothing once warm.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 
 #include "engine/backend.h"
 #include "engine/client.h"
+#include "engine/sketch.h"
 #include "stream/updates.h"
 
 // ---- global allocation counter ---------------------------------------------
@@ -49,16 +51,29 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// noinline: were a delete inlined where gtest's `new TestClass` is also
+// visible, gcc would pair the malloc-backed free with that new and warn
+// -Wmismatched-new-delete in the sanitizer builds.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -196,6 +211,33 @@ TEST(ScatterAllocTest, GrowingBatchesReallocateLogarithmically) {
   }
   // 11 bit_ceil steps; leave headroom for one-off lazy initialization.
   EXPECT_LE(growth_allocs, 32u);
+}
+
+TEST(ScatterAllocTest, SameSizedAggregationAllocatesNothing) {
+  // A shard's per-batch aggregation reuses its flat item table and output
+  // vector: after one warm-up call (here all distinct, the most storage a
+  // batch of this size needs), further calls of the same size allocate
+  // nothing, whatever their mix of distinct items.
+  const size_t n = 2048;
+  auto batch = [n](uint64_t distinct, uint64_t salt) {
+    stream::TurnstileStream s;
+    s.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t k = (i * i + salt) % distinct;
+      s.push_back({(k + salt) * 0x9e3779b97f4a7c15ULL, int64_t(i % 3) - 1});
+    }
+    return s;
+  };
+  std::vector<stream::TurnstileUpdate> out;
+  FlatItemIndex index;
+  const stream::TurnstileStream warm = MakeStream(n);  // n distinct items
+  AggregateUpdates(warm.data(), warm.size(), &out, &index);
+  for (uint64_t distinct : {uint64_t{1}, uint64_t{700}, uint64_t{n}}) {
+    const stream::TurnstileStream s = batch(distinct, distinct);
+    const size_t allocs = AllocsDuring(
+        [&] { AggregateUpdates(s.data(), s.size(), &out, &index); });
+    EXPECT_EQ(allocs, 0u) << "distinct=" << distinct;
+  }
 }
 
 TEST(ScatterAllocTest, HealthOfAnUnknownShardAllocatesNothing) {

@@ -237,7 +237,7 @@ Status ApplyInBatches(Sketch* sketch,
                       const std::vector<stream::TurnstileUpdate>& updates,
                       size_t batch, bool aggregated) {
   std::vector<stream::TurnstileUpdate> agg;
-  std::unordered_map<uint64_t, size_t> index;
+  FlatItemIndex index;
   for (size_t base = 0; base < updates.size(); base += batch) {
     UpdateBatch b{updates.data() + base,
                   std::min(batch, updates.size() - base)};
@@ -369,6 +369,170 @@ TEST(EngineBatchTest, SamplingBatchPathMatchesPerUpdatePath) {
       }
     }
   }
+}
+
+// The state-level families under golden pins: a skewed and a churn stream
+// through ApplyBatch with the shared aggregation attached, in batches of 512
+// and 2,048. A pin covers the SerializeSketch frame, the Summary() scalar
+// bits and items, and SpaceBits(), so a change to the aggregation, the
+// apply kernels or the state layout that moves one bit shows here.
+
+/// golden::SkewedItems with weighted deltas: one in eight is 0 and one in
+/// five is 3; with `churn`, a quarter of the updates delete instead.
+std::vector<stream::TurnstileUpdate> PinStream(size_t n, uint64_t universe,
+                                               uint64_t seed, bool churn) {
+  const auto items = golden::SkewedItems(n, universe, seed);
+  std::vector<stream::TurnstileUpdate> out;
+  out.reserve(n);
+  uint64_t s = ~seed;
+  for (uint64_t item : items) {
+    const uint64_t r = SplitMix64(&s);
+    int64_t delta = r % 5 == 0 ? 3 : 1;
+    if ((r >> 8) % 8 == 0) delta = 0;
+    if (churn && (r >> 16) % 4 == 0) delta = -delta - int64_t((r >> 24) % 2);
+    out.push_back({item, delta});
+  }
+  return out;
+}
+
+/// Order-sensitive digest of a frame's bytes.
+uint64_t FrameDigest(const std::string& frame) {
+  uint64_t h = frame.size();
+  for (unsigned char c : frame) h = golden::Fold(h, c);
+  return h;
+}
+
+struct StatePin {
+  uint64_t frame = 0;   ///< FrameDigest(SerializeSketch(...))
+  uint64_t scalar = 0;  ///< Summary().scalar bits
+  SummaryPin summary;   ///< items, their digest, updates and SpaceBits()
+  bool operator==(const StatePin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StatePin& p) {
+  return os << std::hex << "{0x" << p.frame << ", 0x" << p.scalar << ", "
+            << p.summary << "}" << std::dec;
+}
+
+TEST(EngineBatchTest, StateFamilyGoldenPins) {
+  // Recorded from the reference implementation (std::unordered_map
+  // aggregation, per-chunk SIS vectors, scalar-tail SIS kernels).
+  struct Case {
+    const char* name;
+    bool churn;
+    size_t batch;
+    StatePin want;
+  };
+  const Case cases[] = {
+      {"misra_gries", false, 512,
+       {0x8bbf984d29462abe, 0x0, {40, 0x473cf20b2d2a1ff3, 0x37c4, 0x375}}},
+      {"misra_gries", false, 2048,
+       {0xa1ce5b480ff35908, 0x0, {48, 0x8f546b3fd6b21130, 0x37c4, 0x41c}}},
+      {"ams_f2", false, 512,
+       {0x8b52253a99c490f3, 0x41884df08aaaaaab, {0, 0x0, 0x37c4, 0x297}}},
+      {"ams_f2", false, 2048,
+       {0x8b52253a99c490f3, 0x41884df08aaaaaab, {0, 0x0, 0x37c4, 0x297}}},
+      {"ams_f2", true, 512,
+       {0x165fdf2c9da46c92, 0x415f4731aaaaaaab, {0, 0x0, 0x38cc, 0x249}}},
+      {"ams_f2", true, 2048,
+       {0x165fdf2c9da46c92, 0x415f4731aaaaaaab, {0, 0x0, 0x38cc, 0x249}}},
+      {"sis_l0", false, 512,
+       {0xd154df1c5dc51224, 0x408ef80000000000, {0, 0x0, 0x37c4, 0x5b800}}},
+      {"sis_l0", false, 2048,
+       {0xd154df1c5dc51224, 0x408ef80000000000, {0, 0x0, 0x37c4, 0x5b800}}},
+      {"sis_l0", true, 512,
+       {0x7e67ebf205599f75, 0x408f100000000000, {0, 0x0, 0x38cc, 0x5b800}}},
+      {"sis_l0", true, 2048,
+       {0x7e67ebf205599f75, 0x408f100000000000, {0, 0x0, 0x38cc, 0x5b800}}},
+      {"rank_decision", false, 512,
+       {0x1e7f6e670995ce45, 0x3ff0000000000000, {0, 0x0, 0x37c4, 0x2800}}},
+      {"rank_decision", false, 2048,
+       {0x1e7f6e670995ce45, 0x3ff0000000000000, {0, 0x0, 0x37c4, 0x2800}}},
+      {"rank_decision", true, 512,
+       {0x1a517515a9b45259, 0x3ff0000000000000, {0, 0x0, 0x38cc, 0x2800}}},
+      {"rank_decision", true, 2048,
+       {0x1a517515a9b45259, 0x3ff0000000000000, {0, 0x0, 0x38cc, 0x2800}}},
+  };
+  const uint64_t universe = 1 << 20;
+  const uint64_t rank_cells = 64 * 64;  // RankOptions{} n x n matrix
+  SketchConfig cfg = TestConfig(universe, 42);
+  cfg.shard_seed = 11;
+  for (const Case& c : cases) {
+    const bool rank = std::string(c.name) == "rank_decision";
+    const auto updates =
+        PinStream(16384, rank ? rank_cells : universe, 403, c.churn);
+    auto sketch = SketchRegistry::Global().Create(c.name, cfg);
+    ASSERT_TRUE(sketch.ok());
+    ASSERT_TRUE(
+        ApplyInBatches(sketch.value().get(), updates, c.batch, true).ok())
+        << c.name;
+    auto frame = SerializeSketch(*sketch.value());
+    ASSERT_TRUE(frame.ok());
+    StatePin got;
+    got.frame = FrameDigest(frame.value());
+    got.scalar = golden::Bits(sketch.value()->Summary().scalar);
+    got.summary = PinOf(*sketch.value());
+    EXPECT_EQ(got, c.want) << c.name << (c.churn ? " churn" : " skewed")
+                           << " batch=" << c.batch;
+  }
+}
+
+TEST(EngineBatchTest, FlatAggregationMatchesUnorderedMap) {
+  // The engine's flat table and the std::unordered_map instantiation give
+  // the same aggregation entry for entry, including first-occurrence order,
+  // dropped zero deltas and the overflow rule; the tables are reused across
+  // inputs, as a shard reuses them across batches.
+  const uint64_t universe = 1 << 16;
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  wbs::RandomTape tape(31);
+  std::vector<std::pair<std::string, std::vector<stream::TurnstileUpdate>>>
+      inputs;
+  std::vector<stream::TurnstileUpdate> zipf;
+  for (const auto& u : stream::ZipfStream(universe, 4096, 1.2, &tape)) {
+    zipf.push_back({u.item, 1});
+  }
+  inputs.emplace_back("zipf", zipf);
+  inputs.emplace_back(
+      "churn", stream::InsertDeleteChurnStream(universe, 300, 900, &tape));
+  std::vector<stream::TurnstileUpdate> distinct, same, zeros;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    distinct.push_back({i * 0x9e3779b97f4a7c15ULL, int64_t(i % 7) - 3});
+    same.push_back({12345, int64_t(i % 5) - 1});
+    zeros.push_back({i % 17, 0});
+  }
+  zeros.push_back({3, 2});
+  inputs.emplace_back("all-distinct", distinct);
+  inputs.emplace_back("all-same", same);
+  inputs.emplace_back("zero deltas", zeros);
+  inputs.emplace_back("overflowing pair",
+                      std::vector<stream::TurnstileUpdate>{
+                          {9, kMax}, {4, 1}, {9, kMax}, {9, -kMax}, {4, -2}});
+  inputs.emplace_back("empty", std::vector<stream::TurnstileUpdate>{});
+
+  FlatItemIndex flat;
+  std::unordered_map<uint64_t, size_t> map;
+  std::vector<stream::TurnstileUpdate> got, want;
+  for (const auto& [what, in] : inputs) {
+    const auto got_info = AggregateUpdates(in.data(), in.size(), &got, &flat);
+    const auto want_info = AggregateUpdates(in.data(), in.size(), &want, &map);
+    EXPECT_EQ(got_info, want_info) << what;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].item, want[i].item) << what << " entry " << i;
+      EXPECT_EQ(got[i].delta, want[i].delta) << what << " entry " << i;
+    }
+  }
+  // The overflow rule, spelled out: the second INT64_MAX for item 9 stays
+  // its own entry, and later duplicates fold into the first one.
+  const auto& pair = inputs[inputs.size() - 2].second;
+  AggregateUpdates(pair.data(), pair.size(), &got, &flat);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].item, 9u);
+  EXPECT_EQ(got[0].delta, 0);
+  EXPECT_EQ(got[1].item, 4u);
+  EXPECT_EQ(got[1].delta, -1);
+  EXPECT_EQ(got[2].item, 9u);
+  EXPECT_EQ(got[2].delta, kMax);
 }
 
 TEST(EngineBatchTest, MergeTypeMismatchRejected) {

@@ -444,6 +444,32 @@ TEST(SketchStateValidationTest, MismatchedSharedRandomnessIsRejected) {
   }
 }
 
+TEST(SketchStateValidationTest, SisStateOutOfRangeOrMisSizedIsRejected) {
+  // Past the frame checksum: a re-framed sis_l0 payload whose last residue
+  // is not reduced mod q, or whose residue count is off by one, fails.
+  const SketchConfig cfg = WireTestConfig(1 << 12, 57);
+  auto sketch = MakeSketch("sis_l0", cfg);
+  ApplyStream(sketch.get(), ZipfTurnstile(1 << 12, 2000, 58));
+  auto frame = SerializeSketch(*sketch);
+  ASSERT_TRUE(frame.ok());
+  uint8_t type;
+  std::string_view payload;
+  ASSERT_TRUE(wire::DecodeFrame(frame.value(), &type, &payload).ok());
+  auto restore = [&](const std::string& p) {
+    return DeserializeSketch("sis_l0", cfg,
+                             wire::EncodeFrame(wire::kSketchState, p));
+  };
+  ASSERT_TRUE(restore(std::string(payload)).ok());
+  std::string unreduced(payload);
+  for (size_t i = unreduced.size() - 8; i < unreduced.size(); ++i) {
+    unreduced[i] = char(0xff);
+  }
+  EXPECT_FALSE(restore(unreduced).ok());
+  EXPECT_FALSE(restore(std::string(payload.substr(0, payload.size() - 8)))
+                   .ok());
+  EXPECT_FALSE(restore(std::string(payload) + std::string(8, '\0')).ok());
+}
+
 TEST(SketchStateValidationTest, WrongStateVersionByteIsRejected) {
   const SketchConfig cfg = WireTestConfig(1 << 12, 53);
   auto sketch = MakeSketch("ams_f2", cfg);

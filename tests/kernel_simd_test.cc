@@ -44,8 +44,10 @@ const uint64_t kModuli[] = {
 };
 
 // Lengths around every vector width in play (2/4/8 lanes) plus zero and
-// primes, so scalar tails of every size get exercised.
-const size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 65, 100};
+// primes, so tails of every size (scalar, or the SIS update's masked
+// AVX-512 step) get exercised.
+const size_t kLengths[] = {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,
+                           15, 16, 17, 31, 33, 64, 65, 100};
 
 std::vector<uint64_t> RandomResidues(std::mt19937_64& rng, size_t n,
                                      uint64_t q) {
