@@ -2,8 +2,12 @@
 
 #include "distinct/l0_estimator.h"
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "common/bits.h"
@@ -11,10 +15,10 @@
 
 namespace wbs::distinct {
 
-SisL0Params SisL0Params::Derive(uint64_t universe, double eps, double c,
-                                uint64_t f_inf_bound) {
-  assert(eps > 0 && eps < 1);
-  assert(c > 0 && c < 0.5);
+namespace {
+
+SisL0Params DeriveUncached(uint64_t universe, double eps, double c,
+                           uint64_t f_inf_bound) {
   SisL0Params p;
   p.universe = universe;
   p.chunk_width =
@@ -32,6 +36,36 @@ SisL0Params SisL0Params::Derive(uint64_t universe, double eps, double c,
   if (q_target > (uint64_t{1} << 61)) q_target = uint64_t{1} << 61;
   p.q = NextPrime(q_target);
   p.beta_inf = f_inf_bound;
+  return p;
+}
+
+// Distinct configs a process keeps derived parameters for; past this many,
+// Derive computes without caching, so hostile configs cannot grow memory.
+constexpr size_t kMaxMemoizedConfigs = 64;
+
+}  // namespace
+
+SisL0Params SisL0Params::Derive(uint64_t universe, double eps, double c,
+                                uint64_t f_inf_bound) {
+  assert(eps > 0 && eps < 1);
+  assert(c > 0 && c < 0.5);
+  // NextPrime near 2^60 is most of a fresh instance's cost, and every
+  // snapshot clone, merge target and deserialized state is a fresh instance
+  // of one of a few configs, so each config is derived once per process.
+  // The key holds the doubles' bits: equal bits derive equal parameters.
+  using Key = std::array<uint64_t, 4>;
+  static std::mutex mu;
+  static auto* memo = new std::map<Key, SisL0Params>();
+  const Key key{universe, std::bit_cast<uint64_t>(eps),
+                std::bit_cast<uint64_t>(c), f_inf_bound};
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = memo->find(key);
+    if (it != memo->end()) return it->second;
+  }
+  const SisL0Params p = DeriveUncached(universe, eps, c, f_inf_bound);
+  std::lock_guard<std::mutex> lock(mu);
+  if (memo->size() < kMaxMemoizedConfigs) memo->emplace(key, p);
   return p;
 }
 

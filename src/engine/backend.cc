@@ -24,6 +24,12 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t salt, uint64_t index) {
   return SplitMix64(&s);
 }
 
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
+  return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+}
+
 /// The engine's original process-local shard code behind the ShardBackend
 /// interface: raw-pointer apply, aggregation scratch shared by the group,
 /// clone-based snapshot slot with an atomic epoch.
@@ -93,10 +99,7 @@ class InProcessBackend final : public ShardBackend {
     const auto t0 = std::chrono::steady_clock::now();
     auto frame = SerializeSketch(*snap.value().sketch);
     if (!frame.ok()) return frame.status();
-    serialize_us_.Record(uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
+    serialize_us_.Record(ElapsedUs(t0));
     out.state = std::move(frame).value();
     return out;
   }
@@ -105,7 +108,16 @@ class InProcessBackend final : public ShardBackend {
     if (updates_since_publish_.load(std::memory_order_relaxed) > 0) {
       Publish();
     }
+    // At quiescence no publication may come to free the retired
+    // snapshots, so a reader still holding one frees it itself.
+    retired_.clear();
     return Status::OK();
+  }
+
+  void OnIdle() override {
+    if (updates_since_publish_.load(std::memory_order_relaxed) == 0) return;
+    Publish();
+    idle_publishes_.Inc();
   }
 
   Status ImportShardState(const std::vector<std::string>& frames) override {
@@ -142,6 +154,8 @@ class InProcessBackend final : public ShardBackend {
         "snapshot_lag_updates",
         int64_t(updates_since_publish_.load(std::memory_order_relaxed))));
     out.push_back(HistogramSample("serialize_us", serialize_us_));
+    out.push_back(HistogramSample("publish_us", publish_us_));
+    out.push_back(CounterSample("idle_publishes_total", idle_publishes_));
     return out;
   }
 
@@ -170,29 +184,37 @@ class InProcessBackend final : public ShardBackend {
     // sketches copy their state; answer-level sketches fold their current
     // summary — exactly the representation the merge path consumes. Cloning
     // happens outside the lock so readers are never blocked on it.
+    const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::shared_ptr<const Sketch>> snaps(sketches_.size());
-    for (size_t i = 0; i < sketches_.size(); ++i) {
+    Status s;
+    for (size_t i = 0; i < sketches_.size() && s.ok(); ++i) {
       auto fresh = SketchRegistry::Global().Create(options_.sketches[i],
                                                    options_.config);
-      Status s = fresh.ok() ? fresh.value()->MergeFrom(*sketches_[i])
-                            : fresh.status();
-      if (!s.ok()) {
-        // Bump the epoch so queries see the cell as dirty and surface the
-        // stashed error rather than silently serving the stale snapshot; a
-        // later successful publish clears it and recovers.
-        std::lock_guard<std::mutex> lock(snap_mu_);
-        snap_error_ = s;
-        epoch_.fetch_add(1, std::memory_order_release);
-        return;
-      }
-      snaps[i] = std::move(fresh).value();
+      s = fresh.ok() ? fresh.value()->MergeFrom(*sketches_[i])
+                     : fresh.status();
+      if (s.ok()) snaps[i] = std::move(fresh).value();
     }
+    publish_us_.Record(ElapsedUs(t0));
     {
+      // A failure bumps the epoch too, so queries see the cell as dirty and
+      // surface the stashed error rather than silently serving the stale
+      // snapshot; a later successful publish clears it and recovers.
       std::lock_guard<std::mutex> lock(snap_mu_);
-      snaps_ = std::move(snaps);
-      snap_error_ = Status::OK();
+      if (s.ok()) snaps_.swap(snaps);
+      snap_error_ = s;
       epoch_.fetch_add(1, std::memory_order_release);
     }
+    // `snaps` now holds the generation just replaced. A snapshot a reader
+    // still holds (the merge cache keeps the last one it folded) waits in
+    // `retired_` until the reader lets go, so its nodes are freed here, by
+    // the thread that allocated and wrote them, and a query's release is a
+    // reference-count decrement rather than a free of memory another core
+    // wrote. A use count of 1 is final: the slot no longer hands it out.
+    std::erase_if(retired_, [](const auto& p) { return p.use_count() == 1; });
+    for (auto& p : snaps) {
+      if (p != nullptr && p.use_count() > 1) retired_.push_back(std::move(p));
+    }
+    if (!s.ok()) return;
     updates_since_publish_.store(0, std::memory_order_relaxed);
   }
 
@@ -218,6 +240,11 @@ class InProcessBackend final : public ShardBackend {
   alignas(64) std::atomic<uint64_t> updates_since_publish_{0};
   alignas(64) std::atomic<uint64_t> epoch_{0};
   mutable Histogram serialize_us_;  ///< SnapshotSerialized encode latency
+  Histogram publish_us_;            ///< clone time of every publication
+  Counter idle_publishes_;          ///< publications made at an idle hint
+  /// Replaced snapshots a reader still held at the last publication
+  /// (emptied by Flush); touched like sketches_.
+  std::vector<std::shared_ptr<const Sketch>> retired_;
   mutable std::mutex snap_mu_;
   std::vector<std::shared_ptr<const Sketch>> snaps_;  // per sketch index
   Status snap_error_;  // first failed publish, under snap_mu_

@@ -18,8 +18,9 @@
 //     consistent pair: the state really published at that epoch.
 //   * Epoch counts snapshot publications and only advances. A cell
 //     publishes at the first batch boundary after `snapshot_min_updates`
-//     updates since the last publication; Flush — called only at
-//     quiescence — publishes a lagging cell so queries become exact.
+//     updates since the last publication (the staleness cap), and may
+//     publish earlier when its applier goes idle (OnIdle); Flush — called
+//     only at quiescence — publishes a lagging cell so queries become exact.
 //   * A failed publication must surface on the NEXT Snapshot call as its
 //     Status (after bumping the epoch so caches notice), never as a stale
 //     answer served silently.
@@ -97,6 +98,13 @@ class ShardBackend {
 
   /// Publishes the cell's snapshot if it lags live state. Quiescence only.
   virtual Status Flush() = 0;
+
+  /// Idle hint, from the cell's single applier: nothing is queued for the
+  /// cell, so a publication now delays no apply. The in-process cell
+  /// publishes here if its snapshot lags its live state. The default
+  /// ignores the hint (a remote cell would pay a round trip; its host keeps
+  /// the count throttle).
+  virtual void OnIdle() {}
 
   /// Shard handoff import: replaces the cell's live sketch group with the
   /// states decoded from `frames` (one kSketchState frame per configured

@@ -380,6 +380,11 @@ void Client::RouterLoop() {
 }
 
 void Client::WorkerLoop(Worker* worker) {
+  // The cells applied to since this worker last went idle. When its queue
+  // runs empty they get the idle hint, after the ticket completed and
+  // before `pending` drops, so a publication is off that ticket's path and
+  // never runs beside a barrier's or Flush's drain.
+  std::vector<std::shared_ptr<ShardBackend>> applied;
   for (;;) {
     Job job;
     {
@@ -403,10 +408,27 @@ void Client::WorkerLoop(Worker* worker) {
     if (!has_error_.load(std::memory_order_acquire)) {
       (void)ApplySubBatch(job.backend.get(), job.updates, job.health,
                           job.metrics);
+      if (std::find(applied.begin(), applied.end(), job.backend) ==
+          applied.end()) {
+        applied.push_back(std::move(job.backend));
+      }
     }
     if (job.ticket != nullptr &&
         job.ticket->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       CompleteTicket(*job.ticket);
+    }
+    if (!applied.empty()) {
+      bool idle = false;
+      {
+        std::lock_guard<std::mutex> lock(worker->mu);
+        idle = worker->queue.empty();
+      }
+      if (idle) {
+        if (!has_error_.load(std::memory_order_acquire)) {
+          for (const auto& cell : applied) cell->OnIdle();
+        }
+        applied.clear();
+      }
     }
     {
       std::lock_guard<std::mutex> lock(worker->mu);

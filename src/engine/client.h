@@ -143,10 +143,13 @@ struct IngestorOptions {
   /// submission cannot deadlock. Blocked producers are admitted in arrival
   /// order. 0 = unbounded.
   size_t max_inflight_bytes = 0;
-  /// Snapshot throttle: a shard republishes its snapshot at the first batch
-  /// boundary after this many updates (0 = every batch). Keeps the
-  /// unbatched (batch_size == 1) path from cloning per update; Flush()
-  /// always catches lagging shards up, so quiescent queries are exact.
+  /// Snapshot staleness cap: a shard republishes its snapshot at the first
+  /// batch boundary after this many updates at the latest (0 = every
+  /// batch). In inline mode and on tcp hosts it is the only rule, which
+  /// keeps the unbatched (batch_size == 1) path from cloning per update. A
+  /// threaded in-process shard also publishes whenever its worker's queue
+  /// runs empty with updates unpublished. Flush() always catches lagging
+  /// shards up, so quiescent queries are exact.
   size_t snapshot_min_updates = 1024;
   /// Routing granularity: the topology has num_shards * slots_per_shard
   /// hash slots, so one AddShards step can rebalance in 1/slots_per_shard

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/modmath.h"
@@ -32,6 +35,71 @@ TEST(SisL0ParamsTest, LargerEpsMeansFewerChunks) {
   SisL0Params b = SisL0Params::Derive(1 << 16, 0.75, 0.2, 100);
   EXPECT_GT(a.num_chunks, b.num_chunks);
   EXPECT_LT(a.chunk_width, b.chunk_width);
+}
+
+void ExpectParams(const SisL0Params& p, uint64_t universe, uint64_t width,
+                  uint64_t chunks, size_t rows, uint64_t q, uint64_t beta) {
+  EXPECT_EQ(p.universe, universe);
+  EXPECT_EQ(p.chunk_width, width);
+  EXPECT_EQ(p.num_chunks, chunks);
+  EXPECT_EQ(p.sketch_rows, rows);
+  EXPECT_EQ(p.q, q);
+  EXPECT_EQ(p.beta_inf, beta);
+}
+
+TEST(SisL0ParamsTest, DerivedFieldsArePinned) {
+  // Recorded from the uncached derivation. Derive memoizes per config, so
+  // the first call derives and the second reads the memo; both must match.
+  for (int call = 0; call < 2; ++call) {
+    ExpectParams(SisL0Params::Derive(1 << 16, 0.5, 0.25, 1000), 65536, 256,
+                 256, 4, 281474976710677ULL, 1000);
+    ExpectParams(SisL0Params::Derive(uint64_t{1} << 20, 0.5, 0.25,
+                                     uint64_t{1} << 20),
+                 1048576, 1024, 1024, 6, 1152921504606847009ULL, 1048576);
+  }
+}
+
+TEST(SisL0ParamsTest, ConcurrentDeriveAgrees) {
+  // Threads derive the same fresh configs at once, so first derivations and
+  // memo reads race (TSan runs this test); every result must agree.
+  struct Config {
+    uint64_t universe;
+    double eps, c;
+    uint64_t f_inf_bound;
+  };
+  const Config configs[] = {{1 << 14, 0.4, 0.2, 77},
+                            {1 << 12, 0.6, 0.3, 5},
+                            {1 << 18, 0.5, 0.25, 1 << 10}};
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 20;
+  std::atomic<bool> go{false};
+  std::vector<std::vector<SisL0Params>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (size_t r = 0; r < kRounds; ++r) {
+        const Config& k = configs[(t + r) % 3];
+        got[t].push_back(
+            SisL0Params::Derive(k.universe, k.eps, k.c, k.f_inf_bound));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds);
+    for (size_t r = 0; r < kRounds; ++r) {
+      const Config& k = configs[(t + r) % 3];
+      const SisL0Params want =
+          SisL0Params::Derive(k.universe, k.eps, k.c, k.f_inf_bound);
+      const SisL0Params& p = got[t][r];
+      ExpectParams(p, want.universe, want.chunk_width, want.num_chunks,
+                   want.sketch_rows, want.q, want.beta_inf);
+      EXPECT_TRUE(wbs::IsPrime(p.q));
+    }
+  }
 }
 
 crypto::RandomOracle SharedOracle() { return crypto::RandomOracle(42); }

@@ -220,6 +220,33 @@ TEST(EngineMetricsTest, PerSessionCountersSplitByProducer) {
   ASSERT_TRUE(client->Finish().ok());
 }
 
+TEST(EngineMetricsTest, EveryPublicationIsTimed) {
+  // 512-update batches give each of 4 shards ~128-update sub-batches, far
+  // below the snapshot cap, so publications come from idle hints, the cap
+  // and Flush alike. Each one records a publish_us sample and bumps the
+  // epoch; the idle ones are a subset.
+  const uint64_t universe = 1 << 12;
+  auto s = ZipfTurnstile(universe, 20000, 411);
+  auto client = MakeClient({"ams_f2", "sis_l0"}, TestConfig(universe, 61),
+                           /*shards=*/4, /*threads=*/2);
+  ASSERT_TRUE(Replay(client.get(), s, 512).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  const auto snap = client->Metrics();
+  for (size_t shard = 0; shard < client->num_shards(); ++shard) {
+    const std::string prefix = "engine.shard." + std::to_string(shard) + ".";
+    const MetricSample* epoch = snap.Find(prefix + "epoch");
+    const MetricSample* publish = snap.Find(prefix + "publish_us");
+    ASSERT_NE(epoch, nullptr) << prefix;
+    ASSERT_NE(publish, nullptr) << prefix;
+    EXPECT_GT(epoch->gauge_value(), 0) << prefix;
+    EXPECT_EQ(int64_t(publish->count), epoch->gauge_value()) << prefix;
+    EXPECT_LE(int64_t(snap.Value(prefix + "idle_publishes_total")),
+              epoch->gauge_value())
+        << prefix;
+  }
+  ASSERT_TRUE(client->Finish().ok());
+}
+
 // ----------------------------------------------------- runtime off switch --
 
 TEST(EngineMetricsTest, DisabledEngineStillServesDerivedSamples) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -345,6 +346,165 @@ TEST(SnapshotQueryTest, FlushPublishesLaggingShards) {
   auto after = client->QueryScalar(f2);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().updates, 100u);
+}
+
+// Idle publication: a worker whose queue runs empty hints the in-process
+// cells it applied to, and a cell that lags its live state publishes there
+// even below the snapshot_min_updates cap. Tcp cells ignore the hint.
+
+stream::TurnstileStream Uniform2048(uint64_t universe) {
+  wbs::RandomTape tape(61);
+  auto items = stream::UniformStream(universe, 2048, &tape);
+  stream::TurnstileStream s;
+  s.reserve(items.size());
+  for (const auto& u : items) s.push_back({u.item, 1});
+  return s;
+}
+
+uint64_t EpochSum(const Client& client) {
+  uint64_t sum = 0;
+  for (size_t sh = 0; sh < client.num_shards(); ++sh) {
+    sum += client.ShardEpoch(sh);
+  }
+  return sum;
+}
+
+TEST(SnapshotQueryTest, IdleCellsPublishBelowTheCap) {
+  const uint64_t universe = 1 << 12;
+  auto client = MakeClient({"misra_gries", "ams_f2"}, TestConfig(universe, 63),
+                           /*shards=*/4, /*threads=*/2,
+                           InProcessBackendFactory());
+  const auto s = Uniform2048(universe);
+  // ~512 updates per shard, below the 1,024-update cap: only the idle hint
+  // can publish them before a Flush.
+  auto ticket = SubmitAll(*client, s);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(client->Wait(ticket.value()).ok());
+  auto f2 = client->Handle("ams_f2").value();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  uint64_t seen = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    auto r = client->QueryScalar(f2);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    seen = r.value().updates;
+    if (seen == s.size()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(seen, s.size());
+  // Each cell published once, at its first (and only) idle hint; Flush
+  // (which waits out the workers' hints) finds nothing left to publish.
+  ASSERT_TRUE(client->Flush().ok());
+  const auto metrics = client->Metrics();
+  for (size_t sh = 0; sh < client->num_shards(); ++sh) {
+    const std::string prefix = "engine.shard." + std::to_string(sh) + ".";
+    EXPECT_EQ(client->ShardEpoch(sh), 1u) << prefix;
+    EXPECT_EQ(metrics.Value(prefix + "idle_publishes_total"), 1u) << prefix;
+  }
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+TEST(SnapshotQueryTest, RemoteCellsIgnoreTheIdleHint) {
+  const uint64_t universe = 1 << 12;
+  auto client = MakeClient({"misra_gries", "ams_f2"}, TestConfig(universe, 63),
+                           /*shards=*/4, /*threads=*/2, TcpBackendFactory());
+  const auto s = Uniform2048(universe);
+  auto ticket = SubmitAll(*client, s);
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(client->Wait(ticket.value()).ok());
+  // The hint costs a tcp cell no round trip, so its host keeps the count
+  // throttle: nothing below the cap publishes until Flush.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_EQ(EpochSum(*client), 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(client->Flush().ok());
+  EXPECT_EQ(EpochSum(*client), client->num_shards());
+  auto f2 = client->QueryScalar(client->Handle("ams_f2").value());
+  ASSERT_TRUE(f2.ok()) << f2.status().ToString();
+  EXPECT_EQ(f2.value().updates, s.size());
+  ASSERT_TRUE(client->Finish().ok());
+}
+
+// Counts instances destroyed on a thread other than the one that built
+// them: a snapshot is built by its shard's worker, a merge target by the
+// querying thread.
+std::atomic<uint64_t> g_foreign_frees{0};
+
+class ThreadTaggedSketch final : public Sketch {
+ public:
+  ThreadTaggedSketch() = default;
+  ThreadTaggedSketch(const ThreadTaggedSketch&) = delete;
+  ThreadTaggedSketch& operator=(const ThreadTaggedSketch&) = delete;
+  ~ThreadTaggedSketch() override {
+    if (std::this_thread::get_id() != creator_) g_foreign_frees.fetch_add(1);
+  }
+  const std::string& name() const override {
+    static const std::string n = "thread_tagged";
+    return n;
+  }
+  Status Update(const stream::TurnstileUpdate& u) override {
+    net_ += u.delta;
+    return Status::OK();
+  }
+  SketchSummary Summary() const override {
+    SketchSummary s;
+    s.sketch = name();
+    s.updates = uint64_t(net_);
+    s.has_scalar = true;
+    s.scalar = double(net_);
+    return s;
+  }
+  Status MergeFrom(const Sketch& other) override {
+    net_ += static_cast<const ThreadTaggedSketch&>(other).net_;
+    return Status::OK();
+  }
+  uint64_t SpaceBits() const override { return 64; }
+
+ private:
+  const std::thread::id creator_ = std::this_thread::get_id();
+  int64_t net_ = 0;
+};
+
+TEST(SnapshotQueryTest, QueriesLeaveSnapshotFreesToTheApplier) {
+  static const bool registered =
+      SketchRegistry::Global()
+          .Register("thread_tagged",
+                    [](const SketchConfig&) {
+                      return std::make_unique<ThreadTaggedSketch>();
+                    })
+          .ok();
+  ASSERT_TRUE(registered);
+  const uint64_t universe = 1 << 12;
+  auto client = MakeClient({"thread_tagged"}, TestConfig(universe, 67),
+                           /*shards=*/2, /*threads=*/2,
+                           InProcessBackendFactory());
+  auto handle = client->Handle("thread_tagged").value();
+  const auto s = Uniform2048(universe);
+  g_foreign_frees = 0;
+  uint64_t submitted = 0;
+  for (int round = 0; round < 8; ++round) {
+    auto ticket = SubmitAll(*client, s);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    ASSERT_TRUE(client->Wait(ticket.value()).ok());
+    submitted += s.size();
+    // Poll until the fold covers the round: every shard published again,
+    // so the cache lets go of the snapshots it folded last round.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    uint64_t seen = 0;
+    while (seen != submitted && std::chrono::steady_clock::now() < deadline) {
+      auto r = client->QueryScalar(handle);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      seen = r.value().updates;
+    }
+    ASSERT_EQ(seen, submitted) << "round " << round;
+  }
+  // Read before Finish: teardown frees the cells' state on this thread.
+  EXPECT_EQ(g_foreign_frees.load(), 0u);
+  ASSERT_TRUE(client->Finish().ok());
 }
 
 TEST(SnapshotQueryTest, QueryReportsIngestionErrors) {
