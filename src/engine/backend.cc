@@ -46,11 +46,6 @@ class InProcessBackend final : public ShardBackend {
     return Result<std::unique_ptr<ShardBackend>>(std::move(cell));
   }
 
-  const std::string& name() const override {
-    static const std::string kName = "inprocess";
-    return kName;
-  }
-
   Status ApplyBatch(const stream::TurnstileUpdate* data,
                     size_t count) override {
     // Aggregate once per batch; every weight-equivalent sketch in the group
@@ -73,29 +68,30 @@ class InProcessBackend final : public ShardBackend {
     return Status::OK();
   }
 
-  Result<uint64_t> Epoch() const override {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
+  Result<ShardSnapshot> Snapshot(size_t sketch_index,
+                                 uint64_t newer_than) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("inprocess backend: sketch out of range");
     }
+    // The lock-free epoch load decides; the slot's lock is taken only when
+    // there is something newer to hand out.
+    ShardSnapshot snap;
+    snap.epoch = epoch_.load(std::memory_order_acquire);
+    if (snap.epoch <= newer_than) return snap;
     std::lock_guard<std::mutex> lock(snap_mu_);
     if (!snap_error_.ok()) return snap_error_;
-    ShardSnapshot snap;
-    snap.sketch = snaps_.empty() ? nullptr : snaps_[sketch_index];
+    snap.sketch = snaps_[sketch_index];
     snap.epoch = epoch_.load(std::memory_order_relaxed);
     return snap;
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
-      size_t sketch_index) const override {
-    auto snap = Snapshot(sketch_index);
+      size_t sketch_index, uint64_t newer_than) const override {
+    auto snap = Snapshot(sketch_index, newer_than);
     if (!snap.ok()) return snap.status();
     SerializedSnapshot out;
     out.epoch = snap.value().epoch;
-    if (snap.value().sketch == nullptr) return out;  // never published
+    if (snap.value().sketch == nullptr) return out;  // nothing newer
     const auto t0 = std::chrono::steady_clock::now();
     auto frame = SerializeSketch(*snap.value().sketch);
     if (!frame.ok()) return frame.status();
@@ -157,13 +153,6 @@ class InProcessBackend final : public ShardBackend {
     out.push_back(HistogramSample("publish_us", publish_us_));
     out.push_back(CounterSample("idle_publishes_total", idle_publishes_));
     return out;
-  }
-
-  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
-    if (sketch_index >= options_.sketches.size()) {
-      return Status::OutOfRange("inprocess backend: sketch out of range");
-    }
-    return sketches_[sketch_index]->Summary();
   }
 
   uint64_t SpaceBits() const override {
@@ -229,12 +218,12 @@ class InProcessBackend final : public ShardBackend {
   // Snapshot slot. `snaps_` are clones published at batch boundaries;
   // `epoch_` counts publications and is bumped (release) inside snap_mu_,
   // so (snaps_, epoch_) always read as a consistent pair under the mutex
-  // while lock-free epoch loads give cheap dirty checks.
+  // while a lock-free epoch load answers a read that wants nothing newer.
   // updates_since_publish_ is written only by the applier thread; the
   // atomic exists so the snapshot-lag gauge can read it from any thread.
   // Both hot atomics live on their own cache lines: updates_since_publish_
   // is bumped by the applier on every batch while epoch_ is polled by
-  // reader threads for dirty checks, and letting them (or the cold
+  // reader threads on every query, and letting them (or the cold
   // members around them) share a line puts the applier's RMW traffic on
   // the readers' line.
   alignas(64) std::atomic<uint64_t> updates_since_publish_{0};

@@ -12,20 +12,24 @@
 //   * ApplyBatch is called by at most ONE thread at a time per cell (each
 //     shard is owned by one worker; inline mode serializes under the submit
 //     mutex). Different cells are applied concurrently.
-//   * Epoch / Snapshot / SnapshotSerialized may be called from ANY thread at
-//     any time, concurrently with ApplyBatch — cells synchronize snapshot
-//     publication internally. (Snapshot.sketch, Snapshot.epoch) must be a
-//     consistent pair: the state really published at that epoch.
-//   * Epoch counts snapshot publications and only advances. A cell
+//   * Snapshot / SnapshotSerialized are the one read of a cell. They may be
+//     called from ANY thread at any time, concurrently with ApplyBatch —
+//     cells synchronize snapshot publication internally. Each returns the
+//     cell's current epoch, and the state published at that epoch only
+//     when the epoch is greater than the caller's `newer_than`: a caller
+//     that holds epoch e asks with e and gets the state back only if the
+//     cell has published since. (sketch, epoch) is a consistent pair. A
+//     cell that never published answers {null, 0}.
+//   * The epoch counts snapshot publications and only advances. A cell
 //     publishes at the first batch boundary after `snapshot_min_updates`
 //     updates since the last publication (the staleness cap), and may
 //     publish earlier when its applier goes idle (OnIdle); Flush — called
 //     only at quiescence — publishes a lagging cell so queries become exact.
-//   * A failed publication must surface on the NEXT Snapshot call as its
-//     Status (after bumping the epoch so caches notice), never as a stale
-//     answer served silently.
-//   * LiveSummary and SpaceBits are only called at quiescence (the ingestor
-//     checks); they read live, worker-owned state.
+//   * A failed publication bumps the epoch too and surfaces as the Status
+//     of the next read whose `newer_than` is below the new epoch, never as
+//     a stale answer served silently.
+//   * SpaceBits is only called at quiescence (the ingestor checks); it
+//     reads live, worker-owned state.
 
 #ifndef WBS_ENGINE_BACKEND_H_
 #define WBS_ENGINE_BACKEND_H_
@@ -57,15 +61,16 @@ struct BackendOptions {
   size_t shard = 0;
 };
 
-/// A consistent (published state, epoch) pair for one sketch of a cell.
-/// `sketch` is null when the cell has not published yet.
+/// One read of a sketch of a cell: its current epoch, and the state
+/// published at that epoch when the read asked for it (see Snapshot).
 struct ShardSnapshot {
   std::shared_ptr<const Sketch> sketch;
   uint64_t epoch = 0;
 };
 
 /// Snapshot state in serialized form — what an actual transport ships.
-/// `state` is a kSketchState frame, empty when the cell never published.
+/// `state` is a kSketchState frame, empty exactly when ShardSnapshot's
+/// `sketch` would be null.
 struct SerializedSnapshot {
   std::string state;
   uint64_t epoch = 0;
@@ -75,26 +80,24 @@ class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  /// Stable backend identifier ("inprocess" or "tcp").
-  virtual const std::string& name() const = 0;
-
   /// Applies `count` turnstile updates (single caller at a time; see the
   /// contract above). The cell aggregates duplicates, feeds every sketch of
   /// its group, and publishes a snapshot when the throttle allows.
   virtual Status ApplyBatch(const stream::TurnstileUpdate* data,
                             size_t count) = 0;
 
-  /// The cell's snapshot publication count. Monotone; cheap enough to poll
-  /// per query (an atomic load in process, one small frame over tcp).
-  virtual Result<uint64_t> Epoch() const = 0;
+  /// The cell's current epoch, plus the published snapshot of one sketch
+  /// — as a live Sketch instance the merge path can fold (remote backends
+  /// deserialize the shipped state) — iff that epoch is > `newer_than`.
+  /// Cheap when nothing is newer: an atomic load in process, one small
+  /// frame over tcp. `newer_than = 0` fetches whatever was published;
+  /// UINT64_MAX reads the epoch alone.
+  virtual Result<ShardSnapshot> Snapshot(size_t sketch_index,
+                                         uint64_t newer_than) const = 0;
 
-  /// The published snapshot of one sketch, as a live Sketch instance the
-  /// merge path can fold (remote backends deserialize the shipped state).
-  virtual Result<ShardSnapshot> Snapshot(size_t sketch_index) const = 0;
-
-  /// The published snapshot in wire form (diagnostics, tooling, benches).
+  /// The same read in wire form (handoff, checkpoints, the tcp host).
   virtual Result<SerializedSnapshot> SnapshotSerialized(
-      size_t sketch_index) const = 0;
+      size_t sketch_index, uint64_t newer_than) const = 0;
 
   /// Publishes the cell's snapshot if it lags live state. Quiescence only.
   virtual Status Flush() = 0;
@@ -115,8 +118,7 @@ class ShardBackend {
   /// Unimplemented; both builtin backends support it.
   virtual Status ImportShardState(const std::vector<std::string>& frames) {
     (void)frames;
-    return Status::Unimplemented(name() +
-                                 " backend: ImportShardState not supported");
+    return Status::Unimplemented("backend: ImportShardState not supported");
   }
 
   /// Observability: the cell's metric samples, safe from any thread
@@ -146,7 +148,7 @@ class ShardBackend {
   /// independently (in-process) cannot fake it either.
   virtual Status InjectCrash(bool torn) {
     (void)torn;
-    return Status::Unimplemented(name() + " backend: InjectCrash not supported");
+    return Status::Unimplemented("backend: InjectCrash not supported");
   }
 
   /// Transient-partition injection: severs the cell's live connections
@@ -154,8 +156,7 @@ class ShardBackend {
   /// no state loss and no re-home. Unimplemented by default — only
   /// transports with real connections (TCP) can be partitioned.
   virtual Status InjectPartition() {
-    return Status::Unimplemented(name() +
-                                 " backend: InjectPartition not supported");
+    return Status::Unimplemented("backend: InjectPartition not supported");
   }
 
   /// The network endpoint ("host:port") serving this cell, or "" for cells
@@ -164,9 +165,6 @@ class ShardBackend {
   /// endpoint misses a heartbeat, every placement on that endpoint goes
   /// kSuspect together.
   virtual std::string Endpoint() const { return std::string(); }
-
-  /// Live (not snapshot) summary of one sketch. Quiescence only.
-  virtual Result<SketchSummary> LiveSummary(size_t sketch_index) const = 0;
 
   /// State bits across the cell's sketches. Quiescence only.
   virtual uint64_t SpaceBits() const = 0;

@@ -18,6 +18,15 @@ namespace {
 
 using MonoClock = std::chrono::steady_clock;
 
+/// Completed control-plane trace spans retained (trace.h ring buffer).
+constexpr size_t kTraceCapacity = 256;
+/// Backoff cap between probes of a suspect shard: the probe interval
+/// stretches to heartbeat_interval_ms * min(2^misses, this).
+constexpr uint64_t kBackoffMaxMultiplier = 8;
+/// A snapshot read's `newer_than` that no epoch exceeds: the cell answers
+/// its epoch alone.
+constexpr uint64_t kEpochOnly = std::numeric_limits<uint64_t>::max();
+
 uint64_t ElapsedUs(MonoClock::time_point t0) {
   return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
                       MonoClock::now() - t0)
@@ -88,7 +97,7 @@ Client::Client(IngestorOptions options, std::vector<SketchFamily> families)
 
 Status Client::Init() {
   start_time_ = MonoClock::now();
-  tracer_ = std::make_unique<Tracer>(options_.trace_capacity);
+  tracer_ = std::make_unique<Tracer>(kTraceCapacity);
   if (options_.metrics_enabled) {
     metrics_ = std::make_unique<EngineMetrics>();
   }
@@ -886,7 +895,7 @@ Status Client::DoMoveShard(size_t shard, const BackendFactory& factory) {
   uint64_t state_bytes = 0;
   bool published = false;
   for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = source.backend->SnapshotSerialized(i);
+    auto snap = source.backend->SnapshotSerialized(i, 0);
     if (!snap.ok()) return snap.status();
     published |= !snap.value().state.empty();
     state_bytes += snap.value().state.size();
@@ -1037,7 +1046,7 @@ Status Client::DoCheckpointShard(size_t shard, const TopologyView& view) {
   ShardCheckpoint ckpt;
   ckpt.frames.reserve(options_.sketches.size());
   for (size_t i = 0; i < options_.sketches.size(); ++i) {
-    auto snap = placement.backend->SnapshotSerialized(i);
+    auto snap = placement.backend->SnapshotSerialized(i, 0);
     if (!snap.ok()) return snap.status();
     ckpt.frames.push_back(std::move(snap.value().state));
   }
@@ -1226,9 +1235,9 @@ void Client::SupervisorLoop() {
         const uint64_t missed =
             1 + h.missed.fetch_add(1, std::memory_order_acq_rel);
         h.backoff_misses = missed;
-        const uint64_t cap = std::max<uint64_t>(1, fo.backoff_max_multiplier);
-        const uint64_t mult =
-            std::min<uint64_t>(missed < 63 ? uint64_t(1) << missed : cap, cap);
+        const uint64_t mult = std::min<uint64_t>(
+            missed < 63 ? uint64_t(1) << missed : kBackoffMaxMultiplier,
+            kBackoffMaxMultiplier);
         h.next_probe = now + interval * mult;
         if (!placement.endpoint.empty()) {
           // Per-host failure domain: one missed probe on an endpoint
@@ -1475,53 +1484,40 @@ Result<const SketchSummary*> Client::MergedSummaryView(
     cache.merged.reset();
   }
 
-  // Dirty scan: backend epoch reads (an atomic load in process, one small
-  // frame over a remote transport) against the epochs the cache folded.
+  // One conditional read per shard: its epoch, plus its published state
+  // when that epoch is newer than the one the cache folded (an atomic load
+  // in process, one round trip over a remote transport). Epochs only
+  // advance within a placement, and the reset above restarts them with the
+  // generation, so "newer" is exactly "changed".
   // With supervision on, an unreachable shard does NOT fail the query —
   // its last folded snapshot keeps answering and the summary is flagged
   // stale until the shard recovers (the recovery's generation bump then
   // forces a fresh fold, which clears the flag).
+  struct Dirty {  // a shard whose read came back newer than the cache's fold
+    size_t shard;
+    std::shared_ptr<const Sketch> sketch;  ///< published at `epoch`
+    uint64_t epoch;
+  };
   bool unreachable = false;
-  std::vector<size_t> dirty;
+  std::vector<Dirty> dirty;
   for (size_t s = 0; s < num_shards; ++s) {
     const ShardPlacement placement = view->placements[s];
-    auto epoch = placement.backend->Epoch();
-    if (!epoch.ok()) {
+    auto snap = placement.backend->Snapshot(sketch_index, cache.epochs[s]);
+    if (!snap.ok()) {
       if (supervision_enabled() &&
-          epoch.status().code() == Status::Code::kUnavailable) {
+          snap.status().code() == Status::Code::kUnavailable) {
         unreachable = true;
         continue;  // serve the shard's last folded state
       }
-      return epoch.status();
+      return snap.status();
     }
-    if (epoch.value() != cache.epochs[s]) dirty.push_back(s);
+    if (snap.value().epoch <= cache.epochs[s]) continue;
+    dirty.push_back({s, std::move(snap.value().sketch), snap.value().epoch});
   }
   if (dirty.empty() && cache.valid) {
     ++cache.hits;
     cache.summary.stale = unreachable;  // recomputed on every serve
     return &cache.summary;
-  }
-
-  // Grab consistent (snapshot, epoch) pairs for the dirty shards.
-  std::vector<std::shared_ptr<const Sketch>> fresh(dirty.size());
-  std::vector<uint64_t> fresh_epochs(dirty.size());
-  for (size_t d = 0; d < dirty.size(); ++d) {
-    const ShardPlacement placement = view->placements[dirty[d]];
-    auto snap = placement.backend->Snapshot(sketch_index);
-    if (!snap.ok()) {
-      if (supervision_enabled() &&
-          snap.status().code() == Status::Code::kUnavailable) {
-        // The shard died between the epoch read and the snapshot fetch:
-        // keep its previous fold (a no-op refold below) and flag staleness.
-        unreachable = true;
-        fresh[d] = cache.folded[dirty[d]];
-        fresh_epochs[d] = cache.epochs[dirty[d]];
-        continue;
-      }
-      return snap.status();
-    }
-    fresh[d] = snap.value().sketch;
-    fresh_epochs[d] = snap.value().epoch;
   }
 
   // Incremental path: subtract each dirty shard's stale contribution and
@@ -1532,10 +1528,9 @@ Result<const SketchSummary*> Client::MergedSummaryView(
   bool incremental = cache.valid && cache.merged && cache.try_unmerge &&
                      !dirty.empty() && dirty.size() < num_shards;
   if (incremental) {
-    for (size_t d = 0; d < dirty.size() && incremental; ++d) {
-      const size_t s = dirty[d];
-      if (cache.folded[s] != nullptr) {
-        Status st = cache.merged->UnmergeFrom(*cache.folded[s]);
+    for (const Dirty& d : dirty) {
+      if (cache.folded[d.shard] != nullptr) {
+        Status st = cache.merged->UnmergeFrom(*cache.folded[d.shard]);
         if (st.code() == Status::Code::kUnimplemented) {
           cache.try_unmerge = false;
           incremental = false;
@@ -1547,23 +1542,23 @@ Result<const SketchSummary*> Client::MergedSummaryView(
           return st;
         }
       }
-      if (fresh[d] != nullptr) {
-        Status st = cache.merged->MergeFrom(*fresh[d]);
+      if (d.sketch != nullptr) {
+        Status st = cache.merged->MergeFrom(*d.sketch);
         if (!st.ok()) {
           cache.valid = false;
           cache.merged.reset();
           return st;
         }
       }
-      cache.folded[s] = fresh[d];
-      cache.epochs[s] = fresh_epochs[d];
+      cache.folded[d.shard] = d.sketch;
+      cache.epochs[d.shard] = d.epoch;
     }
   }
 
   if (!incremental) {
-    for (size_t d = 0; d < dirty.size(); ++d) {
-      cache.folded[dirty[d]] = fresh[d];
-      cache.epochs[dirty[d]] = fresh_epochs[d];
+    for (const Dirty& d : dirty) {
+      cache.folded[d.shard] = d.sketch;
+      cache.epochs[d.shard] = d.epoch;
     }
     SketchConfig cfg = options_.config;
     cfg.shard_seed = MergeSeedFor(options_.config);
@@ -1820,8 +1815,8 @@ uint64_t Client::ShardEpoch(size_t shard) const {
   std::shared_ptr<const TopologyView> view = topology_->View();
   if (shard >= view->num_shards()) return 0;
   const ShardPlacement placement = view->placements[shard];
-  auto epoch = placement.backend->Epoch();
-  return epoch.ok() ? epoch.value() : 0;
+  auto snap = placement.backend->Snapshot(0, kEpochOnly);
+  return snap.ok() ? snap.value().epoch : 0;
 }
 
 Result<SketchSummary> Client::ShardSummary(
@@ -1836,8 +1831,19 @@ Result<SketchSummary> Client::ShardSummary(
   if (index == options_.sketches.size()) {
     return Status::NotFound("Client: sketch not configured: " + sketch);
   }
+  // At quiescence a flushed cell's published state is its live state: a
+  // publication is a fresh instance folded from the live one.
   const ShardPlacement placement = view->placements[shard];
-  return placement.backend->LiveSummary(index);
+  Status flushed = placement.backend->Flush();
+  if (!flushed.ok()) return flushed;
+  auto snap = placement.backend->Snapshot(index, 0);
+  if (!snap.ok()) return snap.status();
+  if (snap.value().sketch != nullptr) return snap.value().sketch->Summary();
+  // Never published, so never ingested: the summary of an empty cell.
+  auto empty = SketchRegistry::Global().Create(
+      sketch, ShardConfigFor(options_.config, shard));
+  if (!empty.ok()) return empty.status();
+  return empty.value()->Summary();
 }
 
 uint64_t Client::SpaceBits() const {

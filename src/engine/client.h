@@ -107,14 +107,12 @@ namespace wbs::engine {
 /// through the router, so each is an exact cut of the acked update stream.
 struct FailoverOptions {
   /// Supervisor probe period. 0 disables the supervisor thread entirely.
+  /// A suspect shard's probes back off to this * min(2^misses, 8).
   uint64_t heartbeat_interval_ms = 0;
   /// Deadline for one heartbeat probe (time to the response's first byte).
   uint64_t heartbeat_timeout_ms = 50;
   /// Consecutive missed heartbeats before kSuspect becomes kDead.
   size_t dead_after_misses = 3;
-  /// Exponential backoff cap between probes of a suspect shard: the probe
-  /// interval stretches to interval * min(2^misses, this).
-  uint64_t backoff_max_multiplier = 8;
   /// Periodic checkpoint period (supervisor-driven, runs at a router
   /// barrier, so each checkpoint is an exact cut of the acked stream).
   /// 0 = only explicit Checkpoint() calls (and FailoverDrill's).
@@ -169,8 +167,6 @@ struct IngestorOptions {
   /// instrumentation site (and its clock reads) via a predicted branch;
   /// Metrics() then reports only derived and backend-sourced samples.
   bool metrics_enabled = true;
-  /// Completed control-plane trace spans retained (trace.h ring buffer).
-  size_t trace_capacity = 256;
   /// Failure handling: supervision off by default (see FailoverOptions).
   FailoverOptions failover;
   /// Per-slot heat sampling in the scatter path: 0 (default) = off; N >= 1
@@ -485,12 +481,17 @@ class Client {
   // ---- introspection (tests, examples, diagnostics) ----------------------
 
   /// Number of snapshot publications shard `shard`'s CURRENT placement has
-  /// performed (restarts when a handoff re-homes the shard).
+  /// performed (restarts when a handoff re-homes the shard): the epoch of
+  /// a conditional snapshot read that asks for no state.
   uint64_t ShardEpoch(size_t shard) const;
 
-  /// A single shard's live summary, read from its current placement.
-  /// Requires quiescence (FailedPrecondition otherwise): it reads
-  /// worker-owned state directly.
+  /// A single shard's summary, from its current placement. Requires
+  /// quiescence (FailedPrecondition otherwise): it flushes the cell, so
+  /// the published state it reads is the live state — and, like Flush(),
+  /// it must not run beside another Flush() or ShardSummary(). A cell that
+  /// never published reads as an empty one. Fails like a query does when
+  /// the cell's sketch cannot be read (a stashed publication error; a tcp
+  /// cell whose sketch has no wire format).
   Result<SketchSummary> ShardSummary(size_t shard,
                                      const std::string& sketch) const;
 

@@ -18,12 +18,9 @@
 // `MetricSample`s, collected in a `MetricsSnapshot` that renders as JSONL
 // (one object per metric, machine-diffable) or a human-readable table.
 //
-// Overhead contract: instruments are single relaxed atomic ops. Defining
-// WBS_ENGINE_METRICS_DISABLED compiles every mutating instrument method to a
-// no-op (the registry still exists, values read as zero) — the baseline the
-// `engine_metrics_overhead` bench row compares against. At runtime,
-// IngestorOptions::metrics_enabled=false skips instrumentation sites (and
-// their clock reads) entirely via a predicted branch.
+// Overhead contract: instruments are single relaxed atomic ops. The one off
+// switch is IngestorOptions::metrics_enabled=false, which skips the engine's
+// instrumentation sites (and their clock reads) via a predicted branch.
 
 #ifndef WBS_ENGINE_METRICS_H_
 #define WBS_ENGINE_METRICS_H_
@@ -39,61 +36,37 @@
 
 namespace wbs::engine {
 
-/// True unless this build compiled the instruments to no-ops.
-#ifdef WBS_ENGINE_METRICS_DISABLED
-inline constexpr bool kMetricsCompiled = false;
-#else
-inline constexpr bool kMetricsCompiled = true;
-#endif
-
-// Instruments are hammered from many threads with relaxed RMWs, and sibling
-// instruments in a metrics struct are typically updated by DIFFERENT threads
-// (e.g. per-worker counters declared side by side). Padding each live
-// instrument out to its own cache line trades a few bytes per instrument for
-// the elimination of false sharing between neighbours. The no-op build keeps
-// empty one-byte classes.
-#ifdef WBS_ENGINE_METRICS_DISABLED
-#define WBS_ENGINE_METRICS_ALIGN
-#else
-#define WBS_ENGINE_METRICS_ALIGN alignas(64)
-#endif
-
 enum class MetricKind : uint8_t {
   kCounter = 0,   ///< monotonic event count
   kGauge = 1,     ///< instantaneous level (may go down)
   kHistogram = 2  ///< value distribution in power-of-two buckets
 };
 
+// Instruments are hammered from many threads with relaxed RMWs, and sibling
+// instruments in a metrics struct are typically updated by DIFFERENT threads
+// (e.g. per-worker counters declared side by side). Padding each instrument
+// out to its own cache line (alignas(64) below) trades a few bytes per
+// instrument for the elimination of false sharing between neighbours.
+
 /// Monotonic event counter. Inc() from any thread, relaxed.
-class WBS_ENGINE_METRICS_ALIGN Counter {
+class alignas(64) Counter {
  public:
-#ifdef WBS_ENGINE_METRICS_DISABLED
-  void Inc(uint64_t n = 1) { (void)n; }
-  uint64_t Value() const { return 0; }
-#else
   void Inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> v_{0};
-#endif
 };
 
 /// Instantaneous level. Set/Add from any thread, relaxed.
-class WBS_ENGINE_METRICS_ALIGN Gauge {
+class alignas(64) Gauge {
  public:
-#ifdef WBS_ENGINE_METRICS_DISABLED
-  void Set(int64_t v) { (void)v; }
-  void Add(int64_t d) { (void)d; }
-  int64_t Value() const { return 0; }
-#else
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> v_{0};
-#endif
 };
 
 /// Fixed-bucket histogram over uint64 values (latencies in microseconds,
@@ -102,7 +75,7 @@ class WBS_ENGINE_METRICS_ALIGN Gauge {
 /// bucket absorbs everything wider. Record() is three relaxed RMWs and no
 /// branches beyond the bit-width computation — cheap enough for per-batch
 /// hot-path use.
-class WBS_ENGINE_METRICS_ALIGN Histogram {
+class alignas(64) Histogram {
  public:
   /// 33 buckets: 0, then [1,2), [2,4), ... [2^30, 2^31), then >= 2^31 —
   /// microsecond latencies up to ~36 minutes resolve to a real bucket.
@@ -115,12 +88,6 @@ class WBS_ENGINE_METRICS_ALIGN Histogram {
     return uint64_t{1} << i;
   }
 
-#ifdef WBS_ENGINE_METRICS_DISABLED
-  void Record(uint64_t v) { (void)v; }
-  uint64_t Count() const { return 0; }
-  uint64_t Sum() const { return 0; }
-  uint64_t BucketCount(size_t) const { return 0; }
-#else
   void Record(uint64_t v) {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -145,7 +112,6 @@ class WBS_ENGINE_METRICS_ALIGN Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> buckets_[kBuckets] = {};
-#endif
 };
 
 /// One metric read out as plain values — what snapshots, the wire codec,

@@ -74,11 +74,6 @@ class TcpRemoteBackend final : public ShardBackend {
     }
   }
 
-  const std::string& name() const override {
-    static const std::string kName = "tcp";
-    return kName;
-  }
-
   Status ApplyBatch(const stream::TurnstileUpdate* data,
                     size_t count) override {
     // Single caller by the backend contract, so the sequence counter needs
@@ -89,26 +84,17 @@ class TcpRemoteBackend final : public ShardBackend {
     wire::Writer w;
     w.U64(seq);
     wire::EncodeUpdates(data, count, &w);
-    // The trailing epoch is advisory; the dirty scan polls it.
     return Request(/*data_channel=*/true, wire::kReqApplySeq, w.data(), NoBody,
                    kOpDeadlineMs, seq);
   }
 
-  Result<uint64_t> Epoch() const override {
-    uint64_t epoch = 0;
-    Status s = Request(/*data_channel=*/false, wire::kReqEpoch, {},
-                       [&](wire::Reader& r) { return r.U64(&epoch); });
-    if (!s.ok()) return s;
-    last_epoch_.store(epoch, std::memory_order_relaxed);
-    return epoch;
-  }
-
-  Result<ShardSnapshot> Snapshot(size_t sketch_index) const override {
-    auto serialized = SnapshotSerialized(sketch_index);
+  Result<ShardSnapshot> Snapshot(size_t sketch_index,
+                                 uint64_t newer_than) const override {
+    auto serialized = SnapshotSerialized(sketch_index, newer_than);
     if (!serialized.ok()) return serialized.status();
     ShardSnapshot snap;
     snap.epoch = serialized.value().epoch;
-    if (serialized.value().state.empty()) return snap;  // never published
+    if (serialized.value().state.empty()) return snap;  // nothing newer
     const auto t0 = std::chrono::steady_clock::now();
     auto sketch = DeserializeSketch(options_.sketches[sketch_index],
                                     options_.config, serialized.value().state);
@@ -119,12 +105,13 @@ class TcpRemoteBackend final : public ShardBackend {
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
-      size_t sketch_index) const override {
+      size_t sketch_index, uint64_t newer_than) const override {
     if (sketch_index >= options_.sketches.size()) {
       return Status::OutOfRange("tcp backend: sketch out of range");
     }
     wire::Writer req;
     req.U32(uint32_t(sketch_index));
+    req.U64(newer_than);
     SerializedSnapshot out;
     Status s = Request(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
                        [&](wire::Reader& r) {
@@ -193,18 +180,6 @@ class TcpRemoteBackend final : public ShardBackend {
   }
 
   std::string Endpoint() const override { return endpoint_; }
-
-  Result<SketchSummary> LiveSummary(size_t sketch_index) const override {
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    SketchSummary summary;
-    Status s = Request(/*data_channel=*/false, wire::kReqSummary, req.data(),
-                       [&](wire::Reader& r) {
-                         return wire::DecodeSummary(&r, &summary);
-                       });
-    if (!s.ok()) return s;
-    return summary;
-  }
 
   Result<std::vector<MetricSample>> Metrics() const override {
     // The cell's own samples (epoch, snapshot lag, serialize latency)
@@ -281,11 +256,11 @@ class TcpRemoteBackend final : public ShardBackend {
   }
 
   /// Dials and handshakes the channel. ch.mu must be held. On success the
-  /// channel fd is connected and `reply` holds the host's epoch + apply
-  /// cursor (the resync decision inputs).
+  /// channel fd is connected and `last_applied_seq` holds the host's apply
+  /// cursor (the resync decision input).
   Status ConnectLocked(TcpChannel& ch, bool data_channel,
                        std::chrono::steady_clock::time_point deadline,
-                       TcpHelloReply* reply) const {
+                       uint64_t* last_applied_seq) const {
     const int remaining = RemainingMs(deadline);
     if (remaining <= 0) {
       return Status::DeadlineExceeded("tcp: no deadline left to connect");
@@ -296,7 +271,6 @@ class TcpRemoteBackend final : public ShardBackend {
     hello.channel = data_channel ? 0 : 1;
     hello.session_token = token_;
     hello.shard_id = options_.shard;
-    hello.last_acked_epoch = last_epoch_.load(std::memory_order_relaxed);
     hello.has_spec = !established_.load(std::memory_order_acquire);
     if (hello.has_spec) hello.spec = spec_;
     wire::Writer w;
@@ -316,11 +290,8 @@ class TcpRemoteBackend final : public ShardBackend {
     if (s.ok()) {
       wire::Reader r(payload);
       s = wire::DecodeStatus(&r, &remote);
-      if (s.ok() && remote.ok()) {
-        if (!(s = r.U64(&reply->epoch)).ok() ||
-            !(s = r.U64(&reply->last_applied_seq)).ok()) {
-          s = Status::Internal("tcp: truncated handshake response");
-        }
+      if (s.ok() && remote.ok() && !r.U64(last_applied_seq).ok()) {
+        s = Status::Internal("tcp: truncated handshake response");
       }
     }
     if (!s.ok()) {
@@ -332,7 +303,6 @@ class TcpRemoteBackend final : public ShardBackend {
       return remote;  // host rejection → authoritative, not retryable
     }
     established_.store(true, std::memory_order_release);
-    last_epoch_.store(reply->epoch, std::memory_order_relaxed);
     ch.fd = fd.value();
     return Status::OK();
   }
@@ -353,8 +323,8 @@ class TcpRemoteBackend final : public ShardBackend {
     bool redialing = false;
     for (;;) {
       if (ch.fd < 0) {
-        TcpHelloReply reply;
-        Status c = ConnectLocked(ch, data_channel, deadline, &reply);
+        uint64_t last_applied_seq = 0;
+        Status c = ConnectLocked(ch, data_channel, deadline, &last_applied_seq);
         if (!c.ok()) {
           if (!RetryableConnectFailure(c) || RemainingMs(deadline) <= 0) {
             return Status::Unavailable("tcp shard unreachable: " +
@@ -366,14 +336,13 @@ class TcpRemoteBackend final : public ShardBackend {
           continue;
         }
         if (redialing) reconnects_.Inc();
-        if (apply_seq != 0 && reply.last_applied_seq >= apply_seq) {
+        if (apply_seq != 0 && last_applied_seq >= apply_seq) {
           // The host applied this batch before the connection broke — the
           // ack was lost, not the update. Synthesize it; resending would be
           // answered from the host's cache anyway.
           resyncs_.Inc();
           wire::Writer w;
           wire::EncodeStatus(Status::OK(), &w);
-          w.U64(reply.epoch);
           *resp = w.Take();
           return Status::OK();
         }
@@ -459,7 +428,6 @@ class TcpRemoteBackend final : public ShardBackend {
   /// silently recreating an empty shard.
   mutable std::atomic<bool> established_{false};
   uint64_t next_apply_seq_ = 1;  ///< single caller per the backend contract
-  mutable std::atomic<uint64_t> last_epoch_{0};
 
   // Client-side channel observability (relaxed atomics, safe from both
   // channels at once). Counted per round trip in Call().

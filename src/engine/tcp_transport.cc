@@ -58,15 +58,14 @@ void SetNoDelay(int fd) {
 
 /// Whether a request of `type` must hold the session's cell lock. True for
 /// the requests that change the cell or read its live, worker-owned state
-/// (apply-seq, import, flush, summary, space-bits) and for the heartbeat —
-/// on purpose, so a shard wedged inside a locked request also fails its
-/// liveness probe. False for kReqEpoch, kReqSnapshot and kReqMetrics: the
-/// ShardBackend contract already lets any thread read the epoch, the
-/// published snapshot and the metric samples concurrently with
-/// ApplyBatch. Unknown types take the lock.
+/// (apply-seq, import, flush, space-bits) and for the heartbeat — on
+/// purpose, so a shard wedged inside a locked request also fails its
+/// liveness probe. False for kReqSnapshot and kReqMetrics: the ShardBackend
+/// contract already lets any thread read the published snapshot and the
+/// metric samples concurrently with ApplyBatch. Unknown types take the
+/// lock.
 bool ShardRequestTakesCellLock(uint8_t type) {
   switch (type) {
-    case wire::kReqEpoch:
     case wire::kReqSnapshot:
     case wire::kReqMetrics:
       return false;
@@ -84,20 +83,15 @@ void DispatchShardRequest(ShardBackend& cell, size_t num_sketches,
                           uint8_t type, std::string_view payload,
                           wire::Writer* w) {
   switch (type) {
-    case wire::kReqFlush: {
+    case wire::kReqFlush:
       wire::EncodeStatus(cell.Flush(), w);
-      w->U64(cell.Epoch().value_or(0));
       break;
-    }
-    case wire::kReqEpoch: {
-      wire::EncodeStatus(Status::OK(), w);
-      w->U64(cell.Epoch().value_or(0));
-      break;
-    }
     case wire::kReqSnapshot: {
       wire::Reader r(payload);
       uint32_t sketch_index = 0;
+      uint64_t newer_than = 0;
       Status s = r.U32(&sketch_index);
+      if (s.ok()) s = r.U64(&newer_than);
       if (s.ok()) s = r.ExpectEnd();
       if (s.ok() && sketch_index >= num_sketches) {
         s = Status::OutOfRange("tcp shard host: sketch index out of range");
@@ -106,32 +100,14 @@ void DispatchShardRequest(ShardBackend& cell, size_t num_sketches,
         wire::EncodeStatus(s, w);
         break;
       }
-      auto snap = cell.SnapshotSerialized(sketch_index);
+      auto snap = cell.SnapshotSerialized(sketch_index, newer_than);
       if (!snap.ok()) {
         wire::EncodeStatus(snap.status(), w);
         break;
       }
       wire::EncodeStatus(Status::OK(), w);
       w->U64(snap.value().epoch);
-      w->Str(snap.value().state);  // empty = never published
-      break;
-    }
-    case wire::kReqSummary: {
-      wire::Reader r(payload);
-      uint32_t sketch_index = 0;
-      Status s = r.U32(&sketch_index);
-      if (s.ok()) s = r.ExpectEnd();
-      if (!s.ok()) {
-        wire::EncodeStatus(s, w);
-        break;
-      }
-      auto summary = cell.LiveSummary(sketch_index);
-      if (!summary.ok()) {
-        wire::EncodeStatus(summary.status(), w);
-        break;
-      }
-      wire::EncodeStatus(Status::OK(), w);
-      wire::EncodeSummary(summary.value(), w);
+      w->Str(snap.value().state);  // empty unless epoch > newer_than
       break;
     }
     case wire::kReqSpaceBits: {
@@ -139,15 +115,12 @@ void DispatchShardRequest(ShardBackend& cell, size_t num_sketches,
       w->U64(cell.SpaceBits());
       break;
     }
-    case wire::kReqHeartbeat: {
-      // Liveness probe: answering at all is the signal; the epoch rides
-      // along so supervisors can watch progress for free. Deliberately
-      // served under the cell lock (ShardRequestTakesCellLock) — a shard
-      // wedged inside an apply fails its heartbeat deadline too.
+    case wire::kReqHeartbeat:
+      // Liveness probe: answering at all is the signal. Deliberately served
+      // under the cell lock (ShardRequestTakesCellLock) — a shard wedged
+      // inside an apply fails its heartbeat deadline too.
       wire::EncodeStatus(Status::OK(), w);
-      w->U64(cell.Epoch().value_or(0));
       break;
-    }
     case wire::kReqMetrics: {
       // Observability: the in-process cell's per-shard samples (epoch,
       // snapshot lag, serialize latency) ship to the dialer, which prefixes
@@ -181,7 +154,6 @@ void DispatchShardRequest(ShardBackend& cell, size_t num_sketches,
       if (s.ok()) s = r.ExpectEnd();
       if (s.ok()) s = cell.ImportShardState(frames);
       wire::EncodeStatus(s, w);
-      w->U64(cell.Epoch().value_or(0));
       break;
     }
     default:
@@ -364,7 +336,6 @@ void EncodeHello(const TcpHello& hello, wire::Writer* w) {
   w->U8(hello.channel);
   w->U64(hello.session_token);
   w->U64(hello.shard_id);
-  w->U64(hello.last_acked_epoch);
   w->U8(hello.has_spec ? 1 : 0);
   if (hello.has_spec) EncodeShardSpec(hello.spec, w);
 }
@@ -392,7 +363,6 @@ Status DecodeHello(wire::Reader* r, TcpHello* out) {
   }
   if (!(s = r->U64(&out->session_token)).ok()) return s;
   if (!(s = r->U64(&out->shard_id)).ok()) return s;
-  if (!(s = r->U64(&out->last_acked_epoch)).ok()) return s;
   if (!(s = r->U8(&has_spec)).ok()) return s;
   if (has_spec > 1) {
     return Status::InvalidArgument("tcp handshake: bad has_spec byte");
@@ -528,7 +498,6 @@ void TcpShardHost::ServeConn(Conn* conn) {
           // Replay of an already-applied batch — its ack was lost in a
           // partition. Answer from cache; re-applying would double count.
           wire::EncodeStatus(session->last_apply_status, &w);
-          w.U64(session->cell->Epoch().value_or(0));
         } else {
           std::vector<stream::TurnstileUpdate> updates;
           Status applied = wire::DecodeUpdates(&r, &updates);
@@ -540,7 +509,6 @@ void TcpShardHost::ServeConn(Conn* conn) {
           session->last_applied_seq = seq;
           session->last_apply_status = applied;
           wire::EncodeStatus(applied, &w);
-          w.U64(session->cell->Epoch().value_or(0));
         }
       } else {
         DispatchShardRequest(*session->cell, session->num_sketches, type,
@@ -608,7 +576,6 @@ std::string TcpShardHost::HandleHello(std::string_view payload,
   *close_conn = false;
   wire::EncodeStatus(Status::OK(), &w);
   std::lock_guard<std::mutex> lock(sess->mu);
-  w.U64(sess->cell->Epoch().value_or(0));
   w.U64(sess->last_applied_seq);
   return w.Take();
 }

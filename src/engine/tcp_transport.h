@@ -16,10 +16,9 @@
 //   * the `kReqHello` handshake — the first frame on every connection:
 //
 //       u32 magic, u8 protocol version, u8 channel (0 data / 1 control),
-//       u64 session token, u64 global shard id, u64 last-acked epoch,
-//       u8 has_spec [+ shard spec]
+//       u64 session token, u64 global shard id, u8 has_spec [+ shard spec]
 //
-//     answered with Status + u64 current epoch + u64 last_applied_seq.
+//     answered with Status + u64 last_applied_seq.
 //     Wrong magic or version is rejected (and the connection closed); an
 //     unknown token WITHOUT a spec is NotFound — a reconnecting client
 //     never re-sends its spec, so a daemon that lost the session (restart)
@@ -61,9 +60,10 @@ namespace wbs::engine {
 
 /// Handshake constants. The magic identifies the stream as a wbs shard
 /// session before any state is touched; the protocol version covers the
-/// HANDSHAKE layout (the frame format has its own wire::kFormatVersion).
+/// handshake and the request/reply layouts that follow it (the frame
+/// format has its own wire::kFormatVersion).
 inline constexpr uint32_t kTcpMagic = 0x57425354;  // "WBST"
-inline constexpr uint8_t kTcpProtocolVersion = 1;
+inline constexpr uint8_t kTcpProtocolVersion = 2;
 
 /// Everything a host needs to build a shard cell on first contact: the
 /// sketch group and the shard's ALREADY-RESOLVED config (the ingestor
@@ -81,20 +81,13 @@ Status DecodeShardSpec(wire::Reader* r, TcpShardSpec* out);
 struct TcpHello {
   uint8_t channel = 0;  ///< 0 = data, 1 = control
   uint64_t session_token = 0;
-  uint64_t shard_id = 0;         ///< global shard id (diagnostics)
-  uint64_t last_acked_epoch = 0; ///< the dialer's last observed epoch
+  uint64_t shard_id = 0;  ///< global shard id (diagnostics)
   bool has_spec = false;
   TcpShardSpec spec;  ///< valid only when has_spec
 };
 
 void EncodeHello(const TcpHello& hello, wire::Writer* w);
 Status DecodeHello(wire::Reader* r, TcpHello* out);
-
-/// The hello response payload after its leading Status (OK only).
-struct TcpHelloReply {
-  uint64_t epoch = 0;
-  uint64_t last_applied_seq = 0;
-};
 
 /// Splits "host:port" (InvalidArgument on a missing/garbage port).
 Status SplitEndpoint(const std::string& endpoint, std::string* host,
@@ -120,9 +113,8 @@ struct TcpShardHostOptions {
 /// sessions table. Every request answers with a Status first; a request
 /// that fails (bad payload, unknown sketch index or request type) answers
 /// with that Status and the connection stays usable. Requests that change
-/// a cell or read its live state take the session's cell lock; epoch,
-/// snapshot and metrics reads do not, so a query never queues behind an
-/// apply.
+/// a cell or read its live state take the session's cell lock; snapshot
+/// and metrics reads do not, so a query never queues behind an apply.
 class TcpShardHost {
  public:
   static Result<std::unique_ptr<TcpShardHost>> Start(
@@ -167,7 +159,7 @@ class TcpShardHost {
     size_t num_sketches = 0;
     /// The cell lock: held for the requests ShardRequestTakesCellLock
     /// names (tcp_transport.cc) and for the apply-sequence cursor below.
-    /// Epoch, snapshot and metrics reads run without it.
+    /// Snapshot and metrics reads run without it.
     std::mutex mu;
     uint64_t last_applied_seq = 0;
     Status last_apply_status;  ///< answered again on a replayed sequence

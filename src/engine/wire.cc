@@ -11,7 +11,6 @@
 #include <cstring>
 
 #include "engine/metrics.h"
-#include "engine/sketch.h"
 
 namespace wbs::engine::wire {
 namespace {
@@ -240,55 +239,6 @@ Status DecodeUpdates(Reader* r, std::vector<stream::TurnstileUpdate>* out) {
     if (Status sd = r->I64(&u.delta); !sd.ok()) return sd;
     out->push_back(u);
   }
-  return Status::OK();
-}
-
-void EncodeSummary(const SketchSummary& s, Writer* w) {
-  w->Str(s.sketch);
-  w->U8(s.stale ? 1 : 0);
-  w->U8(s.has_scalar ? 1 : 0);
-  w->F64(s.scalar);
-  w->U64(s.updates);
-  w->U8(s.item_index.size() == s.items.size() && !s.items.empty() ? 1 : 0);
-  w->U64(uint64_t(s.items.size()));
-  for (const auto& wi : s.items) {
-    w->U64(wi.item);
-    w->F64(wi.estimate);
-  }
-}
-
-Status DecodeSummary(Reader* r, SketchSummary* out) {
-  *out = SketchSummary{};
-  uint8_t stale = 0, has_scalar = 0, has_index = 0;
-  uint64_t count = 0;
-  if (Status s = r->Str(&out->sketch); !s.ok()) return s;
-  if (Status s = r->U8(&stale); !s.ok()) return s;
-  if (stale > 1) {
-    return Status::InvalidArgument("wire: summary stale not boolean");
-  }
-  out->stale = stale != 0;
-  if (Status s = r->U8(&has_scalar); !s.ok()) return s;
-  if (has_scalar > 1) {
-    return Status::InvalidArgument("wire: summary has_scalar not boolean");
-  }
-  out->has_scalar = has_scalar != 0;
-  if (Status s = r->F64(&out->scalar); !s.ok()) return s;
-  if (Status s = r->U64(&out->updates); !s.ok()) return s;
-  if (Status s = r->U8(&has_index); !s.ok()) return s;
-  if (Status s = r->U64(&count); !s.ok()) return s;
-  if (count > r->remaining() / 16) {
-    return Status::InvalidArgument("wire: summary item list length mismatch");
-  }
-  out->items.reserve(size_t(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    hh::WeightedItem wi;
-    if (Status s = r->U64(&wi.item); !s.ok()) return s;
-    if (Status s = r->F64(&wi.estimate); !s.ok()) return s;
-    out->items.push_back(wi);
-  }
-  // The producer's items were already in SortItems() order; re-sorting is
-  // idempotent and rebuilds the by-item index locally.
-  if (has_index != 0) out->SortItems();
   return Status::OK();
 }
 

@@ -17,11 +17,11 @@
 // format is an InvalidArgument, not garbage reads), a length that disagrees
 // with the buffer, and any checksum mismatch (a single corrupted byte
 // anywhere in the body fails the CRC). The same frame layout is used for
-// update batches, serialized sketch states, query answers, and the
-// request/response messages of the tcp shard host (tcp_transport.h).
+// update batches, serialized sketch states, and the request/response
+// messages of the tcp shard host (tcp_transport.h).
 //
 // Compound codecs for the engine's value types (TurnstileUpdate batches,
-// SketchSummary, Status) live here too, so every backend and the tests
+// Status, metric samples) live here too, so every backend and the tests
 // share one encoding.
 
 #ifndef WBS_ENGINE_WIRE_H_
@@ -37,8 +37,7 @@
 
 namespace wbs::engine {
 
-struct SketchSummary;  // sketch.h
-struct MetricSample;   // metrics.h
+struct MetricSample;  // metrics.h
 
 namespace wire {
 
@@ -47,22 +46,22 @@ namespace wire {
 inline constexpr uint8_t kFormatVersion = 1;
 
 /// Frame types. 1..31 are sketch/engine payloads; 32..63 are shard-host
-/// requests; 64+ are shard-host responses. 32 and 38 are retired (an
-/// unsequenced apply and a shutdown request): never reuse them — a host
-/// answers them like any unknown type, with InvalidArgument.
+/// requests; 64+ are shard-host responses. 3, 32, 34, 36 and 38 are
+/// retired (a serialized summary, an unsequenced apply, an epoch read, a
+/// live summary read and a shutdown request): never reuse them — a host
+/// answers the request types like any unknown type, with InvalidArgument.
 enum FrameType : uint8_t {
   kSketchState = 1,   ///< one sketch's serialized state
   kUpdateBatch = 2,   ///< a batch of turnstile updates
-  kSummary = 3,       ///< a serialized SketchSummary
 
   kReqFlush = 33,     ///< publish the shard's snapshot if it lags
-  kReqEpoch = 34,     ///< read the shard's snapshot epoch
-  kReqSnapshot = 35,  ///< fetch (epoch, serialized state) of one sketch
-  kReqSummary = 36,   ///< live summary of one sketch (quiescent callers)
+  /// u32 sketch + u64 newer_than; answers u64 epoch + the sketch's state
+  /// frame, empty unless the epoch is > newer_than
+  kReqSnapshot = 35,
   kReqSpaceBits = 37, ///< total state bits of the shard
   kReqImport = 39,    ///< shard handoff: install serialized sketch states
   kReqMetrics = 40,   ///< read the shard's metric samples (observability)
-  kReqHeartbeat = 41, ///< liveness probe: responds OK + current epoch
+  kReqHeartbeat = 41, ///< liveness probe: answering OK is the signal
   kReqHello = 42,     ///< TCP session handshake (tcp_transport.h layout)
   kReqApplySeq = 43,  ///< apply a batch: u64 apply sequence + update batch
 
@@ -141,10 +140,6 @@ Status DecodeFrame(std::string_view frame, uint8_t* type,
 void EncodeUpdates(const stream::TurnstileUpdate* data, size_t count,
                    Writer* w);
 Status DecodeUpdates(Reader* r, std::vector<stream::TurnstileUpdate>* out);
-
-/// SketchSummary, bit-exact (scalar and estimates as f64 bit patterns).
-void EncodeSummary(const SketchSummary& s, Writer* w);
-Status DecodeSummary(Reader* r, SketchSummary* out);
 
 /// Status: u8 code + message. Decoding an unknown code is an error.
 void EncodeStatus(const Status& s, Writer* w);

@@ -85,25 +85,19 @@ namespace {
 // aggregation scratch) cannot pollute the scatter-path assertion.
 class NullBackend : public ShardBackend {
  public:
-  const std::string& name() const override {
-    static const std::string kName = "null";
-    return kName;
-  }
   Status ApplyBatch(const stream::TurnstileUpdate*, size_t count) override {
     applied_ += count;
     return Status::OK();
   }
-  Result<uint64_t> Epoch() const override { return uint64_t{0}; }
-  Result<ShardSnapshot> Snapshot(size_t) const override {
-    return Status::Unimplemented("null backend: no snapshots");
+  // Never publishes: every read answers epoch 0 and no state.
+  Result<ShardSnapshot> Snapshot(size_t, uint64_t) const override {
+    return ShardSnapshot{};
   }
-  Result<SerializedSnapshot> SnapshotSerialized(size_t) const override {
-    return Status::Unimplemented("null backend: no snapshots");
+  Result<SerializedSnapshot> SnapshotSerialized(size_t,
+                                                uint64_t) const override {
+    return SerializedSnapshot{};
   }
   Status Flush() override { return Status::OK(); }
-  Result<SketchSummary> LiveSummary(size_t) const override {
-    return Status::Unimplemented("null backend: no summaries");
-  }
   uint64_t SpaceBits() const override { return 0; }
 
   uint64_t applied() const { return applied_; }

@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "common/random.h"
+#include "engine/backend.h"
 #include "engine/client.h"
 #include "engine/registry.h"
+#include "engine/sketch.h"
 #include "stream/frequency_oracle.h"
 #include "stream/workload.h"
 
@@ -519,6 +521,70 @@ TEST(SnapshotQueryTest, QueryReportsIngestionErrors) {
   EXPECT_FALSE(SubmitAll(*client, bad).ok());
   EXPECT_FALSE(client->QueryScalar(f2).ok());
   EXPECT_FALSE(client->RawSummary(f2).ok());
+}
+
+// ----------------------------------------------------- per-shard summaries --
+
+// ShardSummary reads a flushed cell's published state. A publication is a
+// fresh instance folded from the live one, so the answer must equal a
+// single instance fed the same batches under the shard's config, bit for
+// bit, for every family; a cell that ingested nothing reads as a fresh
+// instance.
+TEST(ShardSummaryTest, EqualsADirectlyFedInstance) {
+  const uint64_t universe = 1 << 10;
+  SketchConfig cfg = TestConfig(universe, 43);
+  cfg.rank.n = 32;  // n * n = universe
+  cfg.rank.k = 8;
+  const std::vector<std::string> families = {
+      "misra_gries", "robust_hh", "crhf_hh",
+      "ams_f2",      "sis_l0",    "rank_decision"};
+  wbs::RandomTape tape(44);
+  tape.set_logging(false);
+  stream::TurnstileStream s;
+  for (const auto& u : stream::ZipfStream(universe, 5000, 1.2, &tape)) {
+    s.push_back({u.item, 1});
+  }
+  const size_t kBatch = 512;
+  for (const bool ingest : {true, false}) {
+    auto client = MakeClient(families, cfg, /*shards=*/1, /*threads=*/0);
+    if (ingest) {
+      for (size_t off = 0; off < s.size(); off += kBatch) {
+        ASSERT_TRUE(
+            client->Submit(s.data() + off, std::min(kBatch, s.size() - off))
+                .ok());
+      }
+    }
+    for (const std::string& name : families) {
+      SCOPED_TRACE(name + (ingest ? " fed" : " empty"));
+      auto direct =
+          SketchRegistry::Global().Create(name, ShardConfigFor(cfg, 0));
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      std::vector<stream::TurnstileUpdate> agg;
+      FlatItemIndex index;
+      for (size_t off = 0; ingest && off < s.size(); off += kBatch) {
+        UpdateBatch b{s.data() + off, std::min(kBatch, s.size() - off)};
+        auto [effective, has_negative] =
+            AggregateUpdates(b.data, b.size, &agg, &index);
+        b.aggregated = agg.data();
+        b.aggregated_size = agg.size();
+        b.effective_updates = effective;
+        b.has_negative_delta = has_negative;
+        ASSERT_TRUE(direct.value()->ApplyBatch(b).ok());
+      }
+      const SketchSummary want = direct.value()->Summary();
+      auto got = client->ShardSummary(0, name);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value().has_scalar, want.has_scalar);
+      EXPECT_EQ(got.value().scalar, want.scalar);
+      EXPECT_EQ(got.value().updates, want.updates);
+      ASSERT_EQ(got.value().items.size(), want.items.size());
+      for (size_t i = 0; i < want.items.size(); ++i) {
+        EXPECT_EQ(got.value().items[i].item, want.items[i].item) << i;
+        EXPECT_EQ(got.value().items[i].estimate, want.items[i].estimate) << i;
+      }
+    }
+    ASSERT_TRUE(client->Finish().ok());
+  }
 }
 
 }  // namespace

@@ -12,8 +12,10 @@
 //   * exactly-once applies — a replayed kReqApplySeq sequence answers from
 //     the cached status without re-applying (epoch does not advance), and
 //     the hello reply's last_applied_seq reports the resync cursor; the
-//     retired request types 32 and 38 apply nothing and answer
+//     retired request types 32, 34, 36 and 38 apply nothing and answer
 //     InvalidArgument on a connection that keeps serving;
+//   * one round trip per shard — a query reads each tcp cell with one
+//     conditional snapshot frame, whether or not the cell changed;
 //   * transient partition — severed connections reconnect and resync with
 //     zero answer divergence, zero accounted loss, and NO topology
 //     generation bump (a partition is not a re-home);
@@ -34,6 +36,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -195,7 +199,6 @@ std::string RawHello(uint32_t magic, uint8_t version, uint64_t token,
   w.U8(0);  // data channel
   w.U64(token);
   w.U64(0);  // shard id
-  w.U64(0);  // last acked epoch
   w.U8(has_spec ? 1 : 0);
   if (has_spec) EncodeShardSpec(*spec, &w);
   return w.Take();
@@ -263,7 +266,10 @@ TEST(TcpHandshakeTest, UnknownTokenWithoutSpecIsNotFound) {
 TEST(TcpHandshakeTest, RequestBeforeHelloRejected) {
   auto host = TcpShardHost::Start({});
   ASSERT_TRUE(host.ok()) << host.status().ToString();
-  Status s = OneShot(host.value()->port(), wire::kReqEpoch, "");
+  wire::Writer w;
+  w.U32(0);  // sketch
+  w.U64(0);  // newer_than
+  Status s = OneShot(host.value()->port(), wire::kReqSnapshot, w.data());
   EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition) << s.ToString();
 }
 
@@ -297,7 +303,7 @@ TEST(TcpHandshakeTest, RestartedHostRejectsStaleSession) {
 /// One established raw client connection: hello already exchanged.
 struct RawConn {
   int fd = -1;
-  TcpHelloReply hello;
+  uint64_t last_applied_seq = 0;  ///< the hello reply's resync cursor
 
   ~RawConn() {
     if (fd >= 0) close(fd);
@@ -321,15 +327,15 @@ Status DialHello(uint16_t port, uint64_t token, bool has_spec,
   Status remote;
   if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
   if (!remote.ok()) return remote;
-  if (Status ds = r.U64(&out->hello.epoch); !ds.ok()) return ds;
-  if (Status ds = r.U64(&out->hello.last_applied_seq); !ds.ok()) return ds;
+  if (Status ds = r.U64(&out->last_applied_seq); !ds.ok()) return ds;
   return r.ExpectEnd();
 }
 
 /// Sends one request frame on an established connection and decodes the
-/// reply's leading Status; `epoch` gets the u64 that follows an OK Status.
+/// reply's leading Status. After an OK Status, `decode` (if given) reads
+/// the request-specific data, and the reply must end there.
 Status RawRequest(int fd, uint8_t type, std::string_view payload,
-                  uint64_t* epoch = nullptr) {
+                  const std::function<Status(wire::Reader&)>& decode = {}) {
   Status s = wire::WriteFrameFd(fd, type, payload);
   std::string buf;
   uint8_t resp_type = 0;
@@ -339,19 +345,36 @@ Status RawRequest(int fd, uint8_t type, std::string_view payload,
   wire::Reader r(resp);
   Status remote;
   if (Status ds = wire::DecodeStatus(&r, &remote); !ds.ok()) return ds;
-  if (remote.ok() && epoch != nullptr) return r.U64(epoch);
-  return remote;
+  if (!remote.ok()) return remote;
+  if (decode) {
+    if (Status ds = decode(r); !ds.ok()) return ds;
+  }
+  return r.ExpectEnd();
 }
 
-/// Sends one kReqApplySeq frame and returns the epoch in the OK reply.
-Result<uint64_t> ApplySeq(int fd, uint64_t seq,
-                          const stream::TurnstileStream& batch) {
+/// Sends one kReqApplySeq frame; the OK reply carries nothing else.
+Status ApplySeq(int fd, uint64_t seq, const stream::TurnstileStream& batch) {
   wire::Writer w;
   w.U64(seq);
   wire::EncodeUpdates(batch.data(), batch.size(), &w);
+  return RawRequest(fd, wire::kReqApplySeq, w.data());
+}
+
+/// The session's epoch, read as a dialer reads it: a kReqSnapshot that
+/// wants nothing newer than UINT64_MAX answers the epoch and no state.
+Result<uint64_t> ReadEpoch(int fd) {
+  wire::Writer w;
+  w.U32(0);
+  w.U64(std::numeric_limits<uint64_t>::max());
   uint64_t epoch = 0;
-  Status s = RawRequest(fd, wire::kReqApplySeq, w.data(), &epoch);
+  std::string state;
+  Status s = RawRequest(fd, wire::kReqSnapshot, w.data(),
+                        [&](wire::Reader& r) {
+                          Status se = r.U64(&epoch);
+                          return se.ok() ? r.Str(&state) : se;
+                        });
   if (!s.ok()) return s;
+  if (!state.empty()) return Status::Internal("epoch-only read sent state");
   return epoch;
 }
 
@@ -364,23 +387,31 @@ TEST(TcpExactlyOnceTest, ReplayedSequenceIsNotReapplied) {
 
   RawConn conn;
   ASSERT_TRUE(DialHello(port, token, true, &spec, &conn).ok());
-  EXPECT_EQ(conn.hello.epoch, 0u);
-  EXPECT_EQ(conn.hello.last_applied_seq, 0u);
+  EXPECT_EQ(conn.last_applied_seq, 0u);
+  auto e0 = ReadEpoch(conn.fd);
+  ASSERT_TRUE(e0.ok()) << e0.status().ToString();
+  EXPECT_EQ(e0.value(), 0u);
 
   // With snapshot_min_updates = 0 every applied batch publishes a snapshot,
   // so the epoch is an exact count of APPLIED batches.
   stream::TurnstileStream batch = {{5, 3}, {9, 1}};
-  auto e1 = ApplySeq(conn.fd, 1, batch);
+  Status applied = ApplySeq(conn.fd, 1, batch);
+  ASSERT_TRUE(applied.ok()) << applied.ToString();
+  auto e1 = ReadEpoch(conn.fd);
   ASSERT_TRUE(e1.ok()) << e1.status().ToString();
   EXPECT_EQ(e1.value(), 1u);
 
   // The replayed sequence is ACKed from the cached status without touching
   // the cell: the epoch must NOT advance (a re-apply would double-count).
-  auto replay = ApplySeq(conn.fd, 1, batch);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay.value(), 1u);
+  Status replay = ApplySeq(conn.fd, 1, batch);
+  ASSERT_TRUE(replay.ok()) << replay.ToString();
+  auto after_replay = ReadEpoch(conn.fd);
+  ASSERT_TRUE(after_replay.ok()) << after_replay.status().ToString();
+  EXPECT_EQ(after_replay.value(), 1u);
 
-  auto e2 = ApplySeq(conn.fd, 2, batch);
+  applied = ApplySeq(conn.fd, 2, batch);
+  ASSERT_TRUE(applied.ok()) << applied.ToString();
+  auto e2 = ReadEpoch(conn.fd);
   ASSERT_TRUE(e2.ok()) << e2.status().ToString();
   EXPECT_EQ(e2.value(), 2u);
 
@@ -388,14 +419,17 @@ TEST(TcpExactlyOnceTest, ReplayedSequenceIsNotReapplied) {
   // apply cursor so the dialer knows which in-flight batch already landed.
   RawConn re;
   ASSERT_TRUE(DialHello(port, token, false, nullptr, &re).ok());
-  EXPECT_EQ(re.hello.last_applied_seq, 2u);
-  EXPECT_EQ(re.hello.epoch, 2u);
+  EXPECT_EQ(re.last_applied_seq, 2u);
+  auto re_epoch = ReadEpoch(re.fd);
+  ASSERT_TRUE(re_epoch.ok()) << re_epoch.status().ToString();
+  EXPECT_EQ(re_epoch.value(), 2u);
   EXPECT_EQ(host.value()->sessions(), 1u);
 }
 
-// Frame types 32 (an unsequenced apply) and 38 (a shutdown request) are
-// retired. A host answers them like any unknown type — InvalidArgument,
-// nothing applied — and the connection keeps serving.
+// Frame types 32 (an unsequenced apply), 34 (an epoch read), 36 (a live
+// summary read) and 38 (a shutdown request) are retired. A host answers
+// them like any unknown type — InvalidArgument, nothing applied — and the
+// connection keeps serving.
 TEST(TcpExactlyOnceTest, RetiredRequestTypesAreRejected) {
   auto host = TcpShardHost::Start({});
   ASSERT_TRUE(host.ok()) << host.status().ToString();
@@ -408,15 +442,15 @@ TEST(TcpExactlyOnceTest, RetiredRequestTypesAreRejected) {
   const stream::TurnstileStream batch = {{5, 3}, {9, 1}};
   wire::Writer w;
   wire::EncodeUpdates(batch.data(), batch.size(), &w);
-  for (uint8_t retired : {uint8_t(32), uint8_t(38)}) {
+  for (uint8_t retired :
+       {uint8_t(32), uint8_t(34), uint8_t(36), uint8_t(38)}) {
     Status s = RawRequest(conn.fd, retired, w.data());
     EXPECT_EQ(s.code(), Status::Code::kInvalidArgument)
         << "type " << int(retired) << ": " << s.ToString();
   }
-  uint64_t epoch = 99;
-  Status s = RawRequest(conn.fd, wire::kReqEpoch, {}, &epoch);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(epoch, 0u);
+  auto epoch = ReadEpoch(conn.fd);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(epoch.value(), 0u);
 }
 
 // --------------------------------------------------- transient partitions --
@@ -504,6 +538,44 @@ TEST(TcpPartitionTest, TransientPartitionResyncsWithoutRehome) {
         "engine.shard." + std::to_string(shard) + ".tcp.reconnects_total";
     EXPECT_GE(snap.Value(counter), 1u) << counter;
   }
+}
+
+// ------------------------------------------------------ one read per shard --
+
+// A query reads each shard with ONE conditional snapshot frame: the reply
+// carries the shard's epoch, and its state only when the epoch is newer
+// than the cache's. So a cold query, where every shard is newer, costs one
+// control frame per shard, and so does a repeat query that finds nothing
+// new. Each Metrics() read sends one kReqMetrics frame of its own, counted
+// in the sample it returns; the deltas below subtract it.
+TEST(TcpRoundTripTest, QueryReadsEachShardWithOneFrame) {
+  const uint64_t universe = 1 << 10;
+  const size_t kShards = 2;
+  auto client = MakeTcpClient({"ams_f2"}, TestConfig(universe, 35), kShards,
+                              1, {}, TcpBackendFactory());
+  ASSERT_TRUE(SubmitAll(*client, ZipfTurnstile(universe, 4000, 36)).ok());
+  ASSERT_TRUE(client->Flush().ok());
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    ASSERT_GE(client->ShardEpoch(shard), 1u) << "shard " << shard;
+  }
+  auto frames_out = [](const MetricsSnapshot& m, size_t shard) {
+    return m.Value("engine.shard." + std::to_string(shard) +
+                   ".wire.frames_out_total");
+  };
+  const auto handle = client->Handle("ams_f2").value();
+  for (const char* query : {"cold", "repeat"}) {
+    const MetricsSnapshot before = client->Metrics();
+    auto scalar = client->QueryScalar(handle);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    const MetricsSnapshot after = client->Metrics();
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      const uint64_t metrics_read = 1;  // `after`'s own kReqMetrics frame
+      EXPECT_EQ(frames_out(after, shard) - frames_out(before, shard),
+                metrics_read + 1)
+          << query << " query, shard " << shard;
+    }
+  }
+  ASSERT_TRUE(client->Finish().ok());
 }
 
 // ------------------------------------------------------------ placement --

@@ -218,34 +218,6 @@ TEST(WireCodecTest, StatusRoundTrip) {
   }
 }
 
-TEST(WireCodecTest, SummaryRoundTrip) {
-  SketchSummary in;
-  in.sketch = "misra_gries";
-  in.has_scalar = true;
-  in.scalar = 3.25;
-  in.updates = 99;
-  in.items = {{5, 10.0}, {3, 7.5}, {9, 7.5}};
-  in.SortItems();
-  wire::Writer w;
-  wire::EncodeSummary(in, &w);
-  wire::Reader r(w.data());
-  SketchSummary out;
-  ASSERT_TRUE(wire::DecodeSummary(&r, &out).ok());
-  EXPECT_EQ(out.sketch, in.sketch);
-  EXPECT_EQ(out.has_scalar, in.has_scalar);
-  EXPECT_EQ(out.scalar, in.scalar);
-  EXPECT_EQ(out.updates, in.updates);
-  ASSERT_EQ(out.items.size(), in.items.size());
-  for (size_t i = 0; i < in.items.size(); ++i) {
-    EXPECT_EQ(out.items[i].item, in.items[i].item);
-    EXPECT_EQ(out.items[i].estimate, in.items[i].estimate);
-  }
-  // The rebuilt by-item index answers point lookups like the original.
-  for (uint64_t probe : {3u, 5u, 9u, 1u}) {
-    EXPECT_EQ(out.Estimate(probe), in.Estimate(probe));
-  }
-}
-
 // ---------------------------------------------- sketch state round trips --
 
 SketchConfig WireTestConfig(uint64_t universe, uint64_t seed) {
