@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
@@ -156,11 +157,11 @@ void SisStorageAblation() {
   for (bool materialize : {false, true}) {
     crypto::SisMatrix m(p, oracle, 1);
     if (materialize) m.Materialize();
-    crypto::SisSketchVector v(&m);
+    std::vector<uint64_t> v(p.rows, 0);  // the sketch A * f
     const int updates = materialize ? 20000 : 2000;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < updates; ++i) {
-      (void)v.Update(size_t(i) % p.cols, 1);
+      (void)m.AddColumn(v.data(), size_t(i) % p.cols, 1);
     }
     auto end = std::chrono::steady_clock::now();
     double us =

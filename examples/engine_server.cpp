@@ -73,9 +73,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -109,6 +112,17 @@ void EmitStats(const wbs::engine::Client& client, uint64_t t_us,
       *jsonl << line << "\n";
     }
     jsonl->flush();
+  }
+}
+
+/// Prints each failed stage of an ingest with its Status: a remote host's
+/// reason (a protocol version it does not speak, say) travels inside it.
+void PrintFailedStages(
+    std::initializer_list<std::pair<const char*, wbs::Status>> stages) {
+  for (const auto& [stage, status] : stages) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "  %s: %s\n", stage, status.ToString().c_str());
+    }
   }
 }
 
@@ -220,6 +234,11 @@ int RunShapedWorkload(const std::string& workload, bool autoscale,
 
   // ---- paced ingest ------------------------------------------------------
   uint64_t submit_failures = 0;
+  wbs::Status submit_error;  // the first failed Submit or Wait
+  auto note_submit_error = [&](const wbs::Status& s) {
+    ++submit_failures;
+    if (submit_error.ok()) submit_error = s;
+  };
   wbs::engine::IngestTicket last{};
   for (size_t p = 0; p < kPhases; ++p) {
     const auto& phase = phases[p];
@@ -227,14 +246,14 @@ int RunShapedWorkload(const std::string& workload, bool autoscale,
       auto t = client->Submit(phase.data() + off,
                               std::min(kSlice, phase.size() - off));
       if (!t.ok()) {
-        ++submit_failures;
+        note_submit_error(t.status());
         break;
       }
       last = t.value();
       std::this_thread::sleep_for(std::chrono::microseconds(sleep_us[p]));
     }
   }
-  if (!client->Wait(last).ok()) ++submit_failures;
+  if (wbs::Status w = client->Wait(last); !w.ok()) note_submit_error(w);
 
   stop.store(true, std::memory_order_relaxed);
   if (stats_thread.joinable()) {
@@ -276,11 +295,13 @@ int RunShapedWorkload(const std::string& workload, bool autoscale,
 
   // Convergence gate: full ingest, clean Finish, zero lost acked updates.
   const uint64_t lost = snap.Value("engine.failover.updates_lost_total");
-  if (submit_failures > 0 || lost > 0 || !client->Finish().ok()) {
+  const wbs::Status finish_status = client->Finish();
+  if (submit_failures > 0 || lost > 0 || !finish_status.ok()) {
     std::fprintf(stderr, "engine ingest failed (%llu submit failures, "
                  "%llu updates lost)\n",
                  (unsigned long long)submit_failures,
                  (unsigned long long)lost);
+    PrintFailedStages({{"submits", submit_error}, {"Finish", finish_status}});
     return 1;
   }
 
@@ -435,19 +456,24 @@ int main(int argc, char** argv) {
   // last ticket per tenant is Wait()ed at the end — by the monotone
   // completion watermark that covers everything the tenant submitted.
   const size_t slice = 2048;
-  std::atomic<uint64_t> submit_failures{0};
+  std::mutex submit_mu;
+  wbs::Status submit_error;  // first failed Submit or Wait, under submit_mu
+  auto note_submit_error = [&](const wbs::Status& s) {
+    std::lock_guard<std::mutex> lock(submit_mu);
+    if (submit_error.ok()) submit_error = s;
+  };
   auto producer = [&](const wbs::stream::TurnstileStream& s) {
     wbs::engine::IngestTicket last{};
     for (size_t off = 0; off < s.size(); off += slice) {
       auto t = client->Submit(s.data() + off,
                               std::min(slice, s.size() - off));
       if (!t.ok()) {
-        ++submit_failures;
+        note_submit_error(t.status());
         return;
       }
       last = t.value();
     }
-    if (!client->Wait(last).ok()) ++submit_failures;
+    if (wbs::Status w = client->Wait(last); !w.ok()) note_submit_error(w);
   };
 
   std::atomic<bool> stop{false};
@@ -499,13 +525,13 @@ int main(int argc, char** argv) {
   // barrier through the router; the racing producers and the monitor never
   // see an error, and the linear sketches make the final answers
   // independent of where in the interleaving the barrier lands.
-  uint64_t reshard_failures = 0;
-  if (!client->AddShards(2).ok()) ++reshard_failures;
+  wbs::Status reshard_error = client->AddShards(2);
   const bool tcp_engine = backend_name.rfind("tcp", 0) == 0;
   auto handoff_target = tcp_engine ? wbs::engine::InProcessBackendFactory()
                                    : wbs::engine::TcpBackendFactory();
-  if (!client->MoveShard(0, handoff_target).ok()) {
-    ++reshard_failures;
+  if (wbs::Status m = client->MoveShard(0, handoff_target);
+      !m.ok() && reshard_error.ok()) {
+    reshard_error = m;
   }
   // Handoff phase timings come from the recorded trace spans (the single
   // source of truth for control-op phase timings).
@@ -534,9 +560,12 @@ int main(int argc, char** argv) {
                      .count());
     EmitStats(*client, t_us, &stats_jsonl);
   }
-  if (submit_failures.load() > 0 || reshard_failures > 0 ||
-      !client->Finish().ok()) {
+  const wbs::Status finish_status = client->Finish();
+  if (!submit_error.ok() || !reshard_error.ok() || !finish_status.ok()) {
     std::fprintf(stderr, "engine ingest failed\n");
+    PrintFailedStages({{"submits", submit_error},
+                       {"reshards", reshard_error},
+                       {"Finish", finish_status}});
     return 1;
   }
 

@@ -103,22 +103,22 @@ void Sha256::UpdateU64(uint64_t v) {
 }
 
 Digest256 Sha256::Finalize() {
-  uint64_t total_bits = bit_count_;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit count.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  bit_count_ -= 8;  // padding bytes do not count toward the message length
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-    bit_count_ -= 8;
+  // Padding (FIPS 180-4, 5.1.1), written straight into the block: 0x80,
+  // zeros up to byte 56, then the message length in bits, big-endian. With
+  // more than 55 bytes buffered the 0x80 and the length do not both fit, so
+  // the zero-filled current block goes first.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t be[8];
-  for (int i = 7; i >= 0; --i) {
-    be[i] = uint8_t(total_bits & 0xff);
-    total_bits >>= 8;
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = uint8_t(bit_count_ >> (56 - 8 * i));
   }
-  Update(be, 8);
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
   Digest256 out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = uint8_t(state_[i] >> 24);

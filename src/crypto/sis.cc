@@ -3,7 +3,10 @@
 #include "crypto/sis.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <map>
+#include <mutex>
 #include <unordered_map>
 
 #include "common/bits.h"
@@ -20,40 +23,81 @@ uint64_t SisParams::MatrixBits() const {
 
 SisMatrix::SisMatrix(SisParams params, const RandomOracle& oracle,
                      uint64_t domain)
-    : params_(params), oracle_(&oracle), domain_(domain), barrett_(params.q) {
+    : params_(params), oracle_(oracle), domain_(domain), barrett_(params.q) {
   assert(params_.q >= 2);
   assert(params_.rows > 0 && params_.cols > 0);
 }
 
 uint64_t SisMatrix::Entry(size_t i, size_t j) const {
   assert(i < params_.rows && j < params_.cols);
-  if (!cache_.empty()) return cache_[j * params_.rows + i];
-  return oracle_->FieldElement(domain_, i * params_.cols + j, params_.q);
+  if (entries_ != nullptr) return entries_[j * params_.rows + i];
+  return oracle_.FieldElement(domain_, i * params_.cols + j, params_.q);
 }
 
-void SisMatrix::Materialize() {
-  if (!cache_.empty()) return;
-  const size_t rows = params_.rows;
-  const size_t cols = params_.cols;
-  cache_.resize(rows * cols);
+bool SisMatrix::SameMatrix(const SisMatrix& other) const {
+  return oracle_.instance_id() == other.oracle_.instance_id() &&
+         domain_ == other.domain_ && params_.q == other.params_.q &&
+         params_.rows == other.params_.rows &&
+         params_.cols == other.params_.cols;
+}
+
+namespace {
+
+using TableKey = std::array<uint64_t, 5>;  // instance, domain, q, rows, cols
+
+std::shared_ptr<const SisMatrix::Table> BuildTable(const SisParams& p,
+                                                   const RandomOracle& oracle,
+                                                   uint64_t domain) {
+  auto table = std::make_shared<SisMatrix::Table>();
+  const size_t rows = p.rows;
+  const size_t cols = p.cols;
+  std::vector<uint64_t>& entries = table->entries;
+  entries.resize(rows * cols);
   // One pass per row with the oracle index base hoisted out of the inner
   // loop; entries land in the column-major layout Column() serves. The
   // oracle values are identical to the on-demand Entry() path — only the
   // storage order changes.
   for (size_t i = 0; i < rows; ++i) {
     const uint64_t base = uint64_t(i) * cols;
-    uint64_t* row_dest = cache_.data() + i;
+    uint64_t* row_dest = entries.data() + i;
     for (size_t j = 0; j < cols; ++j) {
-      row_dest[j * rows] = oracle_->FieldElement(domain_, base + j, params_.q);
+      row_dest[j * rows] = oracle.FieldElement(domain, base + j, p.q);
     }
   }
   // Shoup companions: shoup[idx] = floor(entry * 2^64 / q). One u128
-  // division per entry, paid once at materialization; the SIMD column
-  // update kernel then gets exact mod-q products from two multiplies.
-  shoup_.resize(cache_.size());
-  for (size_t idx = 0; idx < cache_.size(); ++idx) {
-    shoup_[idx] = uint64_t((wbs::u128(cache_[idx]) << 64) / params_.q);
+  // division per entry, paid once per table; the SIMD column update
+  // kernel then gets exact mod-q products from two multiplies.
+  table->shoup.resize(entries.size());
+  for (size_t idx = 0; idx < entries.size(); ++idx) {
+    table->shoup[idx] = uint64_t((wbs::u128(entries[idx]) << 64) / p.q);
   }
+  return table;
+}
+
+}  // namespace
+
+void SisMatrix::Materialize() {
+  if (table_ != nullptr) return;
+  // Weak references only: the registry never keeps a table alive, and a
+  // key whose table died is pruned the next time any matrix materializes.
+  static std::mutex mu;
+  static auto* tables = new std::map<TableKey, std::weak_ptr<const Table>>();
+  const TableKey key{oracle_.instance_id(), domain_, params_.q, params_.rows,
+                     params_.cols};
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    std::erase_if(*tables, [](const auto& kv) { return kv.second.expired(); });
+    std::weak_ptr<const Table>& slot = (*tables)[key];
+    table_ = slot.lock();
+    if (table_ == nullptr) {
+      // Built under the lock, so matrices of the same key that arrive
+      // meanwhile wait and adopt this table rather than build their own.
+      table_ = BuildTable(params_, oracle_, domain_);
+      slot = table_;
+    }
+  }
+  entries_ = table_->entries.data();
+  shoup_ = table_->shoup.data();
 }
 
 Status SisMatrix::AddColumn(uint64_t* v, size_t col, int64_t delta) const {
@@ -87,48 +131,6 @@ Status SisMatrix::AddColumn(uint64_t* v, size_t col, int64_t delta) const {
     }
   }
   return Status::OK();
-}
-
-SisSketchVector::SisSketchVector(const SisMatrix* matrix)
-    : matrix_(matrix), v_(matrix->params().rows, 0) {}
-
-Status SisSketchVector::Update(size_t col, int64_t delta) {
-  return matrix_->AddColumn(v_.data(), col, delta);
-}
-
-Status SisSketchVector::MergeFrom(const SisSketchVector& other) {
-  const SisParams& p = matrix_->params();
-  const SisParams& op = other.matrix_->params();
-  if (p.q != op.q || p.rows != op.rows || p.cols != op.cols ||
-      v_.size() != other.v_.size()) {
-    return Status::FailedPrecondition(
-        "SisSketchVector::MergeFrom: parameter mismatch");
-  }
-  AccumulateMod(v_.data(), other.v_.data(), v_.size(), p.q);
-  return Status::OK();
-}
-
-Status SisSketchVector::UnmergeFrom(const SisSketchVector& other) {
-  const SisParams& p = matrix_->params();
-  const SisParams& op = other.matrix_->params();
-  if (p.q != op.q || p.rows != op.rows || p.cols != op.cols ||
-      v_.size() != other.v_.size()) {
-    return Status::FailedPrecondition(
-        "SisSketchVector::UnmergeFrom: parameter mismatch");
-  }
-  SubtractMod(v_.data(), other.v_.data(), v_.size(), p.q);
-  return Status::OK();
-}
-
-bool SisSketchVector::IsZero() const {
-  for (uint64_t x : v_) {
-    if (x != 0) return false;
-  }
-  return true;
-}
-
-uint64_t SisSketchVector::SpaceBits() const {
-  return matrix_->params().EntryBits() * v_.size();
 }
 
 bool IsValidSisSolution(const SisMatrix& matrix,

@@ -23,6 +23,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/modmath.h"
@@ -46,27 +47,44 @@ struct SisParams {
 
 /// A uniformly random A in Z_q^{rows x cols} whose entries are derived from
 /// a public random oracle; optionally materialized for throughput.
+///
+/// A matrix holds its oracle by value and its materialized table through a
+/// shared pointer, so a copy never reads memory its original owns.
 class SisMatrix {
  public:
+  /// The materialized entries of one matrix: the residues column-major, so
+  /// the sketch's column update walks contiguous memory, and their Shoup
+  /// companions in the same layout. Immutable once built.
+  struct Table {
+    std::vector<uint64_t> entries;
+    std::vector<uint64_t> shoup;
+  };
+
   /// `domain` separates independent matrices drawn from the same oracle.
   SisMatrix(SisParams params, const RandomOracle& oracle, uint64_t domain);
 
   /// Entry A[i][j] in [0, q).
   uint64_t Entry(size_t i, size_t j) const;
 
-  /// Precomputes all entries (trades the oracle's O(1) space for speed;
-  /// corresponds to the non-random-oracle space bound in Theorem 1.5). The
-  /// cache is stored column-major so the sketch's column update walks
-  /// contiguous memory.
+  /// Adopts the materialized table of this matrix (trades the oracle's O(1)
+  /// space for speed; corresponds to the non-random-oracle space bound in
+  /// Theorem 1.5). A is public, so one table per (oracle instance, domain,
+  /// q, rows, cols) serves every matrix in the process that holds it: the
+  /// first Materialize of a key builds it under a process-wide lock, later
+  /// and concurrent ones adopt it. The registry keeps only weak references,
+  /// so the table is freed with its last holder.
   void Materialize();
-  bool materialized() const { return !cache_.empty(); }
+  bool materialized() const { return entries_ != nullptr; }
+
+  /// The shared table; null until Materialize().
+  const std::shared_ptr<const Table>& table() const { return table_; }
 
   /// Contiguous column j (rows entries). Requires materialized(); the debug
   /// assertion keeps the fast path honest.
   const uint64_t* Column(size_t j) const {
     assert(materialized());
     assert(j < params_.cols);
-    return cache_.data() + j * params_.rows;
+    return entries_ + j * params_.rows;
   }
 
   /// Shoup companion of Column(j): shoup[i] = floor(Column(j)[i] * 2^64 / q),
@@ -76,7 +94,7 @@ class SisMatrix {
   const uint64_t* ShoupColumn(size_t j) const {
     assert(materialized());
     assert(j < params_.cols);
-    return shoup_.data() + j * params_.rows;
+    return shoup_ + j * params_.rows;
   }
 
   /// Barrett context for this matrix's modulus, shared by every sketch
@@ -84,14 +102,20 @@ class SisMatrix {
   const wbs::BarrettQ& barrett() const { return barrett_; }
 
   /// The SIS column update on `rows` residues at `v`: v += delta * A_col
-  /// (mod q), the turnstile update f[col] += delta. Rejects `col` out of
-  /// range. Materialized matrices run the dispatched SIMD kernel (a Debug
-  /// build replays it with the scalar Barrett path and asserts an exact
-  /// match); otherwise the entries come from the oracle. Shared by
-  /// SisSketchVector and the L0 estimator's flat per-chunk state.
+  /// (mod q), the turnstile update f[col] += delta, so v is the running
+  /// sketch A * f. Rejects `col` out of range. Materialized matrices run the
+  /// dispatched SIMD kernel (a Debug build replays it with the scalar
+  /// Barrett path and asserts an exact match); otherwise the entries come
+  /// from the oracle. Sketch vectors over the same A merge by AccumulateMod
+  /// and unmerge by SubtractMod (common/modmath.h), since A * f is linear.
   Status AddColumn(uint64_t* v, size_t col, int64_t delta) const;
 
   const SisParams& params() const { return params_; }
+  const RandomOracle& oracle() const { return oracle_; }
+
+  /// True iff `other` draws the same A: same oracle instance, domain, q and
+  /// shape. Sketch vectors are mergeable exactly when their matrices are.
+  bool SameMatrix(const SisMatrix& other) const;
 
   /// Space charged to an algorithm storing this matrix: 0 if entries come
   /// from the public oracle, params().MatrixBits() if materialized storage
@@ -100,44 +124,14 @@ class SisMatrix {
 
  private:
   SisParams params_;
-  const RandomOracle* oracle_;
+  RandomOracle oracle_;
   uint64_t domain_;
   wbs::BarrettQ barrett_;
-  std::vector<uint64_t> cache_;  // column-major, empty until Materialize()
-  std::vector<uint64_t> shoup_;  // Shoup constants, same layout as cache_
-};
-
-/// The running sketch v = A * f mod q for a turnstile-updated f.
-class SisSketchVector {
- public:
-  explicit SisSketchVector(const SisMatrix* matrix);
-
-  /// Applies f[col] += delta (turnstile update): v += delta * A_col mod q.
-  Status Update(size_t col, int64_t delta);
-
-  /// True iff v == 0 (the sketch cannot distinguish f == 0 from a short SIS
-  /// solution — which is exactly what the hardness assumption rules out).
-  bool IsZero() const;
-
-  /// Adds another sketch vector: v += other.v (mod q). Because the sketch is
-  /// linear in f, the merge of sketches over partial streams equals the
-  /// sketch of the combined stream — both vectors must be drawn against the
-  /// same A (same params; callers are responsible for oracle/domain
-  /// identity, which the engine guarantees by construction).
-  Status MergeFrom(const SisSketchVector& other);
-
-  /// Exact inverse of MergeFrom: v -= other.v (mod q). Lets a cached merge
-  /// target drop one shard's stale contribution instead of refolding all.
-  Status UnmergeFrom(const SisSketchVector& other);
-
-  const std::vector<uint64_t>& value() const { return v_; }
-
-  /// Bits to store the sketch vector (rows * ceil(log2 q)).
-  uint64_t SpaceBits() const;
-
- private:
-  const SisMatrix* matrix_;
-  std::vector<uint64_t> v_;
+  std::shared_ptr<const Table> table_;  // null until Materialize()
+  // table_->entries.data() and table_->shoup.data(), hoisted out of the
+  // column update.
+  const uint64_t* entries_ = nullptr;
+  const uint64_t* shoup_ = nullptr;
 };
 
 /// Outcome of a bounded adversary's attempt to solve SIS.

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/bits.h"
@@ -101,20 +102,27 @@ bool SameShape(const SisL0Params& a, const SisL0Params& b) {
 
 }  // namespace
 
-Status SisL0Estimator::MergeFrom(const SisL0Estimator& other) {
+Status SisL0Estimator::CheckMergeable(const SisL0Estimator& other,
+                                      const char* op) const {
   if (!SameShape(params_, other.params_)) {
-    return Status::FailedPrecondition(
-        "SisL0Estimator::MergeFrom: parameter mismatch");
+    return Status::FailedPrecondition(std::string("SisL0Estimator::") + op +
+                                      ": parameter mismatch");
   }
+  if (!matrix_.SameMatrix(other.matrix_)) {
+    return Status::FailedPrecondition(std::string("SisL0Estimator::") + op +
+                                      ": oracle instance or domain mismatch");
+  }
+  return Status::OK();
+}
+
+Status SisL0Estimator::MergeFrom(const SisL0Estimator& other) {
+  if (Status s = CheckMergeable(other, "MergeFrom"); !s.ok()) return s;
   AccumulateMod(state_.data(), other.state_.data(), state_.size(), params_.q);
   return Status::OK();
 }
 
 Status SisL0Estimator::UnmergeFrom(const SisL0Estimator& other) {
-  if (!SameShape(params_, other.params_)) {
-    return Status::FailedPrecondition(
-        "SisL0Estimator::UnmergeFrom: parameter mismatch");
-  }
+  if (Status s = CheckMergeable(other, "UnmergeFrom"); !s.ok()) return s;
   SubtractMod(state_.data(), other.state_.data(), state_.size(), params_.q);
   return Status::OK();
 }

@@ -69,11 +69,11 @@ class SisL0Estimator final
   uint64_t SpaceBits() const override;
 
   /// Linear merge: adds the other estimator's chunk sketches (mod q) into
-  /// this one, in one pass over the flat state. Valid only when both
-  /// instances were derived from identical params and the same random
-  /// oracle instance (then A is identical and sketch(f) + sketch(g) =
-  /// sketch(f + g), so the merged estimator is bit-identical to one that
-  /// ingested the concatenated stream).
+  /// this one, in one pass over the flat state. Rejected unless both
+  /// instances have identical params and draw A from the same oracle
+  /// instance and domain (then sketch(f) + sketch(g) = sketch(f + g), so
+  /// the merged estimator is bit-identical to one that ingested the
+  /// concatenated stream).
   Status MergeFrom(const SisL0Estimator& other);
 
   /// Exact inverse of MergeFrom (mod-q subtraction of the whole state); same
@@ -81,8 +81,10 @@ class SisL0Estimator final
   /// cache: a stale shard contribution is subtracted, the fresh one added.
   Status UnmergeFrom(const SisL0Estimator& other);
 
-  /// Precomputes the shared sketching matrix A (trades the random-oracle
+  /// Adopts the materialized sketching matrix A (trades the random-oracle
   /// space accounting for per-update speed; used by the serving engine).
+  /// Every estimator of one config shares one table; see
+  /// SisMatrix::Materialize.
   void MaterializeMatrix() { matrix_.Materialize(); }
 
   const SisL0Params& params() const { return params_; }
@@ -98,6 +100,8 @@ class SisL0Estimator final
   Status RestoreState(std::vector<uint64_t> state);
 
  private:
+  Status CheckMergeable(const SisL0Estimator& other, const char* op) const;
+
   SisL0Params params_;
   crypto::SisMatrix matrix_;
   std::vector<uint64_t> state_;  // num_chunks x sketch_rows, chunk-major

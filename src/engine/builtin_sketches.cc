@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/modmath.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "crypto/random_oracle.h"
@@ -433,21 +434,24 @@ class SisL0EngineSketch final : public SketchBase {
  public:
   explicit SisL0EngineSketch(const SketchConfig& cfg)
       : SketchBase("sis_l0"),
-        oracle_(cfg.seed),
         est_(distinct::SisL0Params::Derive(cfg.universe, cfg.sis_l0.eps,
                                            cfg.sis_l0.c,
                                            cfg.sis_l0.f_inf_bound),
-             oracle_, kL0OracleDomain) {}
+             crypto::RandomOracle(cfg.seed), kL0OracleDomain) {}
 
+  // The oracle-derived A costs one SHA-256 per entry, so the first ingest
+  // adopts the process's shared table (a no-op after that). Merge-only
+  // targets never ingest: MergeFrom/Query touch only the chunk vectors, so
+  // fresh accumulators neither build nor hold one.
   Status Update(const stream::TurnstileUpdate& u) override {
-    EnsureMaterialized();
+    est_.MaterializeMatrix();
     Status s = est_.Update(u);
     if (s.ok() && u.delta != 0) ++updates_applied_;
     return s;
   }
 
   Status ApplyBatch(const UpdateBatch& batch) override {
-    EnsureMaterialized();
+    est_.MaterializeMatrix();
     const AggregatedView agg = GetAggregated(batch);
     for (size_t i = 0; i < agg.size; ++i) {
       if (agg.data[i].delta == 0) continue;
@@ -472,9 +476,6 @@ class SisL0EngineSketch final : public SketchBase {
     if (o == nullptr) {
       return Status::InvalidArgument("sis_l0: merge type mismatch");
     }
-    if (oracle_.instance_id() != o->oracle_.instance_id()) {
-      return Status::FailedPrecondition("sis_l0: oracle mismatch");
-    }
     Status s = est_.MergeFrom(o->est_);
     if (!s.ok()) return s;
     updates_applied_ += o->updates_applied_;
@@ -485,9 +486,6 @@ class SisL0EngineSketch final : public SketchBase {
     const auto* o = dynamic_cast<const SisL0EngineSketch*>(&other);
     if (o == nullptr) {
       return Status::InvalidArgument("sis_l0: unmerge type mismatch");
-    }
-    if (oracle_.instance_id() != o->oracle_.instance_id()) {
-      return Status::FailedPrecondition("sis_l0: oracle mismatch");
     }
     Status s = est_.UnmergeFrom(o->est_);
     if (!s.ok()) return s;
@@ -504,7 +502,7 @@ class SisL0EngineSketch final : public SketchBase {
     w.U64(p.num_chunks);
     w.U64(p.sketch_rows);
     w.U64(p.q);
-    w.U64(oracle_.instance_id());
+    w.U64(est_.matrix().oracle().instance_id());
     w.U64(updates_applied_);
     for (uint64_t v : est_.state()) w.U64(v);
     return Status::OK();
@@ -521,7 +519,7 @@ class SisL0EngineSketch final : public SketchBase {
       return Status::InvalidArgument("sis_l0: derived parameter mismatch");
     }
     if (Status s = r.U64(&oracle_id); !s.ok()) return s;
-    if (oracle_id != oracle_.instance_id()) {
+    if (oracle_id != est_.matrix().oracle().instance_id()) {
       return Status::FailedPrecondition(
           "sis_l0: oracle mismatch (different config seed)");
     }
@@ -539,19 +537,7 @@ class SisL0EngineSketch final : public SketchBase {
   uint64_t SpaceBits() const override { return est_.SpaceBits(); }
 
  private:
-  /// The oracle-derived A costs one SHA-256 per entry; cache it before the
-  /// first ingest, but never for merge-only targets (MergeFrom/Query touch
-  /// only the chunk vectors, so fresh accumulators skip the cost).
-  void EnsureMaterialized() {
-    if (!materialized_) {
-      est_.MaterializeMatrix();
-      materialized_ = true;
-    }
-  }
-
-  crypto::RandomOracle oracle_;
   distinct::SisL0Estimator est_;
-  bool materialized_ = false;
 };
 
 // ---------------------------------------------------------- rank_decision --
@@ -876,6 +862,95 @@ class CrhfHhEngineSketch final : public SketchBase {
   CrhfImageTable images_;  // per-batch table; derived from public state
 };
 
+// ---------------------------------------------------------- config checks --
+//
+// A config reaches a factory from a local Client or, decoded from a hello,
+// from whoever dialed a tcp host, so nothing upstream bounds it. Each
+// family rejects the exponents its algorithm is undefined for and any
+// dimension whose allocation passes its cap. The caps sit far above every
+// shipped config: the largest sis_l0 one (2^20 universe) holds 6,144 state
+// residues and 6,144 matrix entries, the largest ams_f2 one 64 rows.
+
+constexpr uint64_t kMaxUniverse = uint64_t{1} << 62;
+constexpr uint64_t kMaxMisraGriesCounters = uint64_t{1} << 20;
+constexpr uint64_t kMaxAmsRows = uint64_t{1} << 16;
+constexpr uint64_t kMaxSisWords = uint64_t{1} << 22;  ///< state; matrix
+constexpr uint64_t kMaxRankEntries = uint64_t{1} << 22;  ///< k x n sketch
+/// Smallest hh.eps and hh.phi: 1/eps and 1/phi size counters and tables.
+constexpr double kMinHhFraction = 1.0 / double(uint64_t{1} << 20);
+
+/// lo < x < hi, and false for NaN.
+bool Inside(double x, double lo, double hi) { return x > lo && x < hi; }
+
+Status CheckUniverse(const SketchConfig& c) {
+  if (c.universe > kMaxUniverse) {
+    return Status::InvalidArgument("universe above 2^62");
+  }
+  return Status::OK();
+}
+
+Status CheckMisraGries(const SketchConfig& c) {
+  if (c.misra_gries.counters < 1 ||
+      c.misra_gries.counters > kMaxMisraGriesCounters) {
+    return Status::InvalidArgument("counters outside [1, 2^20]");
+  }
+  return CheckUniverse(c);
+}
+
+Status CheckAms(const SketchConfig& c) {
+  if (c.ams.rows < 1 || c.ams.rows > kMaxAmsRows) {
+    return Status::InvalidArgument("rows outside [1, 2^16]");
+  }
+  return CheckUniverse(c);
+}
+
+Status CheckSisL0(const SketchConfig& c) {
+  if (!Inside(c.sis_l0.eps, 0, 1)) {
+    return Status::InvalidArgument("eps outside (0, 1)");
+  }
+  if (!Inside(c.sis_l0.c, 0, 0.5)) {
+    return Status::InvalidArgument("c outside (0, 1/2)");
+  }
+  if (Status s = CheckUniverse(c); !s.ok()) return s;
+  const auto p = distinct::SisL0Params::Derive(
+      c.universe, c.sis_l0.eps, c.sis_l0.c, c.sis_l0.f_inf_bound);
+  // Compared by division (sketch_rows >= 1), so no product can overflow.
+  if (p.num_chunks > kMaxSisWords / p.sketch_rows) {
+    return Status::InvalidArgument("chunk state above 2^22 residues");
+  }
+  if (p.chunk_width > kMaxSisWords / p.sketch_rows) {
+    return Status::InvalidArgument("sketching matrix above 2^22 entries");
+  }
+  return Status::OK();
+}
+
+Status CheckRank(const SketchConfig& c) {
+  if (c.rank.k < 1 || c.rank.k > c.rank.n) {
+    return Status::InvalidArgument("k outside [1, n]");
+  }
+  if (c.rank.n > kMaxRankEntries / c.rank.k) {
+    return Status::InvalidArgument("k x n sketch above 2^22 entries");
+  }
+  return BarrettQ::Make(c.rank.q).status();
+}
+
+Status CheckHeavyHitter(const SketchConfig& c) {
+  if (!(c.hh.eps >= kMinHhFraction && c.hh.eps < 1)) {
+    return Status::InvalidArgument("hh.eps outside [2^-20, 1)");
+  }
+  if (!Inside(c.hh.delta, 0, 1)) {
+    return Status::InvalidArgument("hh.delta outside (0, 1)");
+  }
+  return CheckUniverse(c);
+}
+
+Status CheckCrhfHh(const SketchConfig& c) {
+  if (!(c.hh.phi >= kMinHhFraction && c.hh.phi <= 1)) {
+    return Status::InvalidArgument("hh.phi outside [2^-20, 1]");
+  }
+  return CheckHeavyHitter(c);
+}
+
 }  // namespace
 
 void RegisterBuiltinSketches(SketchRegistry* registry) {
@@ -891,37 +966,37 @@ void RegisterBuiltinSketches(SketchRegistry* registry) {
       [](const SketchConfig& cfg) {
         return std::make_unique<MisraGriesSketch>(cfg);
       },
-      SketchFamily::kHeavyHitter));
+      SketchFamily::kHeavyHitter, CheckMisraGries));
   must(registry->Register(
       "ams_f2",
       [](const SketchConfig& cfg) {
         return std::make_unique<AmsF2EngineSketch>(cfg);
       },
-      SketchFamily::kScalarEstimate));
+      SketchFamily::kScalarEstimate, CheckAms));
   must(registry->Register(
       "sis_l0",
       [](const SketchConfig& cfg) {
         return std::make_unique<SisL0EngineSketch>(cfg);
       },
-      SketchFamily::kScalarEstimate));
+      SketchFamily::kScalarEstimate, CheckSisL0));
   must(registry->Register(
       "rank_decision",
       [](const SketchConfig& cfg) {
         return std::make_unique<RankDecisionEngineSketch>(cfg);
       },
-      SketchFamily::kRankVerdict));
+      SketchFamily::kRankVerdict, CheckRank));
   must(registry->Register(
       "robust_hh",
       [](const SketchConfig& cfg) {
         return std::make_unique<RobustHhEngineSketch>(cfg);
       },
-      SketchFamily::kHeavyHitter));
+      SketchFamily::kHeavyHitter, CheckHeavyHitter));
   must(registry->Register(
       "crhf_hh",
       [](const SketchConfig& cfg) {
         return std::make_unique<CrhfHhEngineSketch>(cfg);
       },
-      SketchFamily::kHeavyHitter));
+      SketchFamily::kHeavyHitter, CheckCrhfHh));
 }
 
 }  // namespace wbs::engine

@@ -14,7 +14,7 @@ SketchRegistry& SketchRegistry::Global() {
 }
 
 Status SketchRegistry::Register(const std::string& name, Factory factory,
-                                SketchFamily family) {
+                                SketchFamily family, ConfigCheck check) {
   if (name.empty()) {
     return Status::InvalidArgument("SketchRegistry: empty sketch name");
   }
@@ -23,7 +23,7 @@ Status SketchRegistry::Register(const std::string& name, Factory factory,
   }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] =
-      factories_.emplace(name, Entry{std::move(factory), family});
+      factories_.emplace(name, Entry{std::move(factory), family, check});
   (void)it;
   if (!inserted) {
     return Status::FailedPrecondition("SketchRegistry: duplicate name " + name);
@@ -34,6 +34,7 @@ Status SketchRegistry::Register(const std::string& name, Factory factory,
 Result<std::unique_ptr<Sketch>> SketchRegistry::Create(
     const std::string& name, const SketchConfig& config) const {
   Factory factory;
+  ConfigCheck check = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = factories_.find(name);
@@ -41,6 +42,13 @@ Result<std::unique_ptr<Sketch>> SketchRegistry::Create(
       return Status::NotFound("SketchRegistry: unknown sketch " + name);
     }
     factory = it->second.factory;
+    check = it->second.check;
+  }
+  if (check != nullptr) {
+    if (Status s = check(config); !s.ok()) {
+      return Status::InvalidArgument("SketchRegistry: " + name +
+                                     " config: " + s.message());
+    }
   }
   std::unique_ptr<Sketch> sketch = factory(config);
   if (sketch == nullptr) {

@@ -36,15 +36,25 @@ class SketchRegistry {
  public:
   using Factory = std::function<std::unique_ptr<Sketch>(const SketchConfig&)>;
 
+  /// Says why a config is one the family cannot serve: an exponent
+  /// outside its range, or a dimension above the family's cap. Create
+  /// returns it as InvalidArgument, prefixed with the sketch name.
+  using ConfigCheck = Status (*)(const SketchConfig&);
+
   /// The process-wide registry, with the built-in sketches pre-registered.
   static SketchRegistry& Global();
 
   /// Registers a factory under `name`; rejects duplicates. `family`
-  /// declares which typed queries the sketch answers (kGeneric = all).
+  /// declares which typed queries the sketch answers (kGeneric = all);
+  /// `check`, if set, vets every config before the factory sees it.
   Status Register(const std::string& name, Factory factory,
-                  SketchFamily family = SketchFamily::kGeneric);
+                  SketchFamily family = SketchFamily::kGeneric,
+                  ConfigCheck check = nullptr);
 
-  /// Instantiates the named sketch with `config`.
+  /// Instantiates the named sketch with `config`, after the family's
+  /// config check. Every engine cell is built here, whether its config
+  /// came from a local Client or was decoded from a tcp hello, so a hostile
+  /// config is refused before anything is allocated for it.
   Result<std::unique_ptr<Sketch>> Create(const std::string& name,
                                          const SketchConfig& config) const;
 
@@ -58,6 +68,7 @@ class SketchRegistry {
   struct Entry {
     Factory factory;
     SketchFamily family;
+    ConfigCheck check;
   };
 
   mutable std::mutex mu_;

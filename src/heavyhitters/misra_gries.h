@@ -39,12 +39,16 @@ class MisraGries {
   /// All currently tracked (item, counter) pairs.
   std::vector<WeightedItem> List() const;
 
-  /// Mergeable-summaries merge (ACHPWY12): folds the other summary's
-  /// counters in as weighted adds, so the merged summary covers the
-  /// concatenated stream. Estimates still never overestimate; the additive
-  /// underestimation error is at most ErrorBound() of the merged summary
-  /// (processed/(k+1) over the combined weight). Requires equal k so the
-  /// error bound stays predictable.
+  /// Replay merge: feeds the other summary's counters through Add() as
+  /// weighted adds, item-ascending, so the merged summary covers the
+  /// concatenated stream. This is not the O(k) combine-and-subtract merge of
+  /// ACHPWY12: an untracked item reaching a full summary runs decrement
+  /// rounds, each a pass over all k counters. The guarantee still holds,
+  /// since a round by d leaves (k+1)·d of weight uncounted (d from each
+  /// counter and from the new item): estimates never overestimate, and the
+  /// additive underestimation error is at most ErrorBound() of the merged
+  /// summary (processed/(k+1) over the combined weight). Requires equal k so
+  /// the error bound stays predictable.
   Status MergeFrom(const MisraGries& other);
 
   /// Total stream weight processed.

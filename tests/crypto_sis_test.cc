@@ -1,9 +1,15 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
-// SIS toolkit: oracle-derived matrices, sketch linearity, and the bounded
-// adversary's short-vector searches (Definition 2.15, Assumption 2.17).
+// SIS toolkit: oracle-derived matrices, sketch linearity, the process-wide
+// materialized tables, and the bounded adversary's short-vector searches
+// (Definition 2.15, Assumption 2.17).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/modmath.h"
@@ -67,60 +73,71 @@ TEST(SisParamsTest, BitsAccounting) {
   EXPECT_EQ(p.MatrixBits(), p.EntryBits() * 12);
 }
 
+/// A sketch vector v = A * f over `m`, all zero (f = 0).
+std::vector<uint64_t> ZeroSketch(const SisMatrix& m) {
+  return std::vector<uint64_t>(m.params().rows, 0);
+}
+
+bool IsZero(const std::vector<uint64_t>& v) {
+  return std::all_of(v.begin(), v.end(), [](uint64_t x) { return x == 0; });
+}
+
 TEST(SisSketchTest, StartsZero) {
   RandomOracle ro(4);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector v(&m);
-  EXPECT_TRUE(v.IsZero());
+  std::vector<uint64_t> v = ZeroSketch(m);
+  EXPECT_TRUE(IsZero(v));
 }
 
 TEST(SisSketchTest, UpdateThenCancelReturnsToZero) {
   RandomOracle ro(5);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector v(&m);
-  ASSERT_TRUE(v.Update(2, 5).ok());
-  EXPECT_FALSE(v.IsZero());
-  ASSERT_TRUE(v.Update(2, -5).ok());
-  EXPECT_TRUE(v.IsZero());
+  std::vector<uint64_t> v = ZeroSketch(m);
+  ASSERT_TRUE(m.AddColumn(v.data(), 2, 5).ok());
+  EXPECT_FALSE(IsZero(v));
+  ASSERT_TRUE(m.AddColumn(v.data(), 2, -5).ok());
+  EXPECT_TRUE(IsZero(v));
 }
 
 TEST(SisSketchTest, Linearity) {
   RandomOracle ro(6);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector a(&m), b(&m), ab(&m);
-  ASSERT_TRUE(a.Update(0, 3).ok());
-  ASSERT_TRUE(b.Update(1, -2).ok());
-  ASSERT_TRUE(ab.Update(0, 3).ok());
-  ASSERT_TRUE(ab.Update(1, -2).ok());
+  std::vector<uint64_t> a = ZeroSketch(m), b = ZeroSketch(m),
+                        ab = ZeroSketch(m);
+  ASSERT_TRUE(m.AddColumn(a.data(), 0, 3).ok());
+  ASSERT_TRUE(m.AddColumn(b.data(), 1, -2).ok());
+  ASSERT_TRUE(m.AddColumn(ab.data(), 0, 3).ok());
+  ASSERT_TRUE(m.AddColumn(ab.data(), 1, -2).ok());
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(ab.value()[i],
-              AddMod(a.value()[i], b.value()[i], m.params().q));
+    EXPECT_EQ(ab[i], AddMod(a[i], b[i], m.params().q));
   }
 }
 
 TEST(SisSketchTest, OutOfRangeColumnRejected) {
   RandomOracle ro(7);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector v(&m);
-  EXPECT_FALSE(v.Update(4, 1).ok());
+  std::vector<uint64_t> v = ZeroSketch(m);
+  EXPECT_FALSE(m.AddColumn(v.data(), 4, 1).ok());
 }
 
 TEST(SisSketchTest, NegativeDeltaReducesCorrectly) {
   RandomOracle ro(8);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector v(&m);
-  ASSERT_TRUE(v.Update(1, -1).ok());
+  std::vector<uint64_t> v = ZeroSketch(m);
+  ASSERT_TRUE(m.AddColumn(v.data(), 1, -1).ok());
   const uint64_t q = m.params().q;
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(v.value()[i], (q - m.Entry(i, 1) % q) % q);
+    EXPECT_EQ(v[i], (q - m.Entry(i, 1) % q) % q);
   }
 }
 
 TEST(SisSketchTest, SpaceBits) {
+  // A sketch vector is `rows` residues of EntryBits() each.
   RandomOracle ro(9);
   SisMatrix m(SmallParams(), ro, 0);
-  SisSketchVector v(&m);
-  EXPECT_EQ(v.SpaceBits(), 3 * wbs::BitsForUniverse(10007));
+  std::vector<uint64_t> v = ZeroSketch(m);
+  EXPECT_EQ(m.params().EntryBits() * v.size(),
+            3 * wbs::BitsForUniverse(10007));
 }
 
 TEST(SisSolutionTest, ValidatorAcceptsPlanted) {
@@ -274,36 +291,156 @@ TEST(SisSketchVectorTest, MaterializedUpdatePathBitIdenticalToOraclePath) {
   SisMatrix lazy(p, oracle, 5);
   SisMatrix cached(p, oracle, 5);
   cached.Materialize();
-  SisSketchVector via_oracle(&lazy);
-  SisSketchVector via_cache(&cached);
+  std::vector<uint64_t> via_oracle = ZeroSketch(lazy);
+  std::vector<uint64_t> via_cache = ZeroSketch(cached);
   uint64_t s = 12345;
   for (int t = 0; t < 500; ++t) {
     const size_t col = size_t(wbs::SplitMix64(&s) % p.cols);
     const int64_t delta = int64_t(wbs::SplitMix64(&s) % 4001) - 2000;
-    ASSERT_TRUE(via_oracle.Update(col, delta).ok());
-    ASSERT_TRUE(via_cache.Update(col, delta).ok());
+    ASSERT_TRUE(lazy.AddColumn(via_oracle.data(), col, delta).ok());
+    ASSERT_TRUE(cached.AddColumn(via_cache.data(), col, delta).ok());
   }
-  EXPECT_EQ(via_oracle.value(), via_cache.value());
+  EXPECT_EQ(via_oracle, via_cache);
 }
 
 TEST(SisSketchVectorTest, UnmergeFromInvertsMergeFrom) {
+  // Sketch vectors over one A merge by AccumulateMod and unmerge by
+  // SubtractMod; the pair is an exact round trip.
   RandomOracle oracle(33);
   SisParams p = SmallParams();
   SisMatrix matrix(p, oracle, 6);
-  SisSketchVector a(&matrix), b(&matrix);
+  std::vector<uint64_t> a = ZeroSketch(matrix), b = ZeroSketch(matrix);
   uint64_t s = 8;
   for (int t = 0; t < 50; ++t) {
-    ASSERT_TRUE(a.Update(size_t(wbs::SplitMix64(&s) % p.cols),
-                         int64_t(wbs::SplitMix64(&s) % 11) - 5)
+    ASSERT_TRUE(matrix
+                    .AddColumn(a.data(), size_t(wbs::SplitMix64(&s) % p.cols),
+                               int64_t(wbs::SplitMix64(&s) % 11) - 5)
                     .ok());
-    ASSERT_TRUE(b.Update(size_t(wbs::SplitMix64(&s) % p.cols),
-                         int64_t(wbs::SplitMix64(&s) % 11) - 5)
+    ASSERT_TRUE(matrix
+                    .AddColumn(b.data(), size_t(wbs::SplitMix64(&s) % p.cols),
+                               int64_t(wbs::SplitMix64(&s) % 11) - 5)
                     .ok());
   }
-  const std::vector<uint64_t> a_before = a.value();
-  ASSERT_TRUE(a.MergeFrom(b).ok());
-  ASSERT_TRUE(a.UnmergeFrom(b).ok());
-  EXPECT_EQ(a.value(), a_before);
+  const std::vector<uint64_t> a_before = a;
+  AccumulateMod(a.data(), b.data(), a.size(), p.q);
+  SubtractMod(a.data(), b.data(), a.size(), p.q);
+  EXPECT_EQ(a, a_before);
+}
+
+// --------------------------------------------------------- shared tables --
+
+SisParams TableParams() {
+  SisParams p;
+  p.q = wbs::NextPrime(uint64_t{1} << 40);
+  p.rows = 5;
+  p.cols = 11;
+  p.beta_inf = 7;
+  return p;
+}
+
+TEST(SisSharedTableTest, OneTablePerKey) {
+  // Matrices with the same (oracle instance, domain, q, rows, cols) adopt
+  // one table; a difference in any of the five gives a table of its own.
+  RandomOracle oracle(41);
+  const SisParams p = TableParams();
+  SisMatrix a(p, oracle, 3);
+  SisMatrix b(p, RandomOracle(41), 3);
+  a.Materialize();
+  b.Materialize();
+  ASSERT_TRUE(a.materialized() && b.materialized());
+  EXPECT_EQ(a.Column(0), b.Column(0));
+  EXPECT_EQ(a.ShoupColumn(0), b.ShoupColumn(0));
+  EXPECT_EQ(a.table(), b.table());
+  EXPECT_TRUE(a.SameMatrix(b));
+
+  SisParams other_q = p;
+  other_q.q = wbs::NextPrime(p.q + 1);
+  SisParams other_rows = p;
+  other_rows.rows = p.rows + 1;
+  SisParams other_cols = p;
+  other_cols.cols = p.cols + 1;
+  std::vector<SisMatrix> others = {
+      SisMatrix(p, RandomOracle(42), 3),  // seed
+      SisMatrix(p, oracle, 4),            // domain
+      SisMatrix(other_q, oracle, 3),      // q
+      SisMatrix(other_rows, oracle, 3),   // rows
+      SisMatrix(other_cols, oracle, 3),   // cols
+  };
+  for (size_t k = 0; k < others.size(); ++k) {
+    others[k].Materialize();
+    EXPECT_NE(others[k].Column(0), a.Column(0)) << k;
+    EXPECT_FALSE(others[k].SameMatrix(a)) << k;
+    for (size_t l = 0; l < k; ++l) {
+      EXPECT_NE(others[k].Column(0), others[l].Column(0)) << k << "," << l;
+    }
+  }
+  // beta_inf bounds admissible solutions; it does not change A.
+  SisParams other_beta = p;
+  other_beta.beta_inf = p.beta_inf + 1;
+  SisMatrix c(other_beta, oracle, 3);
+  c.Materialize();
+  EXPECT_EQ(c.Column(0), a.Column(0));
+
+  // A copy shares its original's table and reads nothing the original owns.
+  auto original = std::make_unique<SisMatrix>(p, oracle, 3);
+  original->Materialize();
+  SisMatrix copy(*original);
+  original.reset();
+  EXPECT_EQ(copy.Column(0), a.Column(0));
+}
+
+TEST(SisSharedTableTest, FreedWithItsLastHolder) {
+  RandomOracle oracle(43);
+  const SisParams p = TableParams();
+  std::weak_ptr<const SisMatrix::Table> seen;
+  {
+    SisMatrix a(p, oracle, 8);
+    a.Materialize();
+    seen = a.table();
+    {
+      SisMatrix b(p, oracle, 8);
+      b.Materialize();
+      EXPECT_EQ(b.table(), a.table());
+    }
+    EXPECT_FALSE(seen.expired()) << "one holder is left";
+  }
+  EXPECT_TRUE(seen.expired()) << "the registry must not keep the table";
+
+  // The next Materialize builds the table again, and it serves exactly the
+  // entries the oracle path derives.
+  SisMatrix lazy(p, oracle, 8);
+  SisMatrix rebuilt(p, oracle, 8);
+  rebuilt.Materialize();
+  ASSERT_TRUE(rebuilt.materialized());
+  for (size_t j = 0; j < p.cols; ++j) {
+    for (size_t i = 0; i < p.rows; ++i) {
+      EXPECT_EQ(rebuilt.Column(j)[i], lazy.Entry(i, j)) << i << "," << j;
+      EXPECT_EQ(rebuilt.ShoupColumn(j)[i],
+                uint64_t((wbs::u128(lazy.Entry(i, j)) << 64) / p.q));
+    }
+  }
+}
+
+TEST(SisSharedTableTest, ConcurrentMaterializeBuildsOneTable) {
+  RandomOracle oracle(44);
+  SisParams p = TableParams();
+  p.cols = 256;  // long enough a build that the threads overlap
+  constexpr int kThreads = 4;
+  std::vector<SisMatrix> matrices(kThreads, SisMatrix(p, oracle, 9));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&matrices, t] { matrices[t].Materialize(); });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(matrices[t].Column(0), matrices[0].Column(0)) << t;
+  }
+  SisMatrix lazy(p, oracle, 9);
+  for (size_t j = 0; j < p.cols; ++j) {
+    for (size_t i = 0; i < p.rows; ++i) {
+      ASSERT_EQ(matrices[kThreads - 1].Column(j)[i], lazy.Entry(i, j));
+    }
+  }
 }
 
 }  // namespace

@@ -205,6 +205,30 @@ TEST(SisL0Test, CopyOutlivesItsOriginal) {
   }
 }
 
+TEST(SisL0Test, MergeRequiresTheSameMatrix) {
+  // Equal params are not enough: estimators whose A comes from another
+  // oracle instance or domain hold incompatible sketches, and merging them
+  // would silently mix two matrices.
+  const SisL0Params p = SisL0Params::Derive(1 << 12, 0.5, 0.25, 100);
+  SisL0Estimator target(p, SharedOracle(), 5);
+  SisL0Estimator same(p, SharedOracle(), 5);
+  ASSERT_TRUE(same.Update({7, 3}).ok());
+  SisL0Estimator other_seed(p, crypto::RandomOracle(43), 5);
+  SisL0Estimator other_domain(p, SharedOracle(), 6);
+  for (const SisL0Estimator* o : {&other_seed, &other_domain}) {
+    const std::vector<uint64_t> before = target.state();
+    Status s = target.MergeFrom(*o);
+    EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition) << s.ToString();
+    s = target.UnmergeFrom(*o);
+    EXPECT_EQ(s.code(), Status::Code::kFailedPrecondition) << s.ToString();
+    EXPECT_EQ(target.state(), before);
+  }
+  ASSERT_TRUE(target.MergeFrom(same).ok());
+  EXPECT_EQ(target.state(), same.state());
+  ASSERT_TRUE(target.UnmergeFrom(same).ok());
+  EXPECT_DOUBLE_EQ(target.Query(), 0.0);
+}
+
 TEST(SisL0Test, RejectsOutOfUniverse) {
   auto oracle = SharedOracle();
   SisL0Estimator alg(SisL0Params::Derive(100, 0.5, 0.25, 10), oracle, 0);

@@ -298,6 +298,35 @@ TEST(TcpHandshakeTest, RestartedHostRejectsStaleSession) {
   EXPECT_EQ(s.code(), Status::Code::kNotFound) << s.ToString();
 }
 
+TEST(TcpHandshakeTest, HostileSpecRejectedWithoutASession) {
+  // A spec no family can serve comes back as its Status before the host
+  // builds a cell: ams_f2 rows above any vector's max_size(), and an sis_l0
+  // chunking exponent outside (0, 1). The host keeps serving after both.
+  auto host = TcpShardHost::Start({});
+  ASSERT_TRUE(host.ok()) << host.status().ToString();
+  const uint16_t port = host.value()->port();
+  TcpShardSpec rows = OneSketchSpec(1 << 10, 51);
+  rows.sketches = {"ams_f2"};
+  rows.config.ams.rows = size_t{1} << 62;
+  TcpShardSpec eps = OneSketchSpec(1 << 10, 52);
+  eps.sketches = {"sis_l0"};
+  eps.config.sis_l0.eps = 1.5;
+  uint64_t token = 0x4057113;
+  for (const TcpShardSpec* spec : {&rows, &eps}) {
+    Status s = OneShot(port, wire::kReqHello,
+                       RawHello(kTcpMagic, kTcpProtocolVersion, ++token, true,
+                                spec));
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+    EXPECT_EQ(host.value()->sessions(), 0u);
+  }
+  TcpShardSpec valid = OneSketchSpec(1 << 10, 53);
+  Status s = OneShot(port, wire::kReqHello,
+                     RawHello(kTcpMagic, kTcpProtocolVersion, ++token, true,
+                              &valid));
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(host.value()->sessions(), 1u);
+}
+
 // ------------------------------------------------------ exactly-once applies
 
 /// One established raw client connection: hello already exchanged.

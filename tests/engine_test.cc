@@ -82,6 +82,86 @@ TEST(SketchRegistryTest, DuplicateRegistrationRejected) {
   EXPECT_FALSE(s.ok());
 }
 
+TEST(SketchRegistryTest, HostileConfigsRejectedBeforeTheFactory) {
+  // Each builtin family vets the config it reads before anything is
+  // allocated: out-of-range exponents and dimensions above the family's cap
+  // come back InvalidArgument, and the shipped defaults pass.
+  const SketchConfig base = TestConfig(1 << 10, 3);
+  for (const std::string& name : SketchRegistry::Global().Names()) {
+    if (name.rfind("test_", 0) == 0) continue;  // registered by other tests
+    EXPECT_TRUE(SketchRegistry::Global().Create(name, base).ok()) << name;
+  }
+  struct Case {
+    const char* sketch;
+    const char* what;
+    SketchConfig config;
+  };
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [&base](auto edit) {
+    SketchConfig c = base;
+    edit(c);
+    return c;
+  };
+  const std::vector<Case> cases = {
+      {"misra_gries", "no counters",
+       with([](SketchConfig& c) { c.misra_gries.counters = 0; })},
+      {"misra_gries", "counters above the cap",
+       with([](SketchConfig& c) { c.misra_gries.counters = size_t{1} << 40; })},
+      {"misra_gries", "universe above the cap",
+       with([](SketchConfig& c) { c.universe = ~uint64_t{0}; })},
+      {"ams_f2", "rows above the cap",
+       with([](SketchConfig& c) { c.ams.rows = size_t{1} << 62; })},
+      {"ams_f2", "no rows", with([](SketchConfig& c) { c.ams.rows = 0; })},
+      {"sis_l0", "eps >= 1", with([](SketchConfig& c) { c.sis_l0.eps = 1.5; })},
+      {"sis_l0", "eps NaN", with([](SketchConfig& c) { c.sis_l0.eps = nan; })},
+      {"sis_l0", "c >= 1/2", with([](SketchConfig& c) { c.sis_l0.c = 0.5; })},
+      {"sis_l0", "c <= 0", with([](SketchConfig& c) { c.sis_l0.c = 0; })},
+      {"sis_l0", "chunk state above the cap",
+       with([](SketchConfig& c) {
+         c.universe = uint64_t{1} << 40;
+         c.sis_l0.eps = 0.05;
+       })},
+      {"sis_l0", "matrix above the cap",
+       with([](SketchConfig& c) {
+         c.universe = uint64_t{1} << 30;
+         c.sis_l0.eps = 0.95;
+       })},
+      {"rank_decision", "k > n",
+       with([](SketchConfig& c) { c.rank.k = c.rank.n + 1; })},
+      {"rank_decision", "k = 0", with([](SketchConfig& c) { c.rank.k = 0; })},
+      {"rank_decision", "sketch above the cap",
+       with([](SketchConfig& c) { c.rank.n = size_t{1} << 40; })},
+      {"rank_decision", "q < 2", with([](SketchConfig& c) { c.rank.q = 1; })},
+      {"rank_decision", "q >= 2^62",
+       with([](SketchConfig& c) { c.rank.q = uint64_t{1} << 63; })},
+      {"robust_hh", "eps >= 1", with([](SketchConfig& c) { c.hh.eps = 1; })},
+      {"robust_hh", "eps below 2^-20",
+       with([](SketchConfig& c) { c.hh.eps = 1e-300; })},
+      {"robust_hh", "delta <= 0", with([](SketchConfig& c) { c.hh.delta = 0; })},
+      {"crhf_hh", "eps NaN", with([](SketchConfig& c) { c.hh.eps = nan; })},
+      {"crhf_hh", "phi <= 0", with([](SketchConfig& c) { c.hh.phi = -1; })},
+      {"crhf_hh", "phi below 2^-20",
+       with([](SketchConfig& c) { c.hh.phi = 1e-300; })},
+      {"crhf_hh", "universe above the cap",
+       with([](SketchConfig& c) { c.universe = uint64_t{1} << 63; })},
+  };
+  for (const Case& c : cases) {
+    auto r = SketchRegistry::Global().Create(c.sketch, c.config);
+    ASSERT_FALSE(r.ok()) << c.sketch << ": " << c.what;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument)
+        << c.sketch << ": " << c.what << ": " << r.status().ToString();
+  }
+
+  // Client::Create takes the same path, so a hostile config fails there.
+  ClientOptions opts;
+  opts.ingest.num_shards = 2;
+  opts.ingest.sketches = {"ams_f2"};
+  opts.ingest.config = with([](SketchConfig& c) { c.ams.rows = size_t{1} << 62; });
+  auto client = Client::Create(opts);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), Status::Code::kInvalidArgument);
+}
+
 TEST(SketchRegistryTest, CustomSketchRoundTrip) {
   // A user-registered sketch participates in the engine like any builtin;
   // with the default kGeneric family every typed query kind is allowed.
