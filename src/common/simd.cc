@@ -3,6 +3,7 @@
 #include "common/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -94,7 +95,59 @@ uint64_t Sha256SaltedOne(uint64_t salt, uint64_t item) {
   return (uint64_t(s0) << 32) | s1;
 }
 
+// Slicing-by-8 tables for CRC-32 (IEEE, reflected). Row 0 is the bytewise
+// table; row k carries a byte's contribution k bytes further, so one step
+// folds eight input bytes with eight independent lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    tables.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
+
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
 }  // namespace
+
+uint32_t Crc32Slice8(uint32_t crc, const uint8_t* p, size_t len) {
+  const auto& t = kCrc32.t;
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+  return crc;
+}
+
+uint32_t ScalarCrc32(const void* data, size_t len) {
+  return Crc32Slice8(0xffffffffu, static_cast<const uint8_t*>(data), len) ^
+         0xffffffffu;
+}
 
 void ScalarAccumulateMod(uint64_t* acc, const uint64_t* add, size_t n,
                          uint64_t q) {
@@ -156,11 +209,23 @@ const KernelDispatch kScalar = {
     &internal::ScalarAmsRowMix,
     &internal::ScalarHashItems,
     &internal::ScalarSha256Salted8,
+    &internal::ScalarCrc32,
 };
+
+// Both x86 tables carry the PCLMULQDQ CRC-32 entry (its Barrett step
+// extracts a lane with SSE4.1), so each is selectable only where the CPU
+// reports those too.
+bool CpuHasPclmul() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && CpuHasPclmul();
 #else
   return false;
 #endif
@@ -169,7 +234,7 @@ bool CpuHasAvx2() {
 bool CpuHasAvx512() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq");
+         __builtin_cpu_supports("avx512dq") && CpuHasPclmul();
 #else
   return false;
 #endif

@@ -12,7 +12,9 @@
 // (tests/kernel_simd_test.cc) plus a Debug-mode paranoia re-check in the
 // callers assert exactly that.
 //
-// Selection: the best table supported by the CPU wins. The environment
+// Selection: the best table supported by the CPU wins. The x86 tables also
+// need PCLMULQDQ and SSE4.1 for their CRC-32 entry; a CPU without them gets
+// the scalar table. The environment
 // variable WBS_ENGINE_KERNEL=scalar|avx2|avx512|neon forces a level (for
 // tests and A/B benches); forcing a level this CPU cannot run falls back to
 // scalar rather than crashing. The choice is made on first use and cached.
@@ -78,6 +80,15 @@ struct KernelDispatch {
   /// preimage/truncation layout, exactly.
   void (*sha256_salted8)(uint64_t salt, const uint64_t* items,
                          uint64_t* out);
+  /// CRC-32 of `len` bytes at any address (IEEE 802.3 polynomial,
+  /// bit-reflected: the zlib/PNG checksum, so "123456789" gives 0xCBF43926
+  /// and the empty input 0) — wire::Crc32, over every framed byte. The
+  /// scalar entry is slicing-by-8. The x86 entries fold the 16-byte blocks
+  /// of an input of at least 64 bytes by carry-less multiplication
+  /// (PCLMULQDQ, four 128-bit lanes, then one, then a Barrett reduction to
+  /// 32 bits) and finish the last len % 16 bytes with slicing-by-8; they
+  /// read no byte outside [data, data + len).
+  uint32_t (*crc32)(const void* data, size_t len);
 };
 
 /// The table selected for this process (CPU detection + WBS_ENGINE_KERNEL

@@ -1,9 +1,10 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
 // AVX2 kernel table: 4×u64 lanes for the mod-q and hash kernels, 8×u32
-// message-parallel lanes for SHA-256. Compiled with -mavx2 for x86 targets
-// only (see CMakeLists); callers reach it solely through the dispatch
-// table after a runtime __builtin_cpu_supports check.
+// message-parallel lanes for SHA-256, 128-bit carry-less multiplies for
+// CRC-32. Compiled with -mavx2 -mpclmul for x86 targets only (see
+// CMakeLists); callers reach it solely through the dispatch table after a
+// runtime __builtin_cpu_supports check.
 //
 // Correctness notes that make the lane code simple:
 //   * q < 2^62 (BarrettQ::kMaxModulus), so every compared quantity — sums
@@ -263,6 +264,78 @@ void Avx2Sha256Salted8(uint64_t salt, const uint64_t* items, uint64_t* out) {
   }
 }
 
+namespace {
+
+// ---- CRC-32 by carry-less multiplication ---------------------------------
+//
+// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ Instruction" (Intel, 2009), in the bit-reflected domain of the
+// IEEE polynomial P. Four 128-bit lanes fold 64 bytes per step (k1, k2 =
+// x^(4*128+32), x^(4*128-32) mod P), then collapse into one lane that folds
+// 16 bytes per step (k3, k4 = x^(128+32), x^(128-32) mod P); 128 bits then
+// fold to 64 (k4, k5 = x^64 mod P), and a Barrett reduction (P' = P with its
+// x^32 term, mu = floor(x^64 / P)) leaves the 32-bit register.
+
+/// The CRC-32 register after `len` bytes from `crc`; `len` is a multiple of
+/// 16 and at least 64.
+uint32_t PclmulFold(uint32_t crc, const uint8_t* p, size_t len) {
+  const auto load = [](const uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // One fold step: x*k (each 64-bit half by its constant) plus the next data.
+  const auto fold = [](__m128i x, __m128i k, __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         next);
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);  // mu, P'
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(int(crc)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  len -= 64;
+  for (; len >= 64; p += 64, len -= 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; len >= 16; p += 16, len -= 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 → 64 bits, then 64 → 32 by Barrett reduction.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00),
+      _mm_srli_si128(x1, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return uint32_t(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+}  // namespace
+
+uint32_t PclmulCrc32(const void* data, size_t len) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t crc = 0xffffffffu;
+  if (len >= 64) {
+    const size_t folded = len & ~size_t{15};
+    crc = PclmulFold(crc, p, folded);
+    p += folded;
+    len -= folded;
+  }
+  return Crc32Slice8(crc, p, len) ^ 0xffffffffu;
+}
+
 const KernelDispatch* Avx2Table() {
   static const KernelDispatch table = {
       "avx2",
@@ -273,6 +346,7 @@ const KernelDispatch* Avx2Table() {
       &Avx2AmsRowMix,
       &Avx2HashItems,
       &Avx2Sha256Salted8,
+      &PclmulCrc32,
   };
   return &table;
 }

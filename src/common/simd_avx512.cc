@@ -6,7 +6,8 @@
 // no 512-bit instruction either). Compiled with -mavx512f -mavx512dq for
 // x86 targets only; selected at runtime only when the CPU reports both.
 // The SHA-256 entry reuses the AVX2 8-lane implementation — the primitive
-// is batched 8 messages at a time, so 16 u32 lanes would run half empty.
+// is batched 8 messages at a time, so 16 u32 lanes would run half empty —
+// and the CRC-32 entry the AVX2 file's 128-bit PCLMULQDQ fold.
 
 #include "common/simd_internal.h"
 
@@ -159,6 +160,7 @@ const KernelDispatch* Avx512Table() {
       &Avx512AmsRowMix,
       &Avx512HashItems,
       &Avx2Sha256Salted8,
+      &PclmulCrc32,
   };
   return &table;
 }

@@ -39,12 +39,20 @@ void ScalarAmsRowMix(int64_t* counters, size_t rows, const uint64_t* mix,
                      const int64_t* deltas, size_t count);
 void ScalarHashItems(const uint64_t* items, size_t n, uint64_t* out);
 void ScalarSha256Salted8(uint64_t salt, const uint64_t* items, uint64_t* out);
+uint32_t ScalarCrc32(const void* data, size_t len);
+/// Slicing-by-8 over `len` bytes from the CRC-32 register `crc` (the state
+/// before the final inversion): ScalarCrc32 runs it from 0xffffffff, and
+/// the folding entry finishes its tail with it.
+uint32_t Crc32Slice8(uint32_t crc, const uint8_t* p, size_t len);
 
 #if defined(__x86_64__) || defined(__i386__)
 // The AVX2 8-lane SHA-256 (one message per 32-bit lane) is the widest
 // useful shape for this primitive — the AVX-512 table points at the same
 // function rather than duplicating it at 16 lanes nobody batches for.
 void Avx2Sha256Salted8(uint64_t salt, const uint64_t* items, uint64_t* out);
+// CRC-32 by 128-bit PCLMULQDQ folding, shared by both x86 tables for the
+// same reason (simd_avx2.cc, compiled with -mpclmul).
+uint32_t PclmulCrc32(const void* data, size_t len);
 #endif
 
 }  // namespace wbs::simd::internal

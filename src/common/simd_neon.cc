@@ -2,9 +2,10 @@
 //
 // NEON kernel table for aarch64: 2×u64 lanes for the add/sub merge kernels
 // (NEON has 64-bit lane add/sub/compare but no 64×64 multiply, so the
-// multiply-heavy kernels — Shoup column update, SplitMix, SHA-256 — stay
-// on the scalar reference implementations). aarch64 mandates NEON, so no
-// runtime feature check is needed beyond the compile-time arch gate.
+// multiply-heavy kernels — Shoup column update, SplitMix, SHA-256 — and
+// the slicing-by-8 CRC-32 stay on the scalar reference implementations).
+// aarch64 mandates NEON, so no runtime feature check is needed beyond the
+// compile-time arch gate.
 
 #include "common/simd_internal.h"
 
@@ -52,6 +53,7 @@ const KernelDispatch* NeonTable() {
       &ScalarAmsRowMix,
       &ScalarHashItems,
       &ScalarSha256Salted8,
+      &ScalarCrc32,
   };
   return &table;
 }

@@ -2,6 +2,7 @@
 
 #include "distinct/l0_estimator.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -18,6 +19,12 @@ namespace wbs::distinct {
 
 namespace {
 
+/// a * b, or `cap` once the product passes it (never wraps).
+uint64_t MulSaturating(uint64_t a, uint64_t b, uint64_t cap) {
+  if (b != 0 && a > cap / b) return cap;
+  return std::min(a * b, cap);
+}
+
 SisL0Params DeriveUncached(uint64_t universe, double eps, double c,
                            uint64_t f_inf_bound) {
   SisL0Params p;
@@ -28,14 +35,15 @@ SisL0Params DeriveUncached(uint64_t universe, double eps, double c,
   p.sketch_rows = std::max<size_t>(
       1, size_t(std::round(std::pow(double(universe), c * eps))));
   // q = poly(n), comfortably above beta_inf * chunk_width so honest chunks
-  // cannot wrap to zero by magnitude alone.
-  uint64_t base = universe < 16 ? 16 : universe;
-  uint64_t q_target = base * base * base;
-  if (q_target < f_inf_bound * p.chunk_width * 4) {
-    q_target = f_inf_bound * p.chunk_width * 4;
-  }
-  if (q_target > (uint64_t{1} << 61)) q_target = uint64_t{1} << 61;
-  p.q = NextPrime(q_target);
+  // cannot wrap to zero by magnitude alone. Both products saturate at the
+  // cap: wrapped, n^3 reads 0 from n = 2^22 on.
+  constexpr uint64_t kCap = SisL0Params::kMaxModulusTarget;
+  const uint64_t base = universe < 16 ? 16 : universe;
+  const uint64_t cube =
+      MulSaturating(MulSaturating(base, base, kCap), base, kCap);
+  const uint64_t honest =
+      MulSaturating(MulSaturating(f_inf_bound, p.chunk_width, kCap), 4, kCap);
+  p.q = NextPrime(std::max(cube, honest));
   p.beta_inf = f_inf_bound;
   return p;
 }

@@ -45,6 +45,13 @@ struct SisL0Params {
   uint64_t q = 0;          ///< prime modulus, poly(n)
   uint64_t beta_inf = 0;   ///< promised bound on ||f||_inf (poly(n))
 
+  /// Cap on the modulus target: q is the first prime at or above
+  /// min(max(n^3, 4 * beta_inf * chunk_width), 2^61), both products
+  /// saturating at the cap. A config whose 4 * beta_inf * chunk_width
+  /// passes it has no q under the cap that keeps honest chunks from
+  /// wrapping.
+  static constexpr uint64_t kMaxModulusTarget = uint64_t{1} << 61;
+
   /// Derives parameters per Theorem 1.5. `eps` in (0,1), `c` in (0, 1/2).
   static SisL0Params Derive(uint64_t universe, double eps, double c,
                             uint64_t f_inf_bound);

@@ -391,11 +391,12 @@ class AmsF2EngineSketch final : public SketchBase {
   /// counters mean nothing) plus the raw counter vector.
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
+    const auto& counters = ams_.counters();
+    w.Reserve(8 * (3 + counters.size()));
     w.U64(ams_.sign_seed());
     w.U64(updates_applied_);
-    const auto& counters = ams_.counters();
     w.U64(counters.size());
-    for (int64_t c : counters) w.I64(c);
+    w.I64s(counters.data(), counters.size());
     return Status::OK();
   }
 
@@ -413,8 +414,8 @@ class AmsF2EngineSketch final : public SketchBase {
       return Status::InvalidArgument("ams_f2: row count mismatch");
     }
     std::vector<int64_t> counters(static_cast<size_t>(rows));
-    for (auto& c : counters) {
-      if (Status s = r.I64(&c); !s.ok()) return s;
+    if (Status s = r.I64s(counters.data(), counters.size()); !s.ok()) {
+      return s;
     }
     if (Status s = ams_.RestoreCounters(counters); !s.ok()) return s;
     updates_applied_ = updates;
@@ -499,12 +500,14 @@ class SisL0EngineSketch final : public SketchBase {
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
     const auto& p = est_.params();
+    const auto& state = est_.state();
+    w.Reserve(8 * (5 + state.size()));
     w.U64(p.num_chunks);
     w.U64(p.sketch_rows);
     w.U64(p.q);
     w.U64(est_.matrix().oracle().instance_id());
     w.U64(updates_applied_);
-    for (uint64_t v : est_.state()) w.U64(v);
+    w.U64s(state.data(), state.size());
     return Status::OK();
   }
 
@@ -526,9 +529,7 @@ class SisL0EngineSketch final : public SketchBase {
     if (Status s = r.U64(&updates); !s.ok()) return s;
     // The dimensions match the config, so the allocation is bounded by it.
     std::vector<uint64_t> state(est_.state().size());
-    for (auto& v : state) {
-      if (Status s = r.U64(&v); !s.ok()) return s;
-    }
+    if (Status s = r.U64s(state.data(), state.size()); !s.ok()) return s;
     if (Status s = est_.RestoreState(std::move(state)); !s.ok()) return s;
     updates_applied_ = updates;
     return Status::OK();
@@ -547,9 +548,8 @@ class RankDecisionEngineSketch final : public SketchBase {
   explicit RankDecisionEngineSketch(const SketchConfig& cfg)
       : SketchBase("rank_decision"),
         n_(cfg.rank.n),
-        oracle_(cfg.seed),
-        sketch_(cfg.rank.n, cfg.rank.k, cfg.rank.q, oracle_,
-                kRankOracleDomain) {}
+        sketch_(cfg.rank.n, cfg.rank.k, cfg.rank.q,
+                crypto::RandomOracle(cfg.seed), kRankOracleDomain) {}
 
   /// Items index the n x n matrix row-major: item = row * n + col.
   Status Update(const stream::TurnstileUpdate& u) override {
@@ -593,9 +593,6 @@ class RankDecisionEngineSketch final : public SketchBase {
     if (o == nullptr) {
       return Status::InvalidArgument("rank_decision: merge type mismatch");
     }
-    if (oracle_.instance_id() != o->oracle_.instance_id()) {
-      return Status::FailedPrecondition("rank_decision: oracle mismatch");
-    }
     Status s = sketch_.MergeFrom(o->sketch_);
     if (!s.ok()) return s;
     updates_applied_ += o->updates_applied_;
@@ -606,9 +603,6 @@ class RankDecisionEngineSketch final : public SketchBase {
     const auto* o = dynamic_cast<const RankDecisionEngineSketch*>(&other);
     if (o == nullptr) {
       return Status::InvalidArgument("rank_decision: unmerge type mismatch");
-    }
-    if (oracle_.instance_id() != o->oracle_.instance_id()) {
-      return Status::FailedPrecondition("rank_decision: oracle mismatch");
     }
     Status s = sketch_.UnmergeFrom(o->sketch_);
     if (!s.ok()) return s;
@@ -621,12 +615,13 @@ class RankDecisionEngineSketch final : public SketchBase {
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
     const auto& m = sketch_.sketch();
+    w.Reserve(8 * (5 + m.size()));
     w.U64(sketch_.n());
     w.U64(sketch_.k());
     w.U64(m.q());
-    w.U64(oracle_.instance_id());
+    w.U64(sketch_.oracle().instance_id());
     w.U64(updates_applied_);
-    for (size_t i = 0; i < m.size(); ++i) w.U64(m.data()[i]);
+    w.U64s(m.data(), m.size());
     return Status::OK();
   }
 
@@ -640,15 +635,13 @@ class RankDecisionEngineSketch final : public SketchBase {
       return Status::InvalidArgument("rank_decision: dimension mismatch");
     }
     if (Status s = r.U64(&oracle_id); !s.ok()) return s;
-    if (oracle_id != oracle_.instance_id()) {
+    if (oracle_id != sketch_.oracle().instance_id()) {
       return Status::FailedPrecondition(
           "rank_decision: oracle mismatch (different config seed)");
     }
     if (Status s = r.U64(&updates); !s.ok()) return s;
     std::vector<uint64_t> entries(size_t(n) * size_t(k));
-    for (auto& v : entries) {
-      if (Status s = r.U64(&v); !s.ok()) return s;
-    }
+    if (Status s = r.U64s(entries.data(), entries.size()); !s.ok()) return s;
     if (Status s = sketch_.RestoreSketch(entries); !s.ok()) return s;
     updates_applied_ = updates;
     return Status::OK();
@@ -658,7 +651,6 @@ class RankDecisionEngineSketch final : public SketchBase {
 
  private:
   size_t n_;
-  crypto::RandomOracle oracle_;
   linalg::RankDecisionSketch sketch_;
 };
 
@@ -920,6 +912,12 @@ Status CheckSisL0(const SketchConfig& c) {
   }
   if (p.chunk_width > kMaxSisWords / p.sketch_rows) {
     return Status::InvalidArgument("sketching matrix above 2^22 entries");
+  }
+  // 4 * f_inf_bound * chunk_width past the modulus cap, by division.
+  constexpr uint64_t kCap = distinct::SisL0Params::kMaxModulusTarget;
+  if (p.beta_inf > kCap / 4 / p.chunk_width) {
+    return Status::InvalidArgument(
+        "4 * f_inf_bound * chunk width above the 2^61 modulus cap");
   }
   return Status::OK();
 }

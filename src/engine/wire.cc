@@ -6,10 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 
+#include "common/simd.h"
 #include "engine/metrics.h"
 
 namespace wbs::engine::wire {
@@ -23,54 +26,12 @@ constexpr size_t kBodyHeaderBytes = 2;  // version + type
 constexpr uint32_t kMaxBodyLen = 64u << 20;
 
 uint32_t ReadU32Le(const char* p) {
-  return uint32_t(uint8_t(p[0])) | uint32_t(uint8_t(p[1])) << 8 |
-         uint32_t(uint8_t(p[2])) << 16 | uint32_t(uint8_t(p[3])) << 24;
+  uint32_t v = 0;
+  CopyLittleEndian<uint32_t>(&v, p, 1);
+  return v;
 }
-
-/// Slicing-by-8 tables for CRC-32 (IEEE, reflected). Row 0 is the bytewise
-/// table; row k carries a byte's contribution k bytes further, so one step
-/// folds eight input bytes with eight independent lookups.
-struct Crc32Tables {
-  uint32_t t[8][256];
-};
-
-constexpr Crc32Tables MakeCrc32Tables() {
-  Crc32Tables tables{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    tables.t[0][i] = c;
-  }
-  for (int k = 1; k < 8; ++k) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      const uint32_t prev = tables.t[k - 1][i];
-      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xffu];
-    }
-  }
-  return tables;
-}
-
-constexpr Crc32Tables kCrc32 = MakeCrc32Tables();
 
 }  // namespace
-
-void Writer::U32(uint32_t v) {
-  char b[4] = {char(v), char(v >> 8), char(v >> 16), char(v >> 24)};
-  buf_.append(b, 4);
-}
-
-void Writer::U64(uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = char(v >> (8 * i));
-  buf_.append(b, 8);
-}
-
-void Writer::F64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
-}
 
 void Writer::Bytes(const void* data, size_t len) {
   buf_.append(static_cast<const char*>(data), len);
@@ -81,62 +42,29 @@ void Writer::Str(std::string_view s) {
   buf_.append(s.data(), s.size());
 }
 
-Status Reader::Need(size_t n) const {
-  if (buf_.size() - pos_ < n) {
-    return Status::InvalidArgument("wire: truncated buffer");
-  }
-  return Status::OK();
+Status Reader::Truncated() {
+  return Status::InvalidArgument("wire: truncated buffer");
 }
 
 Status Reader::U8(uint8_t* v) {
-  Status s = Need(1);
-  if (!s.ok()) return s;
+  if (remaining() < 1) return Truncated();
   *v = uint8_t(buf_[pos_++]);
   return Status::OK();
 }
 
-Status Reader::U32(uint32_t* v) {
-  Status s = Need(4);
-  if (!s.ok()) return s;
-  *v = ReadU32Le(buf_.data() + pos_);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status Reader::U64(uint64_t* v) {
-  Status s = Need(8);
-  if (!s.ok()) return s;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= uint64_t(uint8_t(buf_[pos_ + i])) << (8 * i);
-  }
-  *v = out;
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status Reader::I64(int64_t* v) {
-  uint64_t u;
-  Status s = U64(&u);
-  if (!s.ok()) return s;
-  *v = static_cast<int64_t>(u);
-  return Status::OK();
-}
-
 Status Reader::F64(double* v) {
-  uint64_t bits;
+  uint64_t bits = 0;
   Status s = U64(&bits);
   if (!s.ok()) return s;
-  std::memcpy(v, &bits, sizeof(*v));
+  *v = std::bit_cast<double>(bits);
   return Status::OK();
 }
 
 Status Reader::Str(std::string_view* out) {
-  uint32_t len;
+  uint32_t len = 0;
   Status s = U32(&len);
   if (!s.ok()) return s;
-  s = Need(len);
-  if (!s.ok()) return s;
+  if (remaining() < len) return Truncated();
   *out = buf_.substr(pos_, len);
   pos_ += len;
   return Status::OK();
@@ -158,31 +86,21 @@ Status Reader::ExpectEnd() const {
 }
 
 uint32_t Crc32(const void* data, size_t len) {
-  const auto& t = kCrc32.t;
-  const auto* p = static_cast<const char*>(data);
-  uint32_t crc = 0xffffffffu;
-  for (; len >= 8; p += 8, len -= 8) {
-    const uint32_t lo = crc ^ ReadU32Le(p);
-    const uint32_t hi = ReadU32Le(p + 4);
-    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
-  }
-  for (; len > 0; ++p, --len) {
-    crc = t[0][(crc ^ uint8_t(*p)) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
+  const uint32_t crc = simd::Kernels().crc32(data, len);
+  assert(crc == simd::KernelByName("scalar")->crc32(data, len) &&
+         "vector CRC-32 diverged from scalar");
+  return crc;
 }
 
 std::string EncodeFrame(uint8_t type, std::string_view payload) {
   Writer w;
+  w.Reserve(kLenBytes + kBodyHeaderBytes + payload.size() + kCrcBytes);
   w.U32(uint32_t(kBodyHeaderBytes + payload.size()));
   w.U8(kFormatVersion);
   w.U8(type);
   w.Bytes(payload.data(), payload.size());
   const std::string& buf = w.data();
-  uint32_t crc = Crc32(buf.data() + kLenBytes, buf.size() - kLenBytes);
-  w.U32(crc);
+  w.U32(Crc32(buf.data() + kLenBytes, buf.size() - kLenBytes));
   return w.Take();
 }
 
@@ -213,33 +131,29 @@ Status DecodeFrame(std::string_view frame, uint8_t* type,
   return Status::OK();
 }
 
+// A batch is its in-memory array: item then delta, 8 bytes each, no padding.
+static_assert(sizeof(stream::TurnstileUpdate) == 16 &&
+              offsetof(stream::TurnstileUpdate, item) == 0 &&
+              offsetof(stream::TurnstileUpdate, delta) == 8);
+
 void EncodeUpdates(const stream::TurnstileUpdate* data, size_t count,
                    Writer* w) {
+  w->Reserve(8 + 16 * count);
   w->U64(uint64_t(count));
-  for (size_t i = 0; i < count; ++i) {
-    w->U64(data[i].item);
-    w->I64(data[i].delta);
-  }
+  w->U64s(reinterpret_cast<const uint64_t*>(data), 2 * count);
 }
 
 Status DecodeUpdates(Reader* r, std::vector<stream::TurnstileUpdate>* out) {
-  uint64_t count;
+  uint64_t count = 0;
   Status s = r->U64(&count);
   if (!s.ok()) return s;
   // Divide, don't multiply: a hostile count must not overflow past the
-  // guard and reach reserve() (the no-crash contract).
+  // guard and reach resize() (the no-crash contract).
   if (count > r->remaining() / 16) {
     return Status::InvalidArgument("wire: update batch length mismatch");
   }
-  out->clear();
-  out->reserve(size_t(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    stream::TurnstileUpdate u;
-    if (Status su = r->U64(&u.item); !su.ok()) return su;
-    if (Status sd = r->I64(&u.delta); !sd.ok()) return sd;
-    out->push_back(u);
-  }
-  return Status::OK();
+  out->resize(size_t(count));
+  return r->U64s(reinterpret_cast<uint64_t*>(out->data()), 2 * size_t(count));
 }
 
 void EncodeStatus(const Status& s, Writer* w) {
@@ -248,7 +162,7 @@ void EncodeStatus(const Status& s, Writer* w) {
 }
 
 Status DecodeStatus(Reader* r, Status* out) {
-  uint8_t code;
+  uint8_t code = 0;
   std::string message;
   if (Status s = r->U8(&code); !s.ok()) return s;
   if (Status s = r->Str(&message); !s.ok()) return s;
@@ -304,7 +218,7 @@ void EncodeMetricSamples(const std::vector<MetricSample>& samples, Writer* w) {
         size_t last = s.buckets.size();
         while (last > 0 && s.buckets[last - 1] == 0) --last;
         w->U32(uint32_t(last));
-        for (size_t i = 0; i < last; ++i) w->U64(s.buckets[i]);
+        w->U64s(s.buckets.data(), last);
         break;
       }
     }
@@ -344,8 +258,8 @@ Status DecodeMetricSamples(Reader* r, std::vector<MetricSample>* out) {
               "wire: metric histogram bucket count mismatch");
         }
         sample.buckets.assign(Histogram::kBuckets, 0);
-        for (uint32_t b = 0; b < buckets; ++b) {
-          if (Status s = r->U64(&sample.buckets[b]); !s.ok()) return s;
+        if (Status s = r->U64s(sample.buckets.data(), buckets); !s.ok()) {
+          return s;
         }
         break;
       }

@@ -6,7 +6,10 @@
 // Primitives are little-endian and fixed-width (u8/u32/u64; i64 as two's
 // complement; f64 as the IEEE-754 bit pattern), written by `Writer` and read
 // back by the bounds-checked `Reader` — a truncated or overlong buffer is a
-// Status error, never a crash or a silent partial read.
+// Status error, never a crash or a silent partial read. Words move by
+// memcpy, byte-swapped only on a big-endian host, and arrays of words
+// (update batches, dense sketch states) move as one block: one bounds check
+// and one copy each.
 //
 // Everything that crosses a boundary travels inside a *frame*:
 //
@@ -27,9 +30,12 @@
 #ifndef WBS_ENGINE_WIRE_H_
 #define WBS_ENGINE_WIRE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -68,24 +74,63 @@ enum FrameType : uint8_t {
   kResp = 64,         ///< response: Status followed by request-specific data
 };
 
+/// `n` words of type T copied between host order and the wire's
+/// little-endian order (the copy is the conversion on a little-endian host).
+template <typename T>
+void CopyLittleEndian(void* dst, const void* src, size_t n) {
+  static_assert(std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
+  if (n == 0) return;  // an empty vector's data() may be null
+  std::memcpy(dst, src, n * sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    auto* words = static_cast<char*>(dst);
+    for (size_t i = 0; i < n; ++i, words += sizeof(T)) {
+      std::make_unsigned_t<T> w = 0;
+      std::memcpy(&w, words, sizeof(w));
+      if constexpr (sizeof(T) == 4) {
+        w = __builtin_bswap32(w);
+      } else {
+        w = __builtin_bswap64(w);
+      }
+      std::memcpy(words, &w, sizeof(w));
+    }
+  }
+}
+
 /// Appends fixed-width little-endian primitives into a growable buffer.
 class Writer {
  public:
   void U8(uint8_t v) { buf_.push_back(char(v)); }
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  void U32(uint32_t v) { Words(&v, 1); }
+  void U64(uint64_t v) { Words(&v, 1); }
+  void I64(int64_t v) { Words(&v, 1); }
   /// IEEE-754 bit pattern: doubles round-trip bit-identically.
-  void F64(double v);
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  /// `n` words in one append: the bytes of n separate U64 calls.
+  void U64s(const uint64_t* v, size_t n) { Words(v, n); }
+  void I64s(const int64_t* v, size_t n) { Words(v, n); }
   void Bytes(const void* data, size_t len);
   /// Length-prefixed (u32) byte string.
   void Str(std::string_view s);
+  /// Capacity for `n` more bytes, so a writer that knows its size grows
+  /// once.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void Words(const T* v, size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      buf_.append(reinterpret_cast<const char*>(v), n * sizeof(T));
+    } else {
+      const size_t at = buf_.size();
+      buf_.resize(at + n * sizeof(T));
+      CopyLittleEndian<T>(buf_.data() + at, v, n);
+    }
+  }
+
   std::string buf_;
 };
 
@@ -97,10 +142,14 @@ class Reader {
   explicit Reader(std::string_view buf) : buf_(buf) {}
 
   Status U8(uint8_t* v);
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status I64(int64_t* v);
+  Status U32(uint32_t* v) { return Words(v, 1); }
+  Status U64(uint64_t* v) { return Words(v, 1); }
+  Status I64(int64_t* v) { return Words(v, 1); }
   Status F64(double* v);
+  /// `n` words with one bounds check and one copy; on failure nothing is
+  /// consumed.
+  Status U64s(uint64_t* v, size_t n) { return Words(v, n); }
+  Status I64s(int64_t* v, size_t n) { return Words(v, n); }
   /// Reads a u32 length prefix, then that many bytes (view into the buffer).
   Status Str(std::string_view* s);
   Status Str(std::string* s);
@@ -111,7 +160,16 @@ class Reader {
   Status ExpectEnd() const;
 
  private:
-  Status Need(size_t n) const;
+  static Status Truncated();
+
+  template <typename T>
+  Status Words(T* v, size_t n) {
+    // Divide, don't multiply: a hostile count cannot overflow the check.
+    if (remaining() / sizeof(T) < n) return Truncated();
+    CopyLittleEndian<T>(v, buf_.data() + pos_, n);
+    pos_ += n * sizeof(T);
+    return Status::OK();
+  }
 
   std::string_view buf_;
   size_t pos_ = 0;
@@ -119,9 +177,10 @@ class Reader {
 
 /// CRC-32 (IEEE 802.3 polynomial, bit-reflected — the zlib/PNG checksum,
 /// so Crc32("123456789", 9) == 0xCBF43926 and the empty input gives 0) of
-/// `len` bytes at any alignment. Slicing-by-8 over compile-time tables:
-/// eight bytes per step, no heap, no first-use initialization — it runs
-/// over every framed byte on both sides of a shard boundary.
+/// `len` bytes at any alignment: the `crc32` entry of simd::Kernels()
+/// (carry-less-multiply folding on x86, slicing-by-8 otherwise and under
+/// WBS_ENGINE_KERNEL=scalar). It runs over every framed byte on both sides
+/// of a shard boundary.
 uint32_t Crc32(const void* data, size_t len);
 
 /// Wraps `payload` in a checksummed frame of the given type.
@@ -136,7 +195,8 @@ Status DecodeFrame(std::string_view frame, uint8_t* type,
 
 // ---- compound codecs -------------------------------------------------------
 
-/// Turnstile update batch: u64 count, then (u64 item, i64 delta) pairs.
+/// Turnstile update batch: u64 count, then (u64 item, i64 delta) pairs —
+/// the in-memory layout of TurnstileUpdate, so a batch moves as one block.
 void EncodeUpdates(const stream::TurnstileUpdate* data, size_t count,
                    Writer* w);
 Status DecodeUpdates(Reader* r, std::vector<stream::TurnstileUpdate>* out);

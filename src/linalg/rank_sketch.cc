@@ -10,13 +10,13 @@ namespace wbs::linalg {
 RankDecisionSketch::RankDecisionSketch(size_t n, size_t k, uint64_t q,
                                        const crypto::RandomOracle& oracle,
                                        uint64_t oracle_domain)
-    : n_(n), k_(k), oracle_(&oracle), domain_(oracle_domain), barrett_(q),
+    : n_(n), k_(k), oracle_(oracle), domain_(oracle_domain), barrett_(q),
       sketch_(k, n, q) {
   assert(k >= 1 && k <= n);
 }
 
 uint64_t RankDecisionSketch::HEntry(size_t i, size_t j) const {
-  return oracle_->FieldElement(domain_, i * n_ + j, sketch_.q());
+  return oracle_.FieldElement(domain_, i * n_ + j, sketch_.q());
 }
 
 Status RankDecisionSketch::Update(const EntryUpdate& u) {
@@ -37,6 +37,7 @@ Status RankDecisionSketch::Update(const EntryUpdate& u) {
 
 Status RankDecisionSketch::MergeFrom(const RankDecisionSketch& other) {
   if (n_ != other.n_ || k_ != other.k_ || sketch_.q() != other.sketch_.q() ||
+      oracle_.instance_id() != other.oracle_.instance_id() ||
       domain_ != other.domain_) {
     return Status::FailedPrecondition(
         "RankDecisionSketch::MergeFrom: sketches do not share H");
@@ -48,6 +49,7 @@ Status RankDecisionSketch::MergeFrom(const RankDecisionSketch& other) {
 
 Status RankDecisionSketch::UnmergeFrom(const RankDecisionSketch& other) {
   if (n_ != other.n_ || k_ != other.k_ || sketch_.q() != other.sketch_.q() ||
+      oracle_.instance_id() != other.oracle_.instance_id() ||
       domain_ != other.domain_) {
     return Status::FailedPrecondition(
         "RankDecisionSketch::UnmergeFrom: sketches do not share H");
@@ -89,7 +91,7 @@ StreamingBasisTracker::StreamingBasisTracker(size_t n, size_t max_rank,
                                              uint64_t q,
                                              const crypto::RandomOracle& oracle,
                                              uint64_t oracle_domain)
-    : n_(n), d_(2 * max_rank + 2), q_(q), oracle_(&oracle),
+    : n_(n), d_(2 * max_rank + 2), q_(q), oracle_(oracle),
       domain_(oracle_domain) {
   if (d_ > n_) d_ = n_;
 }
@@ -105,7 +107,7 @@ bool StreamingBasisTracker::OfferRow(const std::vector<int64_t>& row) {
                               : q_ - (uint64_t(-row[j]) % q_);
     if (rj == q_) rj = 0;
     for (size_t t = 0; t < d_; ++t) {
-      uint64_t g = oracle_->FieldElement(domain_, j * d_ + t, q_);
+      uint64_t g = oracle_.FieldElement(domain_, j * d_ + t, q_);
       c[t] = AddMod(c[t], MulMod(rj, g, q_), q_);
     }
   }

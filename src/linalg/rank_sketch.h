@@ -61,8 +61,8 @@ class RankDecisionSketch final : public core::StreamAlg<EntryUpdate, bool> {
   uint64_t SpaceBits() const override { return sketch_.SpaceBits(); }
 
   /// Linear merge: S += other.S (mod q). Valid only when both sketches use
-  /// the same H (same n, k, q, oracle domain); then S_merged = H * (A1 + A2),
-  /// the sketch of the entry-wise summed stream.
+  /// the same H (same n, k, q, oracle instance and domain); then S_merged =
+  /// H * (A1 + A2), the sketch of the entry-wise summed stream.
   Status MergeFrom(const RankDecisionSketch& other);
 
   /// Exact inverse of MergeFrom: S -= other.S (mod q). Same H requirement.
@@ -74,6 +74,7 @@ class RankDecisionSketch final : public core::StreamAlg<EntryUpdate, bool> {
 
   size_t n() const { return n_; }
   size_t k() const { return k_; }
+  const crypto::RandomOracle& oracle() const { return oracle_; }
   const MatrixZq& sketch() const { return sketch_; }
 
   /// Restores S from `entries` (row-major, k*n values) previously read off
@@ -84,7 +85,7 @@ class RankDecisionSketch final : public core::StreamAlg<EntryUpdate, bool> {
  private:
   size_t n_;
   size_t k_;
-  const crypto::RandomOracle* oracle_;
+  crypto::RandomOracle oracle_;  // one word: copies never outlive a source
   uint64_t domain_;
   wbs::BarrettQ barrett_;  // per-q constants for the update hot loop
   MatrixZq sketch_;        // S = H * A, k x n
@@ -116,7 +117,7 @@ class StreamingBasisTracker {
   size_t n_;
   size_t d_;  // compressed width
   uint64_t q_;
-  const crypto::RandomOracle* oracle_;
+  crypto::RandomOracle oracle_;
   uint64_t domain_;
   size_t offered_ = 0;
   std::vector<size_t> kept_;

@@ -59,6 +59,23 @@ TEST(SisL0ParamsTest, DerivedFieldsArePinned) {
   }
 }
 
+TEST(SisL0ParamsTest, ModulusSaturatesAtTheCap) {
+  // n^3 passes the 2^61 cap from n = 2^21 on. Formed in wrapping arithmetic
+  // it read 0 from n = 2^22, and q fell to the first prime past
+  // 4 * f_inf * chunk width: ~2^33 at 2^22, ~2^37 at 2^30.
+  constexpr uint64_t kQ = 2305843009213693967ULL;  // first prime >= 2^61
+  for (int log_n : {21, 22, 24, 30}) {
+    EXPECT_EQ(SisL0Params::Derive(uint64_t{1} << log_n, 0.5, 0.25,
+                                  uint64_t{1} << 20)
+                  .q,
+              kQ)
+        << "n = 2^" << log_n;
+  }
+  // 4 * f_inf * chunk width saturates too, rather than wrapping to 0 and
+  // leaving q at n^3.
+  EXPECT_EQ(SisL0Params::Derive(1 << 16, 0.5, 0.25, uint64_t{1} << 62).q, kQ);
+}
+
 TEST(SisL0ParamsTest, ConcurrentDeriveAgrees) {
   // Threads derive the same fresh configs at once, so first derivations and
   // memo reads race (TSan runs this test); every result must agree.

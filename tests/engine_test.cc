@@ -126,6 +126,11 @@ TEST(SketchRegistryTest, HostileConfigsRejectedBeforeTheFactory) {
          c.universe = uint64_t{1} << 30;
          c.sis_l0.eps = 0.95;
        })},
+      // chunk width 32: 4 * f_inf * 32 = 2^61 + 128 passes the modulus cap.
+      {"sis_l0", "4 f_inf chunk width above the modulus cap",
+       with([](SketchConfig& c) {
+         c.sis_l0.f_inf_bound = (uint64_t{1} << 54) + 1;
+       })},
       {"rank_decision", "k > n",
        with([](SketchConfig& c) { c.rank.k = c.rank.n + 1; })},
       {"rank_decision", "k = 0", with([](SketchConfig& c) { c.rank.k = 0; })},
@@ -145,6 +150,12 @@ TEST(SketchRegistryTest, HostileConfigsRejectedBeforeTheFactory) {
       {"crhf_hh", "universe above the cap",
        with([](SketchConfig& c) { c.universe = uint64_t{1} << 63; })},
   };
+  // 4 * f_inf * 32 = 2^61 exactly: the cap itself is a legal target.
+  EXPECT_TRUE(SketchRegistry::Global()
+                  .Create("sis_l0", with([](SketchConfig& c) {
+                            c.sis_l0.f_inf_bound = uint64_t{1} << 54;
+                          }))
+                  .ok());
   for (const Case& c : cases) {
     auto r = SketchRegistry::Global().Create(c.sketch, c.config);
     ASSERT_FALSE(r.ok()) << c.sketch << ": " << c.what;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -187,6 +188,28 @@ TEST(WireCrc32Test, GoldenFrameBytesAreStable) {
     hex += kDigits[c & 0xf];
   }
   EXPECT_EQ(hex, kGoldenHex);
+}
+
+TEST(WireCrc32Test, SeededApplyFrameChecksumIsStable) {
+  // A 65,562-byte kReqApplySeq frame of 4,096 seeded updates, whose
+  // checksum runs the carry-less-multiply fold's four-lane loop. Size and
+  // CRC were recorded with the slicing-by-8 checksum and the per-word
+  // codecs, before the update batch moved as one block.
+  uint64_t state = 20261020;
+  std::vector<stream::TurnstileUpdate> batch(4096);
+  for (auto& u : batch) {
+    u.item = SplitMix64(&state) % (uint64_t{1} << 20);
+    u.delta = int64_t(SplitMix64(&state) % 7) - 3;
+  }
+  wire::Writer w;
+  w.U64(7);
+  wire::EncodeUpdates(batch.data(), batch.size(), &w);
+  const std::string frame = wire::EncodeFrame(wire::kReqApplySeq, w.data());
+  ASSERT_EQ(frame.size(), 65562u);
+  uint32_t crc = 0;
+  std::memcpy(&crc, frame.data() + frame.size() - 4, sizeof(crc));
+  EXPECT_EQ(crc, 0x16c0c3fau);
+  EXPECT_EQ(wire::Crc32(frame.data() + 4, frame.size() - 8), 0x16c0c3fau);
 }
 
 TEST(WireCodecTest, UpdateBatchRoundTrip) {

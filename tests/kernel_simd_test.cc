@@ -7,12 +7,15 @@
 // BarrettQ range (q = 2, q near 2^62, non-prime q), zero/odd/vector-width
 // lengths, unaligned spans — and forcing a level through WBS_ENGINE_KERNEL
 // must leave whole-engine answers unchanged across all six sketch
-// families. Also home to the BarrettQ modulus-bound regression tests.
+// families. The CRC-32 entry must match a bitwise reference at every length
+// and offset that reaches its folds and tails. Also home to the BarrettQ
+// modulus-bound regression tests.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -70,6 +73,7 @@ TEST(KernelDispatchTest, AvailableKernelsEndsWithScalar) {
     ASSERT_NE(k->ams_row_mix, nullptr) << k->name;
     ASSERT_NE(k->hash_items, nullptr) << k->name;
     ASSERT_NE(k->sha256_salted8, nullptr) << k->name;
+    ASSERT_NE(k->crc32, nullptr) << k->name;
   }
 }
 
@@ -288,6 +292,51 @@ TEST(KernelSimdTest, HashU64x8HonorsTruncation) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(out[i], crhf.HashU64(items[i]));
     EXPECT_LT(out[i], uint64_t{1} << 20);
+  }
+}
+
+// --------------------------------------------------------------- CRC-32 --
+
+/// Bitwise CRC-32 (IEEE, reflected): the definition every table's crc32
+/// entry must match.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t len) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(KernelSimdTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..1,100 drive the four-lane fold (64 bytes a step), the
+  // one-lane fold, every len % 16 remainder and every slicing-by-8 tail;
+  // offsets 0..15 start the input at every position of a 16-byte block.
+  // Each input ends exactly where its heap allocation ends, so ASan
+  // reports any read past it.
+  constexpr size_t kMaxLen = 1100;
+  std::mt19937_64 rng(0xc3c32u);
+  std::vector<uint8_t> source(16 + kMaxLen);
+  for (auto& b : source) b = uint8_t(rng());
+  const auto kernels = simd::AvailableKernels();
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const auto buf = std::make_unique<uint8_t[]>(offset + len);
+      std::memcpy(buf.get(), source.data(), offset + len);
+      const uint8_t* p = buf.get() + offset;
+      const uint32_t want = BitwiseCrc32(p, len);
+      for (const auto* k : kernels) {
+        ASSERT_EQ(k->crc32(p, len), want)
+            << k->name << " offset " << offset << " len " << len;
+      }
+    }
+  }
+  const char kCheck[] = "123456789";
+  for (const auto* k : kernels) {
+    EXPECT_EQ(k->crc32(kCheck, 9), 0xCBF43926u) << k->name;
+    EXPECT_EQ(k->crc32(nullptr, 0), 0u) << k->name;
   }
 }
 

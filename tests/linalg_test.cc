@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "common/random.h"
 #include "crypto/random_oracle.h"
 #include "linalg/matrix_zq.h"
@@ -251,7 +255,67 @@ TEST(RankSketchTest2, LowRankNeverMisclassifiedHigh) {
   }
 }
 
+TEST(RankSketchTest2, OracleHeldByValue) {
+  // One sketch is built from a temporary oracle; another is a copy of a
+  // sketch whose heap-allocated oracle is freed and its memory handed to an
+  // oracle of another instance. Both must read the same H as a reference
+  // built beside a live oracle (ASan runs this suite).
+  const crypto::RandomOracle live(21);
+  RankDecisionSketch reference(8, 3, kQ, live, 4);
+  RankDecisionSketch from_temporary(8, 3, kQ, crypto::RandomOracle(21), 4);
+  auto scoped = std::make_unique<crypto::RandomOracle>(21);
+  auto original = std::make_unique<RankDecisionSketch>(8, 3, kQ, *scoped, 4);
+  RankDecisionSketch copy = *original;
+  original.reset();
+  scoped.reset();
+  auto reuse = std::make_unique<crypto::RandomOracle>(99);
+
+  wbs::RandomTape tape(5);
+  const MatrixZq a = KnownRankMatrix(8, 3, kQ, &tape);
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < 8; ++j) {
+      if (a.At(i, j) == 0) continue;
+      const EntryUpdate u{i, j, int64_t(a.At(i, j))};
+      ASSERT_TRUE(reference.Update(u).ok());
+      ASSERT_TRUE(from_temporary.Update(u).ok());
+      ASSERT_TRUE(copy.Update(u).ok());
+    }
+  }
+  ASSERT_TRUE(reference.Query());
+  for (const RankDecisionSketch* s : {&from_temporary, &copy}) {
+    EXPECT_EQ(s->Query(), reference.Query());
+    EXPECT_TRUE(std::equal(s->sketch().data(),
+                           s->sketch().data() + s->sketch().size(),
+                           reference.sketch().data()));
+  }
+}
+
 // -------------------------------------------------- StreamingBasisTracker --
+
+TEST(BasisTrackerTest, OracleHeldByValue) {
+  const crypto::RandomOracle live(23);
+  StreamingBasisTracker reference(6, 3, kQ, live, 2);
+  StreamingBasisTracker from_temporary(6, 3, kQ, crypto::RandomOracle(23), 2);
+  auto scoped = std::make_unique<crypto::RandomOracle>(23);
+  auto original = std::make_unique<StreamingBasisTracker>(6, 3, kQ, *scoped, 2);
+  StreamingBasisTracker copy = *original;
+  original.reset();
+  scoped.reset();
+  auto reuse = std::make_unique<crypto::RandomOracle>(99);
+
+  // Rows 0-2 independent, row 3 = row 0 + row 1, row 4 independent again.
+  const std::vector<std::vector<int64_t>> rows = {
+      {1, 2, 0, 0, 3, 0}, {0, 1, 4, 0, 0, 1}, {5, 0, 0, 2, 0, 0},
+      {1, 3, 4, 0, 3, 1}, {0, 0, 0, 0, 1, 7}};
+  for (const auto& row : rows) {
+    const bool kept = reference.OfferRow(row);
+    EXPECT_EQ(from_temporary.OfferRow(row), kept);
+    EXPECT_EQ(copy.OfferRow(row), kept);
+  }
+  EXPECT_EQ(reference.basis_indices(), (std::vector<size_t>{0, 1, 2, 4}));
+  EXPECT_EQ(from_temporary.basis_indices(), reference.basis_indices());
+  EXPECT_EQ(copy.basis_indices(), reference.basis_indices());
+}
 
 TEST(BasisTrackerTest, IndependentRowsAllKept) {
   crypto::RandomOracle oracle(12);
