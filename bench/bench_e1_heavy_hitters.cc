@@ -6,6 +6,13 @@
 //       MG grows like (1/eps) log m;
 //   (b) recall/precision of both on planted-heavy-hitter workloads;
 //   (c) robustness of Algorithm 2 under an adaptive white-box adversary.
+//
+// A checked paper test (ctest label `paper`): exits nonzero when a checked
+// claim fails. E1a checks that mg_bits grows by exactly one bit per hot
+// counter per doubling of m; "robust_bits flat in m" is printed, not
+// checked, since the 5-seed means do not settle that shape. E1b checks
+// recall >= 3/4 and est_err/L1 <= eps in every row, and E1c a survival rate
+// >= 6/8.
 
 #include <cmath>
 #include <set>
@@ -24,7 +31,7 @@ namespace {
 constexpr double kEps = 0.1;
 constexpr uint64_t kUniverse = uint64_t{1} << 20;
 
-void SpaceVsStreamLength() {
+bool SpaceVsStreamLength() {
   bench::Banner(
       "E1a: space vs stream length m (eps = 0.1, n = 2^20)",
       "Thm 1.1: O(1/eps(log n + log 1/eps) + log log m) bits vs "
@@ -32,6 +39,11 @@ void SpaceVsStreamLength() {
   bench::Table t({"log2(m)", "robust_bits", "mg_bits", "mg_worst_bits",
                   "robust/mg_wc"});
   const size_t mg_k = size_t(std::ceil(2.0 / kEps));
+  // The workload below has 16 hot items, so 16 counters each gain one bit
+  // per doubling of m: +32 bits per row (m grows 4x per row).
+  const uint64_t hot = 16;
+  bool mg_grows = true;
+  uint64_t prev_mg_bits = 0;
   for (int logm = 12; logm <= 22; logm += 2) {
     const uint64_t m = uint64_t{1} << logm;
     // Average the robust footprint over seeds: the instantaneous value
@@ -49,26 +61,33 @@ void SpaceVsStreamLength() {
     hh::MisraGries mg(mg_k);
     // Concentrated workload (few hot items): the regime where MG counters
     // genuinely grow with m.
-    for (uint64_t i = 0; i < m; ++i) mg.Add(i % 16);
+    for (uint64_t i = 0; i < m; ++i) mg.Add(i % hot);
     uint64_t mg_worst =
         hh::MisraGries::WorstCaseSpaceBits(mg_k, kUniverse, m);
+    const uint64_t mg_bits = mg.SpaceBits(kUniverse);
+    if (logm > 12 && mg_bits != prev_mg_bits + 2 * hot) mg_grows = false;
+    prev_mg_bits = mg_bits;
     t.Row()
         .Cell(logm)
         .Cell(robust_bits)
-        .Cell(mg.SpaceBits(kUniverse))
+        .Cell(mg_bits)
         .Cell(mg_worst)
         .Cell(double(robust_bits) / double(mg_worst), 2);
   }
   std::printf(
-      "expected shape: robust_bits ~flat in m; mg columns grow ~%zu bits "
-      "per doubling of m (one bit per counter).\n", size_t(16));
+      "expected shape: robust_bits ~flat in m (not checked); mg columns grow "
+      "~%zu bits per doubling of m (one bit per counter).\n", size_t(hot));
+  return bench::Check("E1a", mg_grows,
+                      "mg_bits grows by exactly 16 bits per doubling of m, "
+                      "+32 per row");
 }
 
-void RecallPrecision() {
+bool RecallPrecision() {
   bench::Banner("E1b: recall of planted eps-heavy hitters (eps = 0.1)",
                 "Thm 1.1: all eps-L1-heavy items reported w.p. >= 3/4, "
                 "estimates within eps*L1");
   bench::Table t({"log2(m)", "trials", "recall", "est_err/L1"});
+  bool held = true;
   for (int logm = 12; logm <= 18; logm += 2) {
     const uint64_t m = uint64_t{1} << logm;
     int planted_total = 0, found_total = 0;
@@ -98,12 +117,16 @@ void RecallPrecision() {
         }
       }
     }
+    const double recall = double(found_total) / double(planted_total);
+    if (recall < 0.75 || worst_err > kEps) held = false;
     t.Row()
         .Cell(logm)
         .Cell(5)
-        .Cell(double(found_total) / double(planted_total), 3)
+        .Cell(recall, 3)
         .Cell(worst_err, 4);
   }
+  return bench::Check("E1b", held,
+                      "recall >= 3/4 and est_err/L1 <= eps in every row");
 }
 
 class AdaptiveLowAdversary final
@@ -133,7 +156,7 @@ class AdaptiveLowAdversary final
   uint64_t rounds_;
 };
 
-void AdaptiveGame() {
+bool AdaptiveGame() {
   bench::Banner("E1c: white-box adaptive adversary vs Algorithm 2",
                 "Thm 1.1: robust w.p. >= 3/4 against a white-box adversary "
                 "(here: estimate-minimizing adaptive strategy)");
@@ -164,14 +187,16 @@ void AdaptiveGame() {
   }
   std::printf("survival rate: %d/%d (paper guarantee: >= 3/4)\n",
               survived_count, trials);
+  return bench::Check("E1c", 4 * survived_count >= 3 * trials,
+                      "survival >= 6/8");
 }
 
 }  // namespace
 }  // namespace wbs
 
 int main() {
-  wbs::SpaceVsStreamLength();
-  wbs::RecallPrecision();
-  wbs::AdaptiveGame();
-  return 0;
+  bool held = wbs::SpaceVsStreamLength();
+  held &= wbs::RecallPrecision();
+  held &= wbs::AdaptiveGame();
+  return held ? 0 : 1;
 }

@@ -21,6 +21,16 @@ inline void Banner(const std::string& experiment, const std::string& claim) {
   std::printf("================================================================\n");
 }
 
+/// Prints one checked claim as "check <name>: ok" or "check <name>: FAILED",
+/// followed by what was required, and returns whether it held. A table whose
+/// claims are checked exits nonzero when any fails.
+inline bool Check(const std::string& name, bool held,
+                  const std::string& required) {
+  std::printf("check %s: %s (%s)\n", name.c_str(), held ? "ok" : "FAILED",
+              required.c_str());
+  return held;
+}
+
 /// Minimal fixed-width table writer.
 class Table {
  public:

@@ -276,9 +276,8 @@ class MisraGriesSketch final : public SketchBase {
     return Status::OK();
   }
 
-  /// State: k, updates, processed weight, and the exact uint64 counters in
-  /// internal iteration order (so a restored summary replays merges in the
-  /// same order as an in-process clone).
+  /// State: k, updates, processed weight, and the exact uint64 counters,
+  /// item-ascending (CounterEntries() order).
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
     w.U64(mg_.k());

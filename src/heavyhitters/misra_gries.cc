@@ -3,43 +3,85 @@
 #include "heavyhitters/misra_gries.h"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 
 namespace wbs::hh {
 
 void MisraGries::Add(uint64_t item, uint64_t w) {
+  if (w == 0) return;
   processed_ += w;
-  auto it = counters_.find(item);
-  if (it != counters_.end()) {
-    it->second += w;
+  const size_t pos = Find(item);
+  if (pos != kUntracked) {
+    counters_[pos] += w;
     return;
   }
-  if (counters_.size() < k_) {
-    counters_.emplace(item, w);
+  if (items_.size() < k_) {
+    Append(item, w);
     return;
   }
-  // Decrement-all by the largest amount that keeps every counter >= 0; with
-  // weighted updates this is min(w, min_counter) applied repeatedly. The
-  // standard amortized form: decrement by d = min(w, min over counters).
-  uint64_t remaining = w;
-  while (remaining > 0) {
-    uint64_t min_c = std::numeric_limits<uint64_t>::max();
-    for (const auto& [k, v] : counters_) min_c = std::min(min_c, v);
-    uint64_t d = std::min(remaining, min_c);
-    if (d == 0) d = remaining;  // defensive; counters are kept > 0 below
-    for (auto it2 = counters_.begin(); it2 != counters_.end();) {
-      it2->second -= d;
-      if (it2->second == 0) {
-        it2 = counters_.erase(it2);
-      } else {
-        ++it2;
-      }
-    }
-    remaining -= d;
-    if (counters_.size() < k_) {
-      if (remaining > 0) counters_.emplace(item, remaining);
-      return;
-    }
+  // Full: one decrement round by d = min(w, smallest counter) takes d from
+  // every counter and from the new item. When d is the smallest counter,
+  // that counter drops out and the item takes its place with w - d;
+  // otherwise d = w and the item is spent. Either way one round suffices.
+  uint64_t d = w;
+  for (uint64_t c : counters_) d = std::min(d, c);
+  size_t kept = 0;
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    const uint64_t c = counters_[i] - d;
+    items_[kept] = items_[i];
+    counters_[kept] = c;
+    kept += c != 0;
+  }
+  if (kept == counters_.size()) return;  // no position moved
+  items_.resize(kept);
+  counters_.resize(kept);
+  Reindex(kept);
+  if (w > d) Append(item, w - d);
+}
+
+size_t MisraGries::Find(uint64_t item) const {
+  if (slots_.empty()) return kUntracked;
+  const size_t mask = slots_.size() - 1;
+  for (size_t h = Home(item);; h = (h + 1) & mask) {
+    const uint32_t slot = slots_[h];
+    if (slot == 0) return kUntracked;
+    if (items_[slot - 1] == item) return slot - 1;
+  }
+}
+
+void MisraGries::Append(uint64_t item, uint64_t count) {
+  items_.push_back(item);
+  counters_.push_back(count);
+  if (2 * items_.size() > slots_.size()) {
+    Reindex(items_.size());
+    return;
+  }
+  size_t h = Home(item);
+  while (slots_[h] != 0) h = (h + 1) & (slots_.size() - 1);
+  slots_[h] = uint32_t(items_.size());
+}
+
+void MisraGries::Reserve(size_t n) {
+  const size_t capacity = std::min(k_, std::bit_ceil(n));
+  items_.reserve(capacity);
+  counters_.reserve(capacity);
+  if (2 * n > slots_.size()) Reindex(n);
+}
+
+void MisraGries::Reindex(size_t entries) {
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * entries) ++bits;
+  if ((size_t{1} << bits) > slots_.size()) {
+    slots_.assign(size_t{1} << bits, 0);
+    shift_ = 64 - bits;
+  } else {
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = 0; i < items_.size(); ++i) {
+    size_t h = Home(items_[i]);
+    while (slots_[h] != 0) h = (h + 1) & mask;
+    slots_[h] = uint32_t(i + 1);
   }
 }
 
@@ -49,12 +91,10 @@ Status MisraGries::MergeFrom(const MisraGries& other) {
         "MisraGries::MergeFrom: summaries must have equal capacity");
   }
   // Fold in canonical (item-ascending) order: when the merge overflows k
-  // and decrements fire, the result then depends only on the other
-  // summary's CONTENTS — not on its hash-map iteration order, which differs
-  // between an original and a deserialized copy of the same summary. This
-  // is what makes shard merges bit-identical across backends.
-  auto entries = other.CounterEntries();
-  std::sort(entries.begin(), entries.end());
+  // and a decrement round fires, the result then depends only on the other
+  // summary's contents, so shard merges are bit-identical across backends.
+  const auto entries = other.CounterEntries();
+  Reserve(std::min(k_, items_.size() + entries.size()));
   uint64_t counter_weight = 0;
   for (const auto& [item, c] : entries) {
     Add(item, c);
@@ -69,9 +109,11 @@ Status MisraGries::MergeFrom(const MisraGries& other) {
 
 std::vector<std::pair<uint64_t, uint64_t>> MisraGries::CounterEntries()
     const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [item, c] : counters_) out.emplace_back(item, c);
+  std::vector<std::pair<uint64_t, uint64_t>> out(items_.size());
+  for (size_t i = 0; i < items_.size(); ++i) {
+    out[i] = {items_[i], counters_[i]};
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -82,15 +124,15 @@ Status MisraGries::RestoreState(
     return Status::InvalidArgument(
         "MisraGries::RestoreState: more entries than counters");
   }
+  MisraGries restored(k_);
+  restored.Reserve(entries.size());
   uint64_t weight = 0;
-  std::unordered_map<uint64_t, uint64_t> restored;
-  restored.reserve(entries.size());
   for (const auto& [item, c] : entries) {
     if (c == 0) {
       return Status::InvalidArgument(
           "MisraGries::RestoreState: zero counter");
     }
-    if (!restored.emplace(item, c).second) {
+    if (restored.Find(item) != kUntracked) {
       return Status::InvalidArgument(
           "MisraGries::RestoreState: duplicate item");
     }
@@ -98,32 +140,33 @@ Status MisraGries::RestoreState(
       return Status::InvalidArgument(
           "MisraGries::RestoreState: counter weight exceeds processed");
     }
+    restored.Append(item, c);
   }
-  counters_ = std::move(restored);
-  processed_ = processed;
+  restored.processed_ = processed;
+  *this = std::move(restored);
   return Status::OK();
 }
 
 uint64_t MisraGries::Estimate(uint64_t item) const {
-  auto it = counters_.find(item);
-  return it == counters_.end() ? 0 : it->second;
+  const size_t pos = Find(item);
+  return pos == kUntracked ? 0 : counters_[pos];
 }
 
 std::vector<WeightedItem> MisraGries::List() const {
-  std::vector<WeightedItem> out;
-  out.reserve(counters_.size());
-  for (const auto& [item, c] : counters_) {
-    out.push_back({item, double(c)});
+  std::vector<WeightedItem> out(items_.size());
+  for (size_t i = 0; i < items_.size(); ++i) {
+    out[i] = {items_[i], double(counters_[i])};
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.estimate > b.estimate;
+    return a.estimate > b.estimate ||
+           (a.estimate == b.estimate && a.item < b.item);
   });
   return out;
 }
 
 uint64_t MisraGries::SpaceBits(uint64_t universe) const {
   uint64_t bits = 0;
-  for (const auto& [item, c] : counters_) {
+  for (uint64_t c : counters_) {
     bits += wbs::BitsForUniverse(universe) + wbs::BitsForValue(c);
   }
   return bits;

@@ -3,8 +3,9 @@
 // The hierarchical heavy hitters problem (Definitions 2.9 / 2.10) and three
 // solvers:
 //   * ExactHhh        — offline ground truth (conditioned counts, Def 2.9);
-//   * Tms12Hhh        — the deterministic [TMS12] algorithm (one SpaceSaving
-//                       per level), Theorem 2.11: O(h/eps (log m + log n));
+//   * Tms12Hhh        — the deterministic [TMS12] algorithm (one Misra-Gries
+//                       summary per level), Theorem 2.11:
+//                       O(h/eps (log m + log n));
 //   * BernHhh         — Algorithm 3: Bernoulli sampling in front of TMS12;
 //   * RobustHhh       — Algorithm 4 / Theorem 2.14: Morris-clocked guess
 //                       rotation, O(h/eps (log n + log 1/eps + ...) +

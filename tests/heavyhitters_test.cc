@@ -8,8 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/state_view.h"
@@ -88,6 +94,11 @@ TEST(MisraGriesTest, WeightedUpdates) {
   mg.Add(8, 1);
   EXPECT_EQ(mg.Estimate(7), 100u);
   EXPECT_EQ(mg.processed(), 101u);
+  // A zero weight is ignored: no zero counter, which RestoreState would
+  // reject in the summary's own snapshot.
+  mg.Add(9, 0);
+  EXPECT_EQ(mg.tracked(), 2u);
+  EXPECT_EQ(mg.processed(), 101u);
 }
 
 TEST(MisraGriesTest, WeightedEvictionKeepsInvariant) {
@@ -112,6 +123,204 @@ TEST(MisraGriesTest, WorstCaseSpaceBitsFormula) {
   EXPECT_EQ(MisraGries::WorstCaseSpaceBits(10, uint64_t{1} << 20,
                                            uint64_t{1} << 30),
             10u * (20 + 31));
+}
+
+// The map-based Misra-Gries that the flat summary replaced, kept as the
+// reference: the same Add, MergeFrom and RestoreState over a
+// std::unordered_map of counters, one decrement pass per loop round.
+class MapMisraGries {
+ public:
+  explicit MapMisraGries(size_t k) : k_(k) {}
+
+  void Add(uint64_t item, uint64_t w) {
+    processed_ += w;
+    auto it = counters_.find(item);
+    if (it != counters_.end()) {
+      it->second += w;
+      return;
+    }
+    if (counters_.size() < k_) {
+      counters_.emplace(item, w);
+      return;
+    }
+    uint64_t remaining = w;
+    while (remaining > 0) {
+      uint64_t min_c = std::numeric_limits<uint64_t>::max();
+      for (const auto& [i, c] : counters_) min_c = std::min(min_c, c);
+      const uint64_t d = std::min(remaining, min_c);
+      for (auto it2 = counters_.begin(); it2 != counters_.end();) {
+        it2->second -= d;
+        it2 = it2->second == 0 ? counters_.erase(it2) : std::next(it2);
+      }
+      remaining -= d;
+      if (counters_.size() < k_) {
+        if (remaining > 0) counters_.emplace(item, remaining);
+        return;
+      }
+    }
+  }
+
+  void MergeFrom(const MapMisraGries& other) {
+    const auto entries = other.Entries();
+    uint64_t weight = 0;
+    for (const auto& [item, c] : entries) {
+      Add(item, c);
+      weight += c;
+    }
+    processed_ += other.processed_ - weight;
+  }
+
+  /// Valid snapshots only; the flat summary's rejections are tested apart.
+  void RestoreState(uint64_t processed,
+                    const std::vector<std::pair<uint64_t, uint64_t>>& e) {
+    counters_.clear();
+    for (const auto& [item, c] : e) counters_.emplace(item, c);
+    processed_ = processed;
+  }
+
+  /// Item-ascending.
+  std::vector<std::pair<uint64_t, uint64_t>> Entries() const {
+    std::vector<std::pair<uint64_t, uint64_t>> out(counters_.begin(),
+                                                   counters_.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  uint64_t processed() const { return processed_; }
+
+ private:
+  size_t k_;
+  uint64_t processed_ = 0;
+  std::unordered_map<uint64_t, uint64_t> counters_;
+};
+
+/// Every observable of `got` against the reference: entries, processed
+/// weight, the ordered list, SpaceBits and each item's estimate.
+void ExpectSameSummary(const MisraGries& got, const MapMisraGries& want,
+                       const std::vector<uint64_t>& items,
+                       const std::string& where) {
+  const auto entries = want.Entries();
+  ASSERT_EQ(got.CounterEntries(), entries) << where;
+  ASSERT_EQ(got.tracked(), entries.size()) << where;
+  ASSERT_EQ(got.processed(), want.processed()) << where;
+  std::vector<WeightedItem> list;
+  uint64_t bits = 0;
+  const uint64_t universe = uint64_t{1} << 40;
+  for (const auto& [item, c] : entries) {
+    list.push_back({item, double(c)});
+    bits += wbs::BitsForUniverse(universe) + wbs::BitsForValue(c);
+  }
+  std::stable_sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+    return a.estimate > b.estimate;
+  });
+  const auto got_list = got.List();
+  ASSERT_EQ(got_list.size(), list.size()) << where;
+  for (size_t i = 0; i < list.size(); ++i) {
+    ASSERT_EQ(got_list[i].item, list[i].item) << where << " rank " << i;
+    ASSERT_EQ(got_list[i].estimate, list[i].estimate) << where << " rank " << i;
+  }
+  ASSERT_EQ(got.SpaceBits(universe), bits) << where;
+  std::unordered_map<uint64_t, uint64_t> counts(entries.begin(),
+                                                entries.end());
+  for (uint64_t item : items) {
+    const auto it = counts.find(item);
+    ASSERT_EQ(got.Estimate(item), it == counts.end() ? 0 : it->second)
+        << where << " item " << item;
+  }
+}
+
+/// `n` items whose Fibonacci hashes item * 2^64/phi are 1..n, so every one
+/// homes to the first slot of the index at any size.
+std::vector<uint64_t> OneWindowItems(size_t n) {
+  const uint64_t phi = 0x9e3779b97f4a7c15ULL;
+  uint64_t inverse = phi;  // Newton's iteration for phi^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inverse *= 2 - phi * inverse;
+  std::vector<uint64_t> out;
+  for (uint64_t j = 1; j <= n; ++j) out.push_back(j * inverse);
+  return out;
+}
+
+TEST(MisraGriesTest, FlatSummaryMatchesMapReference) {
+  // Seeded weighted streams with merges and restores interleaved. Item
+  // pools span a few times k, so the summaries fill and decrement often;
+  // one weight in eight reaches far past the smallest counter, so a round
+  // drops counters and the item keeps a remainder.
+  for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{64}, size_t{200}}) {
+    for (const bool one_window : {false, true}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string where = "k=" + std::to_string(k) + " seed=" +
+                                  std::to_string(seed) +
+                                  (one_window ? " one-window" : "");
+        uint64_t s = seed * 7919 + k;
+        std::vector<uint64_t> pool;
+        if (one_window) {
+          pool = OneWindowItems(3 * k + 8);
+        } else {
+          for (size_t i = 0; i < 3 * k + 8; ++i) {
+            pool.push_back(wbs::SplitMix64(&s));
+          }
+        }
+        MisraGries got(k), got_side(k);
+        MapMisraGries want(k), want_side(k);
+        for (int step = 0; step < 6000; ++step) {
+          const uint64_t r = wbs::SplitMix64(&s);
+          // Skewed draw: the low quarter of the pool is hit far more often.
+          const size_t span = (r & 3) == 0 ? pool.size() : pool.size() / 4 + 1;
+          const uint64_t item = pool[(r >> 2) % span];
+          const uint64_t w =
+              (r >> 40) % 8 == 0 ? 1 + (r >> 48) % 5000 : 1 + (r >> 48) % 3;
+          const uint64_t op = (r >> 60) % 16;
+          if (op < 10) {
+            got.Add(item, w);
+            want.Add(item, w);
+          } else if (op < 14) {
+            got_side.Add(item, w);
+            want_side.Add(item, w);
+          } else if (op == 14) {
+            ASSERT_TRUE(got.MergeFrom(got_side).ok()) << where;
+            want.MergeFrom(want_side);
+          } else if ((r >> 20) % 8 == 0) {
+            // Restore from a snapshot listed in another order.
+            auto entries = got_side.CounterEntries();
+            std::reverse(entries.begin(), entries.end());
+            ASSERT_TRUE(got.RestoreState(got_side.processed(), entries).ok())
+                << where;
+            want.RestoreState(want_side.processed(), entries);
+          }
+          if (step % 250 == 0 || step == 5999) {
+            const std::string at = where + " step " + std::to_string(step);
+            ASSERT_NO_FATAL_FAILURE(ExpectSameSummary(got, want, pool, at));
+            ASSERT_NO_FATAL_FAILURE(
+                ExpectSameSummary(got_side, want_side, pool, at + " side"));
+          }
+        }
+        // A merge into an empty summary, as the engine's publish clone does.
+        MisraGries clone(k);
+        MapMisraGries want_clone(k);
+        ASSERT_TRUE(clone.MergeFrom(got).ok());
+        want_clone.MergeFrom(want);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameSummary(clone, want_clone, pool, where + " clone"));
+      }
+    }
+  }
+}
+
+TEST(MisraGriesTest, RejectedRestoreLeavesSummaryUnchanged) {
+  MisraGries mg(3);
+  mg.Add(5, 4);
+  mg.Add(9, 2);
+  const auto before = mg.CounterEntries();
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  EXPECT_FALSE(mg.RestoreState(10, Entries{{1, 1}, {2, 1}, {3, 1}, {4, 1}})
+                   .ok());                                        // > k
+  EXPECT_FALSE(mg.RestoreState(10, Entries{{1, 1}, {2, 0}}).ok());  // zero
+  EXPECT_FALSE(mg.RestoreState(10, Entries{{1, 1}, {1, 2}}).ok());  // dup
+  EXPECT_FALSE(mg.RestoreState(2, Entries{{1, 2}, {3, 1}}).ok());   // weight
+  EXPECT_EQ(mg.CounterEntries(), before);
+  EXPECT_EQ(mg.processed(), 6u);
+  EXPECT_EQ(mg.Estimate(5), 4u);
+  EXPECT_EQ(mg.Estimate(1), 0u);
 }
 
 // ----------------------------------------------------------- SpaceSaving --
@@ -437,7 +646,9 @@ TEST(CrhfHhTest, SpaceSmallerThanPlainRobustHhOnHugeUniverse) {
 // estimate bits, in order), the Morris clock's register and the active guess
 // exponent (read from SerializeState), the tape's draw count, SpaceBits and
 // a digest of the whole serialized state. Caching a derived value, skipping
-// dead work or batching hashes must leave every field unchanged.
+// dead work or batching hashes must leave every field unchanged. The list
+// and state digests read MisraGries::List() order, whose equal-estimate ties
+// are item-ascending.
 
 struct HhPin {
   uint64_t list_size = 0;
@@ -493,11 +704,11 @@ TEST(GoldenPinTest, RobustL1HeavyHitters) {
   // eps = 0.25 (guess base 64) rotates three times in 300k updates.
   const Case cases[] = {
       {0.25, 300000, 101,
-       {12, 0x98a3e63bad3079d6, 0x55555, 0x40f530d0eaeab57c, 0xc5, 4,
-        900000, 0x110, 0xd061b03bb8cf7cc2}},
+       {12, 0x43c06a5ce97a9a3, 0x55555, 0x40f530d0eaeab57c, 0xc5, 4,
+        900000, 0x110, 0xe07f40369570e92c}},
       {0.1, 200000, 102,
-       {11, 0x86b36816994f1cf8, 0x33334, 0x40e79f7f0d441c79, 0xbd, 3,
-        600000, 0x157, 0xa8422488ba5d59f7}},
+       {11, 0x931ae827569de2d5, 0x33334, 0x40e79f7f0d441c79, 0xbd, 3,
+        600000, 0x157, 0x53ab731378448107}},
   };
   for (const Case& c : cases) {
     const uint64_t universe = 1 << 20;
@@ -528,10 +739,10 @@ TEST(GoldenPinTest, CrhfHeavyHitters) {
   const Case cases[] = {
       {uint64_t{1} << 40, 150000, 103,
        {2, 0x124f51a7194354f2, 0x5555555555, 0x40e177388570853c, 0xb8, 3,
-        450001, 0x637, 0xc674d70a9776fb7f}},
+        450001, 0x637, 0x8429362f7c58bc8d}},
       {uint64_t{1} << 12, 100000, 104,
        {2, 0x90b2c7d9899192e9, 0x334, 0x40d933c195770261, 0xb0, 3, 300001,
-        0x20c, 0xb8776bbf7ada9946}},
+        0x20c, 0x836391c5fdb5b2e5}},
   };
   for (const Case& c : cases) {
     wbs::RandomTape tape(c.seed);
