@@ -9,6 +9,8 @@
 // a two-update attack.
 
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "common/bits.h"
@@ -21,7 +23,7 @@
 namespace wbs {
 namespace {
 
-void Sandwich() {
+bool Sandwich() {
   bench::Banner(
       "E5a: n^eps multiplicative approximation (n = 2^14)",
       "Thm 1.5: L0/n^eps <= answer <= L0 on turnstile streams");
@@ -29,6 +31,7 @@ void Sandwich() {
       {"eps", "c", "live_L0", "answer", "ratio", "bound_n^eps"});
   const uint64_t n = 1 << 14;
   crypto::RandomOracle oracle(5);
+  bool held = true;
   for (double eps : {0.3, 0.5, 0.7}) {
     for (double c : {0.15, 0.3}) {
       for (uint64_t live : {100u, 4000u}) {
@@ -44,6 +47,7 @@ void Sandwich() {
         }
         double l0 = double(truth.L0());
         double ans = alg.Query();
+        held &= ans <= l0 && l0 / ans <= std::pow(double(n), eps);
         t.Row()
             .Cell(eps, 2)
             .Cell(c, 2)
@@ -54,10 +58,11 @@ void Sandwich() {
       }
     }
   }
-  std::printf("expected: answer <= L0 and ratio <= bound (n^eps).\n");
+  return bench::Check("E5a", held,
+                      "answer <= live L0 and L0/answer <= n^eps on every row");
 }
 
-void Space() {
+bool Space() {
   bench::Banner(
       "E5b: space vs (eps, c) in the random-oracle model",
       "Thm 1.5: ~O(n^{1-eps+c*eps}) bits (the matrix itself is free)");
@@ -65,10 +70,14 @@ void Space() {
                   "n*logq (dense)"});
   const uint64_t n = 1 << 16;
   crypto::RandomOracle oracle(6);
+  std::map<std::pair<double, double>, uint64_t> space;  // (eps, c) -> bits
+  bool below_dense = true;
   for (double eps : {0.3, 0.5, 0.7}) {
     for (double c : {0.15, 0.3, 0.45}) {
       auto params = distinct::SisL0Params::Derive(n, eps, c, 1000);
       distinct::SisL0Estimator alg(params, oracle, 77);
+      space[{eps, c}] = alg.SpaceBits();
+      below_dense &= alg.SpaceBits() < n * wbs::BitsForUniverse(params.q);
       t.Row()
           .Cell(eps, 2)
           .Cell(c, 2)
@@ -78,12 +87,25 @@ void Space() {
           .Cell(n * wbs::BitsForUniverse(params.q));
     }
   }
-  std::printf(
-      "expected shape: space falls as eps grows (fewer chunks) and rises "
-      "with c (more sketch rows); always << dense storage.\n");
+  // Every pair of rows that differs along one axis only.
+  bool falls_with_eps = true, rises_with_c = true;
+  for (const auto& [key, bits] : space) {
+    const auto [eps, c] = key;
+    for (const auto& [other, other_bits] : space) {
+      if (other.second == c && other.first > eps) {
+        falls_with_eps &= other_bits < bits;
+      }
+      if (other.first == eps && other.second > c) {
+        rises_with_c &= other_bits > bits;
+      }
+    }
+  }
+  return bench::Check("E5b", falls_with_eps && rises_with_c && below_dense,
+                      "space falls as eps grows at each c, rises with c at "
+                      "each eps, and stays below n*log q");
 }
 
-void ComputationalSeparation() {
+bool ComputationalSeparation() {
   bench::Banner(
       "E5c: the bounded adversary's SIS search frontier",
       "Asm 2.17 scaled down: breaking Algorithm 5 = solving SIS; exhaustive "
@@ -91,6 +113,7 @@ void ComputationalSeparation() {
   bench::Table t({"chunk_w", "rows", "log2(q)", "found", "ops_used",
                   "budget_hit"});
   crypto::RandomOracle oracle(7);
+  bool held = true;
   // Two regimes: a toy modulus where short kernel vectors exist and the
   // bounded search FINDS them (the sketch is breakable), and the production
   // modulus where the search only burns its budget.
@@ -104,6 +127,12 @@ void ComputationalSeparation() {
       crypto::SisMatrix matrix(p, oracle, q + w);
       matrix.Materialize();
       auto r = crypto::MeetInMiddleSisAttack(matrix, 3'000'000);
+      // The search box holds 5^w vectors (entries in [-2, 2]); once it
+      // exceeds the q^rows syndromes, a short kernel vector must exist.
+      const bool must_exist =
+          std::pow(5.0, double(w)) > std::pow(double(q), double(p.rows));
+      if (q == 31) held &= r.found || !must_exist;
+      if (q == 1000003) held &= !r.found;
       t.Row()
           .Cell(uint64_t(w))
           .Cell(uint64_t(p.rows))
@@ -118,14 +147,18 @@ void ComputationalSeparation() {
       "exceeds q^rows; "
       "production modulus (20 bits): never found, ops grow ~5^(w/2) until "
       "the budget wall — the computational separation of Asm 2.17.\n");
+  return bench::Check("E5c", held,
+                      "20-bit modulus never found; 5-bit modulus found on "
+                      "every row whose search box 5^w exceeds q^rows");
 }
 
-void BaselineBreak() {
+bool BaselineBreak() {
   bench::Banner(
       "E5d: naive linear baseline vs the same white-box attack",
       "Sec 2.3 motivation: without SIS hardness a 2-update cancellation "
       "zeroes the sketch while L0 = 2");
   bench::Table t({"algorithm", "updates", "true_L0", "answer", "fooled"});
+  bool naive_fooled = false, sis_fooled = true;
   {
     distinct::NaiveSumL0 naive(1 << 10, 32);
     (void)naive.Update({3, 1});
@@ -136,6 +169,7 @@ void BaselineBreak() {
         .Cell(2)
         .Cell(naive.Query(), 0)
         .Cell(naive.Query() == 0.0);
+    naive_fooled = naive.Query() == 0.0;
   }
   {
     crypto::RandomOracle oracle(8);
@@ -149,16 +183,19 @@ void BaselineBreak() {
         .Cell(2)
         .Cell(sis.Query(), 0)
         .Cell(sis.Query() == 0.0);
+    sis_fooled = sis.Query() == 0.0;
   }
+  return bench::Check("E5d", naive_fooled && !sis_fooled,
+                      "naive-sum is fooled and Alg 5 is not");
 }
 
 }  // namespace
 }  // namespace wbs
 
 int main() {
-  wbs::Sandwich();
-  wbs::Space();
-  wbs::ComputationalSeparation();
-  wbs::BaselineBreak();
-  return 0;
+  bool held = wbs::Sandwich();
+  held &= wbs::Space();
+  held &= wbs::ComputationalSeparation();
+  held &= wbs::BaselineBreak();
+  return held ? 0 : 1;
 }

@@ -13,8 +13,33 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
+#include <type_traits>
 
 namespace wbs {
+
+/// `n` words of type T copied between host order and little-endian order,
+/// the byte order of every serialized state (the copy is the conversion on
+/// a little-endian host). Either side may be unaligned.
+template <typename T>
+void CopyLittleEndian(void* dst, const void* src, size_t n) {
+  static_assert(std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
+  if (n == 0) return;  // an empty vector's data() may be null
+  std::memcpy(dst, src, n * sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    auto* words = static_cast<char*>(dst);
+    for (size_t i = 0; i < n; ++i, words += sizeof(T)) {
+      std::make_unsigned_t<T> w = 0;
+      std::memcpy(&w, words, sizeof(w));
+      if constexpr (sizeof(T) == 4) {
+        w = __builtin_bswap32(w);
+      } else {
+        w = __builtin_bswap64(w);
+      }
+      std::memcpy(words, &w, sizeof(w));
+    }
+  }
+}
 
 /// Number of bits needed to represent the nonnegative value v (>= 1 bit).
 /// BitsForValue(0) == 1 by convention (a register holding 0 still exists).

@@ -135,18 +135,26 @@ Status SisL0Estimator::UnmergeFrom(const SisL0Estimator& other) {
   return Status::OK();
 }
 
-Status SisL0Estimator::RestoreState(std::vector<uint64_t> state) {
-  if (state.size() != state_.size()) {
+Status SisL0Estimator::RestoreState(const void* words, size_t n) {
+  if (n != state_.size()) {
     return Status::InvalidArgument(
         "SisL0Estimator::RestoreState: state size mismatch");
   }
-  for (uint64_t x : state) {
-    if (x >= params_.q) {
-      return Status::InvalidArgument(
-          "SisL0Estimator::RestoreState: residue not reduced mod q");
-    }
+  // Branch-free, so the check vectorizes: with q <= 2^63, x >= q exactly
+  // when x or q - 1 - x has its top bit set.
+  assert(params_.q - 1 < (uint64_t{1} << 63));
+  const auto* bytes = static_cast<const char*>(words);
+  uint64_t high = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t x = 0;
+    CopyLittleEndian<uint64_t>(&x, bytes + 8 * i, 1);
+    high |= x | (params_.q - 1 - x);
   }
-  state_ = std::move(state);
+  if ((high >> 63) != 0) {
+    return Status::InvalidArgument(
+        "SisL0Estimator::RestoreState: residue not reduced mod q");
+  }
+  CopyLittleEndian<uint64_t>(state_.data(), words, n);
   return Status::OK();
 }
 

@@ -101,10 +101,11 @@ class SisL0Estimator final
   /// A * f_chunk, chunk-major, `sketch_rows` residues per chunk.
   const std::vector<uint64_t>& state() const { return state_; }
 
-  /// Replaces the whole state with a previously captured state(); rejects
-  /// a size mismatch or any residue outside [0, q), leaving the state as
-  /// it was.
-  Status RestoreState(std::vector<uint64_t> state);
+  /// Replaces the whole state with `n` words of a previously captured
+  /// state(), stored little-endian at `words` (any alignment), decoded
+  /// straight into this estimator's storage. Rejects a size mismatch or any
+  /// residue outside [0, q) before writing, leaving the state as it was.
+  Status RestoreState(const void* words, size_t n);
 
  private:
   Status CheckMergeable(const SisL0Estimator& other, const char* op) const;

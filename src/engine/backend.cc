@@ -196,9 +196,8 @@ class InProcessBackend final : public ShardBackend {
     // `snaps` now holds the generation just replaced. A snapshot a reader
     // still holds (the merge cache keeps the last one it folded) waits in
     // `retired_` until the reader lets go, so its nodes are freed here, by
-    // the thread that allocated and wrote them, and a query's release is a
-    // reference-count decrement rather than a free of memory another core
-    // wrote. A use count of 1 is final: the slot no longer hands it out.
+    // an applier of the cell, and a query's release is a reference-count
+    // decrement rather than a free of memory an applier wrote. A use count of 1 is final: the slot no longer hands it out.
     std::erase_if(retired_, [](const auto& p) { return p.use_count() == 1; });
     for (auto& p : snaps) {
       if (p != nullptr && p.use_count() > 1) retired_.push_back(std::move(p));
@@ -266,7 +265,7 @@ Result<std::string> SerializeSketch(const Sketch& sketch) {
 
 Result<std::unique_ptr<Sketch>> DeserializeSketch(const std::string& name,
                                                   const SketchConfig& config,
-                                                  const std::string& frame) {
+                                                  std::string_view frame) {
   uint8_t type = 0;
   std::string_view payload;
   Status s = wire::DecodeFrame(frame, &type, &payload);

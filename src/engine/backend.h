@@ -9,9 +9,12 @@
 //
 // Contract (what the ingestor guarantees / expects):
 //
-//   * ApplyBatch is called by at most ONE thread at a time per cell (each
-//     shard is owned by one worker; inline mode serializes under the submit
-//     mutex). Different cells are applied concurrently.
+//   * ApplyBatch and OnIdle are called by at most ONE thread at a time per
+//     cell, ApplyBatch in dispatch order. The caller may change from call
+//     to call — the shard's worker or a producer parked at an inflight
+//     valve — but each holds the cell under its worker's mutex, so every
+//     call happens-after the previous one; inline mode serializes under the
+//     submit mutex. Different cells are applied concurrently.
 //   * Snapshot / SnapshotSerialized are the one read of a cell. They may be
 //     called from ANY thread at any time, concurrently with ApplyBatch —
 //     cells synchronize snapshot publication internally. Each returns the
@@ -38,6 +41,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -102,8 +106,8 @@ class ShardBackend {
   /// Publishes the cell's snapshot if it lags live state. Quiescence only.
   virtual Status Flush() = 0;
 
-  /// Idle hint, from the cell's single applier: nothing is queued for the
-  /// cell, so a publication now delays no apply. The in-process cell
+  /// Idle hint, from the thread that holds the cell: nothing is queued for
+  /// the cell, so a publication now delays no apply. The in-process cell
   /// publishes here if its snapshot lags its live state. The default
   /// ignores the hint (a remote cell would pay a round trip; its host keeps
   /// the count throttle).
@@ -196,7 +200,7 @@ uint64_t MergeSeedFor(const SketchConfig& base);
 /// mismatches all surface as Status errors.
 Result<std::unique_ptr<Sketch>> DeserializeSketch(const std::string& name,
                                                   const SketchConfig& config,
-                                                  const std::string& frame);
+                                                  std::string_view frame);
 
 /// Serializes a sketch into a kSketchState frame (the inverse).
 Result<std::string> SerializeSketch(const Sketch& sketch);

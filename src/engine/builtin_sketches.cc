@@ -526,10 +526,12 @@ class SisL0EngineSketch final : public SketchBase {
           "sis_l0: oracle mismatch (different config seed)");
     }
     if (Status s = r.U64(&updates); !s.ok()) return s;
-    // The dimensions match the config, so the allocation is bounded by it.
-    std::vector<uint64_t> state(est_.state().size());
-    if (Status s = r.U64s(state.data(), state.size()); !s.ok()) return s;
-    if (Status s = est_.RestoreState(std::move(state)); !s.ok()) return s;
+    // The dimensions match the config, so the read is bounded by it. The
+    // words are range-checked and decoded once, into the estimator itself.
+    const size_t n = est_.state().size();
+    std::string_view words;
+    if (Status s = r.Bytes(8 * n, &words); !s.ok()) return s;
+    if (Status s = est_.RestoreState(words.data(), n); !s.ok()) return s;
     updates_applied_ = updates;
     return Status::OK();
   }

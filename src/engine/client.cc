@@ -381,6 +381,14 @@ void Client::RouterLoop() {
       ++dispatched;
     }
     if (rm != nullptr) rm->dispatches_total->Inc();
+    if (dispatched > 0 && valve_parked_.load() > 0) {
+      // A producer parked at the valve may be asleep for want of a job.
+      {
+        std::lock_guard<std::mutex> lock(ticket_mu_);
+        ++dispatch_epoch_;
+      }
+      ticket_cv_.notify_all();
+    }
     if (dispatched == 0) {
       // Nothing to apply (all sub-batches empty): complete directly.
       CompleteTicket(*ticket.state);
@@ -388,63 +396,131 @@ void Client::RouterLoop() {
   }
 }
 
+bool Client::TakeJob(Worker* worker, Job* job) {
+  // The first queued job of each cell is the oldest, so skipping held
+  // cells keeps every cell's jobs in queue order.
+  auto it = worker->queue.begin();
+  while (it != worker->queue.end() && worker->Holds(it->backend.get())) ++it;
+  if (it == worker->queue.end()) return false;
+  *job = std::move(*it);
+  worker->queue.erase(it);
+  worker->held.push_back(job->backend.get());
+  if (worker->metrics != nullptr) {
+    worker->metrics->queue_depth->Set(int64_t(worker->queue.size()));
+  }
+  return true;
+}
+
+bool Client::RunJob(const Job& job) {
+  // Once a shard sketch has errored, keep draining (so the router never
+  // deadlocks on backpressure and every ticket still completes) but stop
+  // mutating state.
+  const bool apply = !has_error_.load(std::memory_order_acquire);
+  if (apply) {
+    (void)ApplySubBatch(job.backend.get(), job.updates, job.health,
+                        job.metrics);
+  }
+  if (job.ticket != nullptr &&
+      job.ticket->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    CompleteTicket(*job.ticket);
+  }
+  return apply;
+}
+
 void Client::WorkerLoop(Worker* worker) {
-  // The cells applied to since this worker last went idle. When its queue
-  // runs empty they get the idle hint, after the ticket completed and
-  // before `pending` drops, so a publication is off that ticket's path and
-  // never runs beside a barrier's or Flush's drain.
+  // The cells applied to since this worker's queue last ran empty. Then
+  // each gets the idle hint, after its ticket completed and before
+  // `pending` drops, so a publication is off that ticket's path and never
+  // runs beside a barrier's or Flush's drain. A cell another thread holds
+  // is skipped: that thread gives the hint (HelpApply).
   std::vector<std::shared_ptr<ShardBackend>> applied;
+  std::vector<std::shared_ptr<ShardBackend>> idle;
   for (;;) {
     Job job;
     {
       std::unique_lock<std::mutex> lock(worker->mu);
-      worker->cv_work.wait(
-          lock, [&] { return worker->stop || !worker->queue.empty(); });
-      if (worker->queue.empty()) {
-        if (worker->stop) return;
-        continue;
-      }
-      job = std::move(worker->queue.front());
-      worker->queue.pop_front();
-      if (worker->metrics != nullptr) {
-        worker->metrics->queue_depth->Set(int64_t(worker->queue.size()));
+      while (!TakeJob(worker, &job)) {
+        if (worker->stop && worker->queue.empty()) return;
+        worker->cv_work.wait(lock);
       }
     }
     worker->cv_space.notify_one();
-    // Once a shard sketch has errored, keep draining (so the router never
-    // deadlocks on backpressure and every ticket still completes) but stop
-    // mutating state.
-    if (!has_error_.load(std::memory_order_acquire)) {
-      (void)ApplySubBatch(job.backend.get(), job.updates, job.health,
-                          job.metrics);
-      if (std::find(applied.begin(), applied.end(), job.backend) ==
-          applied.end()) {
-        applied.push_back(std::move(job.backend));
-      }
-    }
-    if (job.ticket != nullptr &&
-        job.ticket->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      CompleteTicket(*job.ticket);
-    }
-    if (!applied.empty()) {
-      bool idle = false;
-      {
-        std::lock_guard<std::mutex> lock(worker->mu);
-        idle = worker->queue.empty();
-      }
-      if (idle) {
-        if (!has_error_.load(std::memory_order_acquire)) {
-          for (const auto& cell : applied) cell->OnIdle();
-        }
-        applied.clear();
-      }
+    if (RunJob(job) && std::find(applied.begin(), applied.end(),
+                                 job.backend) == applied.end()) {
+      applied.push_back(job.backend);
     }
     {
       std::lock_guard<std::mutex> lock(worker->mu);
-      --worker->pending;
-      if (worker->pending == 0) worker->cv_drained.notify_all();
+      worker->Release(job.backend.get());
+      if (worker->queue.empty()) {
+        for (auto& cell : applied) {
+          if (worker->Holds(cell.get())) continue;
+          worker->held.push_back(cell.get());
+          idle.push_back(std::move(cell));
+        }
+        applied.clear();
+      }
+      if (idle.empty()) {
+        worker->Done();
+        continue;
+      }
+    }
+    if (!has_error_.load(std::memory_order_acquire)) {
+      for (const auto& cell : idle) cell->OnIdle();
+    }
+    std::lock_guard<std::mutex> lock(worker->mu);
+    for (const auto& cell : idle) worker->Release(cell.get());
+    idle.clear();
+    worker->Done();
+  }
+}
+
+bool Client::HelpApply(SessionMetrics* sm) {
+  // The worker furthest behind: the longest queue with a runnable job.
+  Worker* from = nullptr;
+  size_t longest = 0;
+  for (const auto& worker : workers_) {
+    std::lock_guard<std::mutex> lock(worker->mu);
+    const auto& q = worker->queue;
+    if (q.size() > longest &&
+        std::any_of(q.begin(), q.end(), [&](const Job& j) {
+          return !worker->Holds(j.backend.get());
+        })) {
+      longest = q.size();
+      from = worker.get();
     }
   }
+  if (from == nullptr) return false;
+  Job job;
+  {
+    std::lock_guard<std::mutex> lock(from->mu);
+    if (!TakeJob(from, &job)) return false;  // its worker took it first
+  }
+  from->cv_space.notify_one();
+  if (sm != nullptr) sm->valve_applies_total->Inc();
+  const ShardBackend* cell = job.backend.get();
+  bool hint = RunJob(job);
+  {
+    std::lock_guard<std::mutex> lock(from->mu);
+    // Keep the cell for its idle hint only when nothing more is queued for
+    // it; otherwise hand it to the queue's next applier now.
+    hint = hint && std::none_of(from->queue.begin(), from->queue.end(),
+                                [&](const Job& j) {
+                                  return j.backend.get() == cell;
+                                });
+    if (!hint) {
+      from->Release(cell);
+      from->Done();
+    }
+  }
+  if (hint) {
+    if (!has_error_.load(std::memory_order_acquire)) job.backend->OnIdle();
+    std::lock_guard<std::mutex> lock(from->mu);
+    from->Release(cell);
+    from->Done();
+  }
+  from->cv_work.notify_one();  // its worker may wait on this cell
+  return true;
 }
 
 Status Client::PreSubmit() const {
@@ -580,11 +656,26 @@ Result<IngestTicket> Client::EnqueueScattered(
       } else {
         // Valve pressure: this producer parks. Count the wait and time it
         // (the clock reads happen only on this already-blocking path).
+        // While parked it keeps its turn and applies queued sub-batches
+        // instead of sleeping; it sleeps only when none is runnable.
         const auto t0 = sm == nullptr ? MonoClock::time_point{}
                                       : MonoClock::now();
         if (sm != nullptr) sm->valve_waits_total->Inc();
-        ticket_cv_.wait(
-            lock, [&] { return valve_serving_ == turn && admissible(); });
+        // The router wakes it when it dispatches (dispatch_epoch_).
+        const auto admitted = [&] {
+          return valve_serving_ == turn && admissible();
+        };
+        valve_parked_.fetch_add(1);
+        while (!admitted()) {
+          const uint64_t epoch = dispatch_epoch_;
+          lock.unlock();
+          const bool helped = HelpApply(sm);
+          lock.lock();
+          if (!helped && !admitted() && epoch == dispatch_epoch_) {
+            ticket_cv_.wait(lock);
+          }
+        }
+        valve_parked_.fetch_sub(1);
         ++valve_serving_;
         if (sm != nullptr) sm->valve_wait_us->Record(ElapsedUs(t0));
       }

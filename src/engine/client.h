@@ -16,10 +16,12 @@
 // published as an immutable, generation-stamped TopologyView. Each shard
 // owns one instance of every configured sketch. Submitted batches are
 // scattered by slot into per-shard sub-batches and applied either inline
-// (num_threads == 0) or by worker threads, each of which owns a fixed
-// subset of shards (shard s -> worker s % num_threads) and drains a FIFO
-// queue — so every shard sees its sub-stream in dispatch order no matter
-// how many workers run.
+// (num_threads == 0) or from per-worker queues: shard s's sub-batches queue
+// at worker s % num_threads, and a thread that applies one — that worker,
+// or a producer parked at an inflight valve — first holds the shard's cell,
+// taking the oldest queued sub-batch of a cell no thread holds. One applier
+// per cell at a time, in queue order, so every shard sees its sub-stream in
+// dispatch order no matter how many threads apply.
 //
 // WHERE a shard lives is behind the pluggable ShardBackend interface
 // (backend.h): every shard id is placed in its own one-shard cell, built by
@@ -36,11 +38,13 @@
 // queue under a short mutex and returns a sequence-numbered IngestTicket
 // immediately. A router thread drains the session queues ROUND-ROBIN (a
 // hot producer cannot monopolize dispatch) and forwards sub-batches to the
-// per-shard worker queues — worker backpressure therefore blocks the
-// *router* (and ticket completion), never the producer's thread. Producers
-// that do not open a session share session 0, which drains FIFO. The
-// inflight valves (max_inflight_tickets / max_inflight_bytes) admit blocked
-// producers in ARRIVAL ORDER (a FIFO turnstile). Wait(ticket)/TryWait
+// worker queues — worker-queue backpressure therefore blocks the *router*
+// (and ticket completion), not Submit. Producers that do not open a session
+// share session 0, which drains FIFO. The inflight valves
+// (max_inflight_tickets / max_inflight_bytes) admit blocked producers in
+// ARRIVAL ORDER (a FIFO turnstile); a producer parked there keeps its turn
+// and meanwhile applies queued sub-batches on its own thread, so a closed
+// loop lends its spare time to the appliers. Wait(ticket)/TryWait
 // observe a monotone completion watermark: a ticket reports done only once
 // every ticket with a smaller sequence number has also been applied.
 //
@@ -70,6 +74,7 @@
 #ifndef WBS_ENGINE_CLIENT_H_
 #define WBS_ENGINE_CLIENT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -128,11 +133,12 @@ struct IngestorOptions {
   size_t num_shards = 4;
   size_t num_threads = 0;  ///< 0: apply inline on the submitting thread
   size_t max_queue_batches = 64;  ///< per-worker router->worker bound
-  /// Soft cap on tickets submitted but not yet fully applied. Submit
-  /// blocks once this many tickets are in flight — a memory safety valve
-  /// far above the worker-queue backpressure point, not the steady-state
-  /// flow control (that is the router absorbing worker backpressure while
-  /// producers run ahead). 0 = unbounded.
+  /// Cap on tickets submitted but not yet fully applied. Submit waits once
+  /// this many are in flight, applying queued sub-batches on its own thread
+  /// until its turn comes (TrySubmit fails fast instead). The default is a
+  /// memory safety valve far above the worker-queue backpressure point; a
+  /// small cap makes a closed loop whose producer helps apply while the
+  /// appliers are the slower side. 0 = unbounded.
   size_t max_inflight_tickets = 256;
   /// Total-bytes valve on the same queue: Submit blocks (and TrySubmit
   /// fails fast with ResourceExhausted) while the update bytes of in-flight
@@ -312,7 +318,8 @@ class Client {
   /// concurrently from any number of threads (sharing a session is fine;
   /// they interleave FIFO within it). Never blocks on worker backpressure
   /// (the router absorbs it); only the inflight valves can make it wait,
-  /// and those admit waiters in arrival order.
+  /// and those admit waiters in arrival order. While it waits there it
+  /// applies queued sub-batches (engine.session.<id>.valve_applies_total).
   Result<IngestTicket> Submit(const stream::TurnstileUpdate* updates,
                               size_t count, ProducerSession session = {});
 
@@ -559,16 +566,32 @@ class Client {
     ShardHealthState* health = nullptr;
   };
 
+  /// One worker's queue and the cells its appliers hold. The worker
+  /// thread and parked producers (HelpApply) apply from it.
   struct Worker {
     std::mutex mu;
-    std::condition_variable cv_work;     // router -> worker: work available
-    std::condition_variable cv_space;    // worker -> router: queue has room
-    std::condition_variable cv_drained;  // worker -> waiter: pending == 0
+    std::condition_variable cv_work;     // -> worker: job queued, cell freed
+    std::condition_variable cv_space;    // -> router: queue has room
+    std::condition_variable cv_drained;  // -> waiter: pending == 0
     std::deque<Job> queue;
+    /// Cells a thread holds while it applies a job or gives the idle hint;
+    /// their queued jobs wait, so each cell has one applier at a time.
+    std::vector<const ShardBackend*> held;
     size_t pending = 0;  // queued + in-flight batches
     bool stop = false;
     WorkerMetrics* metrics = nullptr;  // null = metrics disabled
     std::thread thread;
+
+    bool Holds(const ShardBackend* cell) const {
+      return std::find(held.begin(), held.end(), cell) != held.end();
+    }
+    void Release(const ShardBackend* cell) {
+      held.erase(std::find(held.begin(), held.end(), cell));
+    }
+    /// One taken job is finished: wake drainers once nothing is pending.
+    void Done() {
+      if (--pending == 0) cv_drained.notify_all();
+    }
   };
 
   /// One producer session's FIFO lane. Guarded by submit_mu_.
@@ -630,6 +653,18 @@ class Client {
   Status Init();
   void RouterLoop();
   void WorkerLoop(Worker* worker);
+  /// Moves the oldest queued job of `worker` whose cell no thread holds
+  /// into *job and holds the cell. Caller holds worker->mu. False when no
+  /// queued job is runnable.
+  static bool TakeJob(Worker* worker, Job* job);
+  /// Applies a taken job (skipped once the pipeline has errored) and
+  /// completes its share of the ticket. True when it applied.
+  bool RunJob(const Job& job);
+  /// Valve help: runs one runnable job from the longest worker queue on
+  /// the calling thread, as WorkerLoop would, then gives the cell its idle
+  /// hint when nothing more is queued for it. False when no queue holds a
+  /// runnable job.
+  bool HelpApply(SessionMetrics* sm);
   /// Waits until every worker queue is empty and nothing is in flight.
   void DrainWorkers();
   /// Re-scatters a parked ticket whose scatter predates the current table.
@@ -816,6 +851,11 @@ class Client {
   uint64_t inflight_bytes_ = 0;  // update bytes of physically pending tickets
   uint64_t valve_next_ = 0;      // turnstile numbers handed to blockers
   uint64_t valve_serving_ = 0;   // turnstile number allowed to admit
+  /// Producers parked at the valve, and the router's count of dispatches
+  /// made while any was: a parked producer with nothing to apply sleeps
+  /// only while the count stands still.
+  std::atomic<size_t> valve_parked_{0};
+  uint64_t dispatch_epoch_ = 0;
   std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<uint64_t>>
       done_out_of_order_;
 

@@ -258,6 +258,7 @@ SessionMetrics* EngineMetrics::session(size_t id) {
         registry_.NewCounter(p + ".try_rejections_total");
     m.valve_waits_total = registry_.NewCounter(p + ".valve_waits_total");
     m.valve_wait_us = registry_.NewHistogram(p + ".valve_wait_us");
+    m.valve_applies_total = registry_.NewCounter(p + ".valve_applies_total");
     m.tickets_outstanding = registry_.NewGauge(p + ".tickets_outstanding");
     sessions_.push_back(m);
   }

@@ -218,6 +218,7 @@ struct SessionMetrics {
   Counter* try_rejections_total;
   Counter* valve_waits_total;
   Histogram* valve_wait_us;
+  Counter* valve_applies_total;  ///< sub-batches applied while parked
   Gauge* tickets_outstanding;
 };
 

@@ -90,34 +90,33 @@ class TcpRemoteBackend final : public ShardBackend {
 
   Result<ShardSnapshot> Snapshot(size_t sketch_index,
                                  uint64_t newer_than) const override {
-    auto serialized = SnapshotSerialized(sketch_index, newer_than);
-    if (!serialized.ok()) return serialized.status();
+    // Deserialized straight from the response frame: no copy of the state.
     ShardSnapshot snap;
-    snap.epoch = serialized.value().epoch;
-    if (serialized.value().state.empty()) return snap;  // nothing newer
-    const auto t0 = std::chrono::steady_clock::now();
-    auto sketch = DeserializeSketch(options_.sketches[sketch_index],
-                                    options_.config, serialized.value().state);
-    if (!sketch.ok()) return sketch.status();
-    deserialize_us_.Record(ElapsedUs(t0));
-    snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
+    Status s = ReadSnapshot(
+        sketch_index, newer_than, [&](uint64_t epoch, std::string_view state) {
+          snap.epoch = epoch;
+          if (state.empty()) return Status::OK();  // nothing newer
+          const auto t0 = std::chrono::steady_clock::now();
+          auto sketch = DeserializeSketch(options_.sketches[sketch_index],
+                                          options_.config, state);
+          if (!sketch.ok()) return sketch.status();
+          deserialize_us_.Record(ElapsedUs(t0));
+          snap.sketch = std::shared_ptr<const Sketch>(std::move(sketch).value());
+          return Status::OK();
+        });
+    if (!s.ok()) return s;
     return snap;
   }
 
   Result<SerializedSnapshot> SnapshotSerialized(
       size_t sketch_index, uint64_t newer_than) const override {
-    if (sketch_index >= options_.sketches.size()) {
-      return Status::OutOfRange("tcp backend: sketch out of range");
-    }
-    wire::Writer req;
-    req.U32(uint32_t(sketch_index));
-    req.U64(newer_than);
-    SerializedSnapshot out;
-    Status s = Request(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
-                       [&](wire::Reader& r) {
-                         Status se = r.U64(&out.epoch);
-                         return se.ok() ? r.Str(&out.state) : se;
-                       });
+    SerializedSnapshot out;  // owns its copy: handoffs and checkpoints keep it
+    Status s = ReadSnapshot(sketch_index, newer_than,
+                            [&](uint64_t epoch, std::string_view state) {
+                              out.epoch = epoch;
+                              out.state.assign(state);
+                              return Status::OK();
+                            });
     if (!s.ok()) return s;
     return out;
   }
@@ -312,8 +311,10 @@ class TcpRemoteBackend final : public ShardBackend {
   /// exponential backoff between attempts. For kReqApplySeq calls,
   /// `apply_seq` lets a reconnect detect that the host already applied the
   /// batch (its ack was lost) and synthesize the ack instead of resending.
+  /// On OK, `resp` views the response payload in this thread's frame
+  /// buffer, valid until the thread's next round trip.
   Status Call(bool data_channel, uint8_t type, std::string_view payload,
-              std::string* resp, int deadline_ms,
+              std::string_view* resp, int deadline_ms,
               uint64_t apply_seq = 0) const {
     TcpChannel& ch = const_cast<TcpChannel&>(data_channel ? data_ : control_);
     const auto deadline = std::chrono::steady_clock::now() +
@@ -343,7 +344,8 @@ class TcpRemoteBackend final : public ShardBackend {
           resyncs_.Inc();
           wire::Writer w;
           wire::EncodeStatus(Status::OK(), &w);
-          *resp = w.Take();
+          frame_scratch() = w.Take();
+          *resp = frame_scratch();
           return Status::OK();
         }
       }
@@ -381,7 +383,7 @@ class TcpRemoteBackend final : public ShardBackend {
       frames_in_.Inc();
       bytes_in_.Inc(FramedBytes(resp_payload.size()));
       roundtrip_us_.Record(ElapsedUs(t0));
-      resp->assign(resp_payload);
+      *resp = resp_payload;
       return Status::OK();
     }
   }
@@ -390,12 +392,13 @@ class TcpRemoteBackend final : public ShardBackend {
 
   /// Call plus the response's leading Status: a transport failure or a
   /// remote error comes back as is; on OK, `decode` reads the
-  /// request-specific data that follows the Status.
+  /// request-specific data that follows the Status, in place in the
+  /// thread's frame buffer.
   template <typename Decode>
   Status Request(bool data_channel, uint8_t type, std::string_view payload,
                  Decode&& decode, int deadline_ms = kOpDeadlineMs,
                  uint64_t apply_seq = 0) const {
-    std::string resp;
+    std::string_view resp;
     Status s = Call(data_channel, type, payload, &resp, deadline_ms,
                     apply_seq);
     if (!s.ok()) return s;
@@ -404,6 +407,27 @@ class TcpRemoteBackend final : public ShardBackend {
     if (Status sd = wire::DecodeStatus(&r, &remote); !sd.ok()) return sd;
     if (!remote.ok()) return remote;
     return decode(r);
+  }
+
+  /// The snapshot read both Snapshot forms share: `consume(epoch, state)`
+  /// sees the state frame (empty when nothing is newer) in place.
+  template <typename Consume>
+  Status ReadSnapshot(size_t sketch_index, uint64_t newer_than,
+                      Consume&& consume) const {
+    if (sketch_index >= options_.sketches.size()) {
+      return Status::OutOfRange("tcp backend: sketch out of range");
+    }
+    wire::Writer req;
+    req.U32(uint32_t(sketch_index));
+    req.U64(newer_than);
+    return Request(/*data_channel=*/false, wire::kReqSnapshot, req.data(),
+                   [&](wire::Reader& r) {
+                     uint64_t epoch = 0;
+                     std::string_view state;
+                     if (Status s = r.U64(&epoch); !s.ok()) return s;
+                     if (Status s = r.Str(&state); !s.ok()) return s;
+                     return consume(epoch, state);
+                   });
   }
 
   /// Per-thread frame buffer so concurrent round trips (different cells /

@@ -60,14 +60,18 @@ Status Reader::F64(double* v) {
   return Status::OK();
 }
 
-Status Reader::Str(std::string_view* out) {
-  uint32_t len = 0;
-  Status s = U32(&len);
-  if (!s.ok()) return s;
+Status Reader::Bytes(size_t len, std::string_view* out) {
   if (remaining() < len) return Truncated();
   *out = buf_.substr(pos_, len);
   pos_ += len;
   return Status::OK();
+}
+
+Status Reader::Str(std::string_view* out) {
+  uint32_t len = 0;
+  Status s = U32(&len);
+  if (!s.ok()) return s;
+  return Bytes(len, out);
 }
 
 Status Reader::Str(std::string* out) {

@@ -38,6 +38,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/status.h"
 #include "stream/updates.h"
 
@@ -73,28 +74,6 @@ enum FrameType : uint8_t {
 
   kResp = 64,         ///< response: Status followed by request-specific data
 };
-
-/// `n` words of type T copied between host order and the wire's
-/// little-endian order (the copy is the conversion on a little-endian host).
-template <typename T>
-void CopyLittleEndian(void* dst, const void* src, size_t n) {
-  static_assert(std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
-  if (n == 0) return;  // an empty vector's data() may be null
-  std::memcpy(dst, src, n * sizeof(T));
-  if constexpr (std::endian::native == std::endian::big) {
-    auto* words = static_cast<char*>(dst);
-    for (size_t i = 0; i < n; ++i, words += sizeof(T)) {
-      std::make_unsigned_t<T> w = 0;
-      std::memcpy(&w, words, sizeof(w));
-      if constexpr (sizeof(T) == 4) {
-        w = __builtin_bswap32(w);
-      } else {
-        w = __builtin_bswap64(w);
-      }
-      std::memcpy(words, &w, sizeof(w));
-    }
-  }
-}
 
 /// Appends fixed-width little-endian primitives into a growable buffer.
 class Writer {
@@ -150,6 +129,9 @@ class Reader {
   /// consumed.
   Status U64s(uint64_t* v, size_t n) { return Words(v, n); }
   Status I64s(int64_t* v, size_t n) { return Words(v, n); }
+  /// A view of the next `len` bytes (no copy); on failure nothing is
+  /// consumed.
+  Status Bytes(size_t len, std::string_view* out);
   /// Reads a u32 length prefix, then that many bytes (view into the buffer).
   Status Str(std::string_view* s);
   Status Str(std::string* s);
