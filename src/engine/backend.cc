@@ -197,7 +197,8 @@ class InProcessBackend final : public ShardBackend {
     // still holds (the merge cache keeps the last one it folded) waits in
     // `retired_` until the reader lets go, so its nodes are freed here, by
     // an applier of the cell, and a query's release is a reference-count
-    // decrement rather than a free of memory an applier wrote. A use count of 1 is final: the slot no longer hands it out.
+    // decrement rather than a free of memory an applier wrote. A use count
+    // of 1 is final: the slot no longer hands it out.
     std::erase_if(retired_, [](const auto& p) { return p.use_count() == 1; });
     for (auto& p : snaps) {
       if (p != nullptr && p.use_count() > 1) retired_.push_back(std::move(p));

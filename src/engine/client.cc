@@ -356,8 +356,8 @@ void Client::RouterLoop() {
     // Forward the sub-batches to their owning workers in shard order,
     // placements resolved against the installed table. A full worker queue
     // blocks *here* — the router is the thread that absorbs backpressure,
-    // so producers never stall in Submit and the pressure shows up as
-    // a later ticket completion.
+    // so Submit never waits on a worker queue (only at the inflight
+    // valves) and the pressure shows up as a later ticket completion.
     size_t dispatched = 0;
     for (size_t shard = 0; shard < ticket.sub.size(); ++shard) {
       if (ticket.sub[shard].empty()) continue;

@@ -32,10 +32,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
