@@ -246,6 +246,37 @@ TEST(SisL0Test, MergeRequiresTheSameMatrix) {
   EXPECT_DOUBLE_EQ(target.Query(), 0.0);
 }
 
+TEST(SisL0Test, RestoreStateChecksEveryResidueBeforeWriting) {
+  // The range check is branch-free (x >= q exactly when x or q - 1 - x has
+  // its top bit set), so pin its edges: q - 1 restores; q, q + 1, 2^63 - 1
+  // and 2^64 - 1 are rejected in the first or the last word, and a
+  // rejected restore leaves the state as it was.
+  const SisL0Params p = SisL0Params::Derive(1 << 12, 0.5, 0.25, 100);
+  SisL0Estimator alg(p, SharedOracle(), 5);
+  ASSERT_TRUE(alg.Update({7, 3}).ok());
+  const std::vector<uint64_t> before = alg.state();
+  const auto restore = [&](const std::vector<uint64_t>& words) {
+    std::vector<uint64_t> le(words.size());
+    CopyLittleEndian<uint64_t>(le.data(), words.data(), words.size());
+    return alg.RestoreState(le.data(), le.size());
+  };
+  const uint64_t q = p.q;
+  for (uint64_t bad : {q, q + 1, (uint64_t{1} << 63) - 1, ~uint64_t{0}}) {
+    for (size_t at : {size_t{0}, before.size() - 1}) {
+      std::vector<uint64_t> words(before.size(), q - 1);
+      words[at] = bad;
+      const Status s = restore(words);
+      EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+      EXPECT_EQ(alg.state(), before);
+    }
+  }
+  EXPECT_FALSE(restore(std::vector<uint64_t>(before.size() + 1, 0)).ok());
+  EXPECT_EQ(alg.state(), before);
+  const std::vector<uint64_t> top(before.size(), q - 1);
+  ASSERT_TRUE(restore(top).ok());
+  EXPECT_EQ(alg.state(), top);
+}
+
 TEST(SisL0Test, RejectsOutOfUniverse) {
   auto oracle = SharedOracle();
   SisL0Estimator alg(SisL0Params::Derive(100, 0.5, 0.25, 10), oracle, 0);
