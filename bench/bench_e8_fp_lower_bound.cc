@@ -6,6 +6,12 @@
 // of width, while the Omega(n)-space exact algorithm survives; (b) the
 // Theorem 1.8 derandomization turns the robust algorithm into a
 // deterministic GapEquality protocol whose communication is the state size.
+//
+// A checked paper test (ctest label `paper`): exits nonzero when a checked
+// claim fails. E8a checks that at every width the sketch does not survive
+// and ends at estimate 0 while F2 > 0, and that the exact algorithm
+// survives; E8c that the sketch's states collide (fewer than the inputs)
+// while the exact algorithm's do not. E8b's table is printed, not checked.
 
 #include "bench/bench_util.h"
 #include "commlb/problems.h"
@@ -19,13 +25,14 @@
 namespace wbs {
 namespace {
 
-void KernelAttack() {
+bool KernelAttack() {
   bench::Banner(
       "E8a: the white-box kernel attack vs AMS (any approximation factor)",
       "Thm 1.9: every o(n)-space linear sketch is driven to estimate 0 "
       "while F2 > 0");
   bench::Table t({"sketch_rows", "sketch_bits", "survived", "final_est",
                   "true_F2"});
+  bool sketches_broken = true;
   for (size_t rows : {6u, 12u, 18u, 24u, 30u}) {
     wbs::RandomTape tape(rows);
     moments::AmsF2Sketch alg(1 << 16, rows, &tape);
@@ -35,6 +42,7 @@ void KernelAttack() {
       t.Row().Cell(uint64_t(rows)).Cell(alg.SpaceBits())
           .Cell(std::string("n/a")).Cell(std::string("overflow"))
           .Cell(std::string("-"));
+      sketches_broken = false;
       continue;
     }
     stream::FrequencyOracle truth(1 << 16);
@@ -47,6 +55,9 @@ void KernelAttack() {
           return answer >= f2 / 3 && answer <= 3 * f2;
         },
         /*stop_at_first_failure=*/false);
+    if (result.algorithm_survived || alg.Query() != 0 || truth.Fp(2) <= 0) {
+      sketches_broken = false;
+    }
     t.Row()
         .Cell(uint64_t(rows))
         .Cell(alg.SpaceBits())
@@ -57,6 +68,7 @@ void KernelAttack() {
   std::printf("expected: survived = no at every width; final_est = 0.\n");
 
   bench::Table t2({"algorithm", "space_bits", "survived"});
+  bool exact_survived = false;
   {
     wbs::RandomTape tape(99);
     moments::AmsF2Sketch victim(1 << 16, 12, &tape);
@@ -67,11 +79,16 @@ void KernelAttack() {
         &exact, &adv, 100000,
         [&](const stream::TurnstileUpdate& u) { truth.Add(u.item, u.delta); },
         [&](uint64_t, const double& answer) { return answer == truth.Fp(2); });
+    exact_survived = result.algorithm_survived;
     t2.Row()
         .Cell(std::string("exact (Omega(n))"))
         .Cell(exact.SpaceBits())
         .Cell(result.algorithm_survived);
   }
+  return bench::Check("E8a", sketches_broken && exact_survived,
+                      "at every width the sketch does not survive and ends "
+                      "at final_est = 0 while true_F2 > 0; the exact "
+                      "algorithm survives");
 }
 
 void Derandomization() {
@@ -117,12 +134,13 @@ void Derandomization() {
       "comm_bits = Omega(n); the sketch's state indeed grows with n.\n");
 }
 
-void PigeonholeStates() {
+bool PigeonholeStates() {
   bench::Banner(
       "E8c: distinct Alice states vs number of inputs (pigeonhole)",
       "an o(n)-bit state cannot distinguish all C(n, n/2) inputs -> "
       "collisions -> some GapEq instance is answered wrongly");
   bench::Table t({"n", "inputs", "sketch_states", "exact_states"});
+  bool held = true;
   for (size_t n : {8u, 10u, 12u}) {
     auto xs = commlb::AllBalancedStrings(n);
     uint64_t sketch_states =
@@ -150,6 +168,9 @@ void PigeonholeStates() {
           for (uint8_t b : a.stored) w.push_back(b);
           return w;
         });
+    if (sketch_states >= xs.size() || exact_states != xs.size()) {
+      held = false;
+    }
     t.Row()
         .Cell(uint64_t(n))
         .Cell(uint64_t(xs.size()))
@@ -159,14 +180,17 @@ void PigeonholeStates() {
   std::printf(
       "expected: sketch_states < inputs (pigeonhole collisions), "
       "exact_states == inputs.\n");
+  return bench::Check("E8c", held,
+                      "sketch_states < inputs and exact_states == inputs "
+                      "at every n");
 }
 
 }  // namespace
 }  // namespace wbs
 
 int main() {
-  wbs::KernelAttack();
+  bool held = wbs::KernelAttack();
   wbs::Derandomization();
-  wbs::PigeonholeStates();
-  return 0;
+  held &= wbs::PigeonholeStates();
+  return held ? 0 : 1;
 }

@@ -83,8 +83,8 @@ struct AutoscaleOptions {
   /// Shared cooldown armed by ANY action; decisions during it are
   /// suppressed (and counted). The anti-flap window.
   uint64_t cooldown_ms = 1000;
-  /// Topology bounds the controller never crosses.
-  size_t min_shards = 1;
+  /// Scale-out never grows the topology past this many shards (the
+  /// controller never removes shards).
   size_t max_shards = 64;
   /// EWMA smoothing factor for per-shard rates, in (0, 1]: smoothed =
   /// alpha * sample + (1 - alpha) * smoothed. 1.0 = no smoothing.

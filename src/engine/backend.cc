@@ -24,12 +24,6 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t salt, uint64_t index) {
   return SplitMix64(&s);
 }
 
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
-  return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-}
-
 /// The engine's original process-local shard code behind the ShardBackend
 /// interface: raw-pointer apply, aggregation scratch shared by the group,
 /// clone-based snapshot slot with an atomic epoch.

@@ -1,14 +1,15 @@
 // Copyright (c) wbstream authors. Licensed under the MIT license.
 //
-// The built-in engine wrappers around the library's streaming algorithms.
+// The built-in engine wrappers around the library's streaming algorithms,
+// one template per merge kind (see src/engine/README.md):
 //
-// Merge semantics per family (see src/engine/README.md):
-//   misra_gries    state merge (mergeable summaries, deterministic bound)
-//   ams_f2         state merge (linear; bit-identical to single-instance)
-//   sis_l0         state merge (linear; bit-identical to single-instance)
-//   rank_decision  state merge (linear; bit-identical to single-instance)
-//   robust_hh      answer merge (candidate-list union; exact under the
-//   crhf_hh        ingestor's universe partitioning)
+//   StateSketch<Self>     state merge: the other shard's library object
+//                         folds into this one's
+//     misra_gries         mergeable summaries, deterministic bound
+//     ams_f2, sis_l0,     linear: bit-identical to single-instance, and
+//     rank_decision       UnmergeFrom subtracts a shard back out
+//   SamplingSketch<Alg>   answer merge: candidate-list union, exact under
+//     robust_hh, crhf_hh  the ingestor's universe partitioning
 //
 // Shared randomness (sign matrices, random oracles) derives from
 // SketchConfig::seed so shard copies agree; private randomness (sampling
@@ -106,6 +107,12 @@ class SketchBase : public Sketch {
     }
     return Status::OK();
   }
+
+  /// A merge or unmerge (`op`) whose other side is another family.
+  Status TypeMismatch(const char* op) const {
+    return Status::InvalidArgument(name_ + ": " + op + " type mismatch");
+  }
+
   /// The aggregated form of a batch: duplicate items combined in
   /// first-occurrence order. Only valid for sketches where one weighted
   /// update is equivalent to the corresponding run of unit updates.
@@ -134,6 +141,415 @@ class SketchBase : public Sketch {
   FlatItemIndex index_;
 };
 
+// ------------------------------------------------------------ state merge --
+
+/// The state-merged families. `Self` holds its library object as `alg_`
+/// and applies updates to it through Apply (one update) and ApplyRun (a
+/// batch's aggregation); this template counts the effective updates they
+/// apply and merges by folding the other shard's `alg_` into this one's.
+/// When the library object can subtract (the linear families), UnmergeFrom
+/// removes a shard's contribution, which lets the merge cache refold only
+/// the shards that changed; otherwise it is Unimplemented, as in Sketch.
+template <typename Self>
+class StateSketch : public SketchBase {
+ public:
+  using SketchBase::SketchBase;
+
+  Status Update(const stream::TurnstileUpdate& u) final {
+    Status s = self().Apply(u);
+    if (s.ok() && u.delta != 0) ++updates_applied_;
+    return s;
+  }
+
+  Status ApplyBatch(const UpdateBatch& batch) final {
+    const AggregatedView agg = GetAggregated(batch);
+    if (Status s = self().ApplyRun(agg); !s.ok()) return s;
+    updates_applied_ += agg.effective;
+    return Status::OK();
+  }
+
+  Status MergeFrom(const Sketch& other) final {
+    const auto* o = dynamic_cast<const Self*>(&other);
+    if (o == nullptr) return TypeMismatch("merge");
+    if (Status s = self().alg_.MergeFrom(o->alg_); !s.ok()) return s;
+    updates_applied_ += o->updates_applied_;
+    return Status::OK();
+  }
+
+  Status UnmergeFrom(const Sketch& other) final {
+    const auto* o = dynamic_cast<const Self*>(&other);
+    if (o == nullptr) return TypeMismatch("unmerge");
+    if constexpr (requires { self().alg_.UnmergeFrom(o->alg_); }) {
+      if (Status s = self().alg_.UnmergeFrom(o->alg_); !s.ok()) return s;
+      updates_applied_ -= o->updates_applied_;
+      return Status::OK();
+    } else {
+      return Sketch::UnmergeFrom(other);
+    }
+  }
+
+ protected:
+  /// The answer of the scalar families: F2, L0, or the rank verdict as 0/1.
+  SketchSummary ScalarSummary(double value) const {
+    SketchSummary s;
+    s.sketch = name_;
+    s.has_scalar = true;
+    s.scalar = value;
+    s.updates = updates_applied_;
+    return s;
+  }
+
+ private:
+  Self& self() { return static_cast<Self&>(*this); }
+};
+
+// ------------------------------------------------------------ misra_gries --
+
+class MisraGriesSketch final : public StateSketch<MisraGriesSketch> {
+ public:
+  static constexpr char kName[] = "misra_gries";
+
+  explicit MisraGriesSketch(const SketchConfig& cfg)
+      : StateSketch(kName),
+        universe_(cfg.universe),
+        alg_(cfg.misra_gries.counters) {}
+
+  SketchSummary Summary() const override {
+    SketchSummary s;
+    s.sketch = name_;
+    s.items = alg_.List();
+    s.updates = updates_applied_;
+    s.SortItems();
+    return s;
+  }
+
+  /// State: k, updates, processed weight, and the exact uint64 counters,
+  /// item-ascending (CounterEntries() order).
+  Status SerializeState(wire::Writer& w) const override {
+    PutStateHeader(w);
+    w.U64(alg_.k());
+    w.U64(updates_applied_);
+    w.U64(alg_.processed());
+    const auto entries = alg_.CounterEntries();
+    w.U64(entries.size());
+    for (const auto& [item, c] : entries) {
+      w.U64(item);
+      w.U64(c);
+    }
+    return Status::OK();
+  }
+
+  Status DeserializeState(wire::Reader& r) override {
+    if (Status s = CheckStateHeader(r); !s.ok()) return s;
+    uint64_t k = 0, updates = 0, processed = 0, count = 0;
+    if (Status s = r.U64(&k); !s.ok()) return s;
+    if (k != alg_.k()) {
+      return Status::InvalidArgument("misra_gries: counter capacity mismatch");
+    }
+    if (Status s = r.U64(&updates); !s.ok()) return s;
+    if (Status s = r.U64(&processed); !s.ok()) return s;
+    if (Status s = r.U64(&count); !s.ok()) return s;
+    std::vector<std::pair<uint64_t, uint64_t>> entries;
+    if (count > k) {
+      return Status::InvalidArgument("misra_gries: more entries than k");
+    }
+    entries.reserve(size_t(count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t item = 0, c = 0;
+      if (Status s = r.U64(&item); !s.ok()) return s;
+      if (Status s = r.U64(&c); !s.ok()) return s;
+      if (item >= universe_) {
+        return Status::OutOfRange("misra_gries: item out of universe");
+      }
+      entries.emplace_back(item, c);
+    }
+    if (Status s = alg_.RestoreState(processed, entries); !s.ok()) return s;
+    updates_applied_ = updates;
+    return Status::OK();
+  }
+
+  uint64_t SpaceBits() const override { return alg_.SpaceBits(universe_); }
+
+ private:
+  friend StateSketch;
+
+  Status Apply(const stream::TurnstileUpdate& u) {
+    if (u.delta < 0) {
+      return Status::InvalidArgument("misra_gries is insertion-only");
+    }
+    if (u.item >= universe_) {
+      return Status::OutOfRange("misra_gries: item out of universe");
+    }
+    if (u.delta != 0) alg_.Add(u.item, uint64_t(u.delta));
+    return Status::OK();
+  }
+
+  Status ApplyRun(const AggregatedView& agg) {
+    if (agg.has_negative) {
+      return Status::InvalidArgument("misra_gries is insertion-only");
+    }
+    for (size_t i = 0; i < agg.size; ++i) {
+      const auto& u = agg.data[i];
+      if (u.delta == 0) continue;
+      if (u.item >= universe_) {
+        return Status::OutOfRange("misra_gries: item out of universe");
+      }
+      alg_.Add(u.item, uint64_t(u.delta));
+    }
+    return Status::OK();
+  }
+
+  uint64_t universe_;
+  hh::MisraGries alg_;
+};
+
+// ----------------------------------------------------------------- ams_f2 --
+
+class AmsF2EngineSketch final : public StateSketch<AmsF2EngineSketch> {
+ public:
+  static constexpr char kName[] = "ams_f2";
+
+  explicit AmsF2EngineSketch(const SketchConfig& cfg)
+      : StateSketch(kName),
+        tape_(MixSeed(cfg.seed, kAmsSalt)),
+        alg_(cfg.universe, cfg.ams.rows, &tape_) {
+    tape_.set_logging(false);  // serving engine, not the game harness
+  }
+
+  SketchSummary Summary() const override { return ScalarSummary(alg_.Query()); }
+
+  /// State: the sign-seed fingerprint (shared randomness must agree or the
+  /// counters mean nothing) plus the raw counter vector.
+  Status SerializeState(wire::Writer& w) const override {
+    PutStateHeader(w);
+    const auto& counters = alg_.counters();
+    w.Reserve(8 * (3 + counters.size()));
+    w.U64(alg_.sign_seed());
+    w.U64(updates_applied_);
+    w.U64(counters.size());
+    w.I64s(counters.data(), counters.size());
+    return Status::OK();
+  }
+
+  Status DeserializeState(wire::Reader& r) override {
+    if (Status s = CheckStateHeader(r); !s.ok()) return s;
+    uint64_t sign_seed = 0, updates = 0, rows = 0;
+    if (Status s = r.U64(&sign_seed); !s.ok()) return s;
+    if (sign_seed != alg_.sign_seed()) {
+      return Status::FailedPrecondition(
+          "ams_f2: sign matrix mismatch (different config seed)");
+    }
+    if (Status s = r.U64(&updates); !s.ok()) return s;
+    if (Status s = r.U64(&rows); !s.ok()) return s;
+    if (rows != alg_.rows()) {
+      return Status::InvalidArgument("ams_f2: row count mismatch");
+    }
+    std::vector<int64_t> counters(static_cast<size_t>(rows));
+    if (Status s = r.I64s(counters.data(), counters.size()); !s.ok()) {
+      return s;
+    }
+    if (Status s = alg_.RestoreCounters(counters); !s.ok()) return s;
+    updates_applied_ = updates;
+    return Status::OK();
+  }
+
+  uint64_t SpaceBits() const override { return alg_.SpaceBits(); }
+
+ private:
+  friend StateSketch;
+
+  Status Apply(const stream::TurnstileUpdate& u) { return alg_.Update(u); }
+
+  /// Row-major batched kernel: per-item sign mixes computed once, each
+  /// counter register-resident across the aggregated run.
+  Status ApplyRun(const AggregatedView& agg) {
+    return alg_.ApplyRun(agg.data, agg.size);
+  }
+
+  wbs::RandomTape tape_;
+  moments::AmsF2Sketch alg_;
+};
+
+// ----------------------------------------------------------------- sis_l0 --
+
+class SisL0EngineSketch final : public StateSketch<SisL0EngineSketch> {
+ public:
+  static constexpr char kName[] = "sis_l0";
+
+  explicit SisL0EngineSketch(const SketchConfig& cfg)
+      : StateSketch(kName),
+        alg_(distinct::SisL0Params::Derive(cfg.universe, cfg.sis_l0.eps,
+                                           cfg.sis_l0.c,
+                                           cfg.sis_l0.f_inf_bound),
+             crypto::RandomOracle(cfg.seed), kL0OracleDomain) {}
+
+  SketchSummary Summary() const override { return ScalarSummary(alg_.Query()); }
+
+  /// State: derived chunking/modulus parameters (checked, since both sides
+  /// re-derive them from the config) plus every chunk's sketch vector, in
+  /// the estimator's chunk-major order.
+  Status SerializeState(wire::Writer& w) const override {
+    PutStateHeader(w);
+    const auto& p = alg_.params();
+    const auto& state = alg_.state();
+    w.Reserve(8 * (5 + state.size()));
+    w.U64(p.num_chunks);
+    w.U64(p.sketch_rows);
+    w.U64(p.q);
+    w.U64(alg_.matrix().oracle().instance_id());
+    w.U64(updates_applied_);
+    w.U64s(state.data(), state.size());
+    return Status::OK();
+  }
+
+  Status DeserializeState(wire::Reader& r) override {
+    if (Status s = CheckStateHeader(r); !s.ok()) return s;
+    const auto& p = alg_.params();
+    uint64_t chunks = 0, rows = 0, q = 0, oracle_id = 0, updates = 0;
+    if (Status s = r.U64(&chunks); !s.ok()) return s;
+    if (Status s = r.U64(&rows); !s.ok()) return s;
+    if (Status s = r.U64(&q); !s.ok()) return s;
+    if (chunks != p.num_chunks || rows != p.sketch_rows || q != p.q) {
+      return Status::InvalidArgument("sis_l0: derived parameter mismatch");
+    }
+    if (Status s = r.U64(&oracle_id); !s.ok()) return s;
+    if (oracle_id != alg_.matrix().oracle().instance_id()) {
+      return Status::FailedPrecondition(
+          "sis_l0: oracle mismatch (different config seed)");
+    }
+    if (Status s = r.U64(&updates); !s.ok()) return s;
+    // The dimensions match the config, so the read is bounded by it. The
+    // words are range-checked and decoded once, into the estimator itself.
+    const size_t n = alg_.state().size();
+    std::string_view words;
+    if (Status s = r.Bytes(8 * n, &words); !s.ok()) return s;
+    if (Status s = alg_.RestoreState(words.data(), n); !s.ok()) return s;
+    updates_applied_ = updates;
+    return Status::OK();
+  }
+
+  uint64_t SpaceBits() const override { return alg_.SpaceBits(); }
+
+ private:
+  friend StateSketch;
+
+  // The oracle-derived A costs one SHA-256 per entry, so the first ingest
+  // adopts the process's shared table (a no-op after that). Merge-only
+  // targets never ingest: MergeFrom/Query touch only the chunk vectors, so
+  // fresh accumulators neither build nor hold one.
+  Status Apply(const stream::TurnstileUpdate& u) {
+    alg_.MaterializeMatrix();
+    return alg_.Update(u);
+  }
+
+  Status ApplyRun(const AggregatedView& agg) {
+    alg_.MaterializeMatrix();
+    for (size_t i = 0; i < agg.size; ++i) {
+      if (agg.data[i].delta == 0) continue;
+      if (Status s = alg_.Update(agg.data[i]); !s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  distinct::SisL0Estimator alg_;
+};
+
+// ---------------------------------------------------------- rank_decision --
+
+class RankDecisionEngineSketch final
+    : public StateSketch<RankDecisionEngineSketch> {
+ public:
+  static constexpr char kName[] = "rank_decision";
+
+  explicit RankDecisionEngineSketch(const SketchConfig& cfg)
+      : StateSketch(kName),
+        n_(cfg.rank.n),
+        alg_(cfg.rank.n, cfg.rank.k, cfg.rank.q,
+             crypto::RandomOracle(cfg.seed), kRankOracleDomain) {}
+
+  SketchSummary Summary() const override {
+    return ScalarSummary(alg_.Query() ? 1.0 : 0.0);
+  }
+
+  /// State: (n, k, q) and the oracle fingerprint (H must agree), then the
+  /// k x n sketch S row-major.
+  Status SerializeState(wire::Writer& w) const override {
+    PutStateHeader(w);
+    const auto& m = alg_.sketch();
+    w.Reserve(8 * (5 + m.size()));
+    w.U64(alg_.n());
+    w.U64(alg_.k());
+    w.U64(m.q());
+    w.U64(alg_.oracle().instance_id());
+    w.U64(updates_applied_);
+    w.U64s(m.data(), m.size());
+    return Status::OK();
+  }
+
+  Status DeserializeState(wire::Reader& r) override {
+    if (Status s = CheckStateHeader(r); !s.ok()) return s;
+    uint64_t n = 0, k = 0, q = 0, oracle_id = 0, updates = 0;
+    if (Status s = r.U64(&n); !s.ok()) return s;
+    if (Status s = r.U64(&k); !s.ok()) return s;
+    if (Status s = r.U64(&q); !s.ok()) return s;
+    if (n != alg_.n() || k != alg_.k() || q != alg_.sketch().q()) {
+      return Status::InvalidArgument("rank_decision: dimension mismatch");
+    }
+    if (Status s = r.U64(&oracle_id); !s.ok()) return s;
+    if (oracle_id != alg_.oracle().instance_id()) {
+      return Status::FailedPrecondition(
+          "rank_decision: oracle mismatch (different config seed)");
+    }
+    if (Status s = r.U64(&updates); !s.ok()) return s;
+    std::vector<uint64_t> entries(size_t(n) * size_t(k));
+    if (Status s = r.U64s(entries.data(), entries.size()); !s.ok()) return s;
+    if (Status s = alg_.RestoreSketch(entries); !s.ok()) return s;
+    updates_applied_ = updates;
+    return Status::OK();
+  }
+
+  uint64_t SpaceBits() const override { return alg_.SpaceBits(); }
+
+ private:
+  friend StateSketch;
+
+  /// Items index the n x n matrix row-major: item = row * n + col.
+  Status Apply(const stream::TurnstileUpdate& u) {
+    if (u.item >= uint64_t(n_) * n_) {
+      return Status::OutOfRange("rank_decision: item out of matrix");
+    }
+    if (u.delta == 0) return Status::OK();
+    return alg_.Update({size_t(u.item / n_), size_t(u.item % n_), u.delta});
+  }
+
+  Status ApplyRun(const AggregatedView& agg) {
+    for (size_t i = 0; i < agg.size; ++i) {
+      if (agg.data[i].delta == 0) continue;
+      if (Status s = Apply(agg.data[i]); !s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  size_t n_;
+  linalg::RankDecisionSketch alg_;
+};
+
+// ----------------------------------------------------------- answer merge --
+//
+// Sampling-based heavy hitters: Bernoulli samples are not equivalent to
+// weighted adds, so batches are applied update-by-update (the batch still
+// amortizes queueing and dispatch). Merging is answer-level and requires a
+// fresh target, which the ingestor's merge path always provides.
+//
+// Shard handoff: sampler internals (tapes, Morris clocks) never cross the
+// wire, so a deserialized instance carries its prior substream as a FROZEN
+// answer-level accumulator — and keeps ingesting new updates with a fresh
+// sampler. Summary() folds the frozen prefix with the live suffix answer,
+// which is exactly the paper's mergeable-summary semantics: the retired
+// placement's contribution keeps answering forever while new traffic is
+// sampled independently. (Engine merge targets and snapshot clones are
+// accumulators that simply never receive updates.)
+
 /// Answer-level merge accumulator for sampling sketches: sums candidate
 /// estimates item-wise across shard summaries. Because the ingestor assigns
 /// each item to exactly one shard, the union *is* the global candidate list.
@@ -156,530 +572,11 @@ struct AnswerAccumulator {
   }
 };
 
-/// Answer-level wire state shared by the sampling heavy hitters: the
-/// candidate list with exact f64 estimates plus the update count. Sampling
-/// state (tapes, Morris clocks) never crosses the boundary — a snapshot is
-/// an answer, exactly like the in-process clone's merge accumulator.
-void SerializeAnswerState(const SketchSummary& summary, wire::Writer& w) {
-  w.U64(summary.updates);
-  w.U64(summary.items.size());
-  for (const auto& wi : summary.items) {
-    w.U64(wi.item);
-    w.F64(wi.estimate);
-  }
-}
-
-/// The sampling families' summary in every life stage: a pure live sampler
-/// (no accumulator), a pure merge accumulator (fresh target / snapshot
-/// clone, no updates), or the post-handoff hybrid — frozen prefix answer
-/// folded with the live suffix sample.
-SketchSummary SamplingSummary(const std::string& name,
-                              const AnswerAccumulator& merged,
-                              uint64_t updates_applied,
-                              std::vector<hh::WeightedItem> live_items) {
-  SketchSummary s;
-  s.sketch = name;
-  if (merged.active && updates_applied == 0) {
-    s.items = merged.Items();
-    s.updates = merged.updates;
-  } else if (!merged.active) {
-    s.items = std::move(live_items);
-    s.updates = updates_applied;
-  } else {
-    AnswerAccumulator combined = merged;
-    SketchSummary live;
-    live.items = std::move(live_items);
-    live.updates = updates_applied;
-    combined.Fold(live);
-    s.items = combined.Items();
-    s.updates = combined.updates;
-  }
-  s.SortItems();
-  return s;
-}
-
-Status DeserializeAnswerState(const std::string& name, wire::Reader& r,
-                              AnswerAccumulator* out) {
-  uint64_t updates = 0, count = 0;
-  if (Status s = r.U64(&updates); !s.ok()) return s;
-  if (Status s = r.U64(&count); !s.ok()) return s;
-  std::map<uint64_t, double> estimates;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t item = 0;
-    double estimate = 0;
-    if (Status s = r.U64(&item); !s.ok()) return s;
-    if (Status s = r.F64(&estimate); !s.ok()) return s;
-    if (!estimates.emplace(item, estimate).second) {
-      return Status::InvalidArgument(name + ": duplicate candidate item");
-    }
-  }
-  out->active = true;
-  out->updates = updates;
-  out->estimates = std::move(estimates);
-  return Status::OK();
-}
-
-// ------------------------------------------------------------ misra_gries --
-
-class MisraGriesSketch final : public SketchBase {
+/// The answer-merged families: a library sampler `Alg` drawing from a
+/// private tape, plus the accumulator of merged (or handed-off) answers.
+template <typename Alg>
+class SamplingSketch : public SketchBase {
  public:
-  explicit MisraGriesSketch(const SketchConfig& cfg)
-      : SketchBase("misra_gries"), cfg_(cfg), mg_(cfg.misra_gries.counters) {}
-
-  Status Update(const stream::TurnstileUpdate& u) override {
-    if (u.delta < 0) {
-      return Status::InvalidArgument("misra_gries is insertion-only");
-    }
-    if (u.item >= cfg_.universe) {
-      return Status::OutOfRange("misra_gries: item out of universe");
-    }
-    if (u.delta == 0) return Status::OK();
-    mg_.Add(u.item, uint64_t(u.delta));
-    ++updates_applied_;
-    return Status::OK();
-  }
-
-  Status ApplyBatch(const UpdateBatch& batch) override {
-    const AggregatedView agg = GetAggregated(batch);
-    if (agg.has_negative) {
-      return Status::InvalidArgument("misra_gries is insertion-only");
-    }
-    for (size_t i = 0; i < agg.size; ++i) {
-      const auto& u = agg.data[i];
-      if (u.delta == 0) continue;
-      if (u.item >= cfg_.universe) {
-        return Status::OutOfRange("misra_gries: item out of universe");
-      }
-      mg_.Add(u.item, uint64_t(u.delta));
-    }
-    updates_applied_ += agg.effective;
-    return Status::OK();
-  }
-
-  SketchSummary Summary() const override {
-    SketchSummary s;
-    s.sketch = name_;
-    s.items = mg_.List();
-    s.updates = updates_applied_;
-    s.SortItems();
-    return s;
-  }
-
-  Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const MisraGriesSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("misra_gries: merge type mismatch");
-    }
-    Status s = mg_.MergeFrom(o->mg_);
-    if (!s.ok()) return s;
-    updates_applied_ += o->updates_applied_;
-    return Status::OK();
-  }
-
-  /// State: k, updates, processed weight, and the exact uint64 counters,
-  /// item-ascending (CounterEntries() order).
-  Status SerializeState(wire::Writer& w) const override {
-    PutStateHeader(w);
-    w.U64(mg_.k());
-    w.U64(updates_applied_);
-    w.U64(mg_.processed());
-    const auto entries = mg_.CounterEntries();
-    w.U64(entries.size());
-    for (const auto& [item, c] : entries) {
-      w.U64(item);
-      w.U64(c);
-    }
-    return Status::OK();
-  }
-
-  Status DeserializeState(wire::Reader& r) override {
-    if (Status s = CheckStateHeader(r); !s.ok()) return s;
-    uint64_t k = 0, updates = 0, processed = 0, count = 0;
-    if (Status s = r.U64(&k); !s.ok()) return s;
-    if (k != mg_.k()) {
-      return Status::InvalidArgument("misra_gries: counter capacity mismatch");
-    }
-    if (Status s = r.U64(&updates); !s.ok()) return s;
-    if (Status s = r.U64(&processed); !s.ok()) return s;
-    if (Status s = r.U64(&count); !s.ok()) return s;
-    std::vector<std::pair<uint64_t, uint64_t>> entries;
-    if (count > k) {
-      return Status::InvalidArgument("misra_gries: more entries than k");
-    }
-    entries.reserve(size_t(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t item = 0, c = 0;
-      if (Status s = r.U64(&item); !s.ok()) return s;
-      if (Status s = r.U64(&c); !s.ok()) return s;
-      if (item >= cfg_.universe) {
-        return Status::OutOfRange("misra_gries: item out of universe");
-      }
-      entries.emplace_back(item, c);
-    }
-    if (Status s = mg_.RestoreState(processed, entries); !s.ok()) return s;
-    updates_applied_ = updates;
-    return Status::OK();
-  }
-
-  uint64_t SpaceBits() const override { return mg_.SpaceBits(cfg_.universe); }
-
- private:
-  SketchConfig cfg_;
-  hh::MisraGries mg_;
-};
-
-// ----------------------------------------------------------------- ams_f2 --
-
-class AmsF2EngineSketch final : public SketchBase {
- public:
-  explicit AmsF2EngineSketch(const SketchConfig& cfg)
-      : SketchBase("ams_f2"),
-        tape_(MixSeed(cfg.seed, kAmsSalt)),
-        ams_(cfg.universe, cfg.ams.rows, &tape_) {
-    tape_.set_logging(false);  // serving engine, not the game harness
-  }
-
-  Status Update(const stream::TurnstileUpdate& u) override {
-    Status s = ams_.Update(u);
-    if (s.ok() && u.delta != 0) ++updates_applied_;
-    return s;
-  }
-
-  Status ApplyBatch(const UpdateBatch& batch) override {
-    const AggregatedView agg = GetAggregated(batch);
-    // Row-major batched kernel: per-item sign mixes computed once, each
-    // counter register-resident across the aggregated run.
-    Status s = ams_.ApplyRun(agg.data, agg.size);
-    if (!s.ok()) return s;
-    updates_applied_ += agg.effective;
-    return Status::OK();
-  }
-
-  SketchSummary Summary() const override {
-    SketchSummary s;
-    s.sketch = name_;
-    s.has_scalar = true;
-    s.scalar = ams_.Query();
-    s.updates = updates_applied_;
-    return s;
-  }
-
-  Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const AmsF2EngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("ams_f2: merge type mismatch");
-    }
-    Status s = ams_.MergeFrom(o->ams_);
-    if (!s.ok()) return s;
-    updates_applied_ += o->updates_applied_;
-    return Status::OK();
-  }
-
-  Status UnmergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const AmsF2EngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("ams_f2: unmerge type mismatch");
-    }
-    Status s = ams_.UnmergeFrom(o->ams_);
-    if (!s.ok()) return s;
-    updates_applied_ -= o->updates_applied_;
-    return Status::OK();
-  }
-
-  /// State: the sign-seed fingerprint (shared randomness must agree or the
-  /// counters mean nothing) plus the raw counter vector.
-  Status SerializeState(wire::Writer& w) const override {
-    PutStateHeader(w);
-    const auto& counters = ams_.counters();
-    w.Reserve(8 * (3 + counters.size()));
-    w.U64(ams_.sign_seed());
-    w.U64(updates_applied_);
-    w.U64(counters.size());
-    w.I64s(counters.data(), counters.size());
-    return Status::OK();
-  }
-
-  Status DeserializeState(wire::Reader& r) override {
-    if (Status s = CheckStateHeader(r); !s.ok()) return s;
-    uint64_t sign_seed = 0, updates = 0, rows = 0;
-    if (Status s = r.U64(&sign_seed); !s.ok()) return s;
-    if (sign_seed != ams_.sign_seed()) {
-      return Status::FailedPrecondition(
-          "ams_f2: sign matrix mismatch (different config seed)");
-    }
-    if (Status s = r.U64(&updates); !s.ok()) return s;
-    if (Status s = r.U64(&rows); !s.ok()) return s;
-    if (rows != ams_.rows()) {
-      return Status::InvalidArgument("ams_f2: row count mismatch");
-    }
-    std::vector<int64_t> counters(static_cast<size_t>(rows));
-    if (Status s = r.I64s(counters.data(), counters.size()); !s.ok()) {
-      return s;
-    }
-    if (Status s = ams_.RestoreCounters(counters); !s.ok()) return s;
-    updates_applied_ = updates;
-    return Status::OK();
-  }
-
-  uint64_t SpaceBits() const override { return ams_.SpaceBits(); }
-
- private:
-  wbs::RandomTape tape_;
-  moments::AmsF2Sketch ams_;
-};
-
-// ----------------------------------------------------------------- sis_l0 --
-
-class SisL0EngineSketch final : public SketchBase {
- public:
-  explicit SisL0EngineSketch(const SketchConfig& cfg)
-      : SketchBase("sis_l0"),
-        est_(distinct::SisL0Params::Derive(cfg.universe, cfg.sis_l0.eps,
-                                           cfg.sis_l0.c,
-                                           cfg.sis_l0.f_inf_bound),
-             crypto::RandomOracle(cfg.seed), kL0OracleDomain) {}
-
-  // The oracle-derived A costs one SHA-256 per entry, so the first ingest
-  // adopts the process's shared table (a no-op after that). Merge-only
-  // targets never ingest: MergeFrom/Query touch only the chunk vectors, so
-  // fresh accumulators neither build nor hold one.
-  Status Update(const stream::TurnstileUpdate& u) override {
-    est_.MaterializeMatrix();
-    Status s = est_.Update(u);
-    if (s.ok() && u.delta != 0) ++updates_applied_;
-    return s;
-  }
-
-  Status ApplyBatch(const UpdateBatch& batch) override {
-    est_.MaterializeMatrix();
-    const AggregatedView agg = GetAggregated(batch);
-    for (size_t i = 0; i < agg.size; ++i) {
-      if (agg.data[i].delta == 0) continue;
-      Status s = est_.Update(agg.data[i]);
-      if (!s.ok()) return s;
-    }
-    updates_applied_ += agg.effective;
-    return Status::OK();
-  }
-
-  SketchSummary Summary() const override {
-    SketchSummary s;
-    s.sketch = name_;
-    s.has_scalar = true;
-    s.scalar = est_.Query();
-    s.updates = updates_applied_;
-    return s;
-  }
-
-  Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const SisL0EngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("sis_l0: merge type mismatch");
-    }
-    Status s = est_.MergeFrom(o->est_);
-    if (!s.ok()) return s;
-    updates_applied_ += o->updates_applied_;
-    return Status::OK();
-  }
-
-  Status UnmergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const SisL0EngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("sis_l0: unmerge type mismatch");
-    }
-    Status s = est_.UnmergeFrom(o->est_);
-    if (!s.ok()) return s;
-    updates_applied_ -= o->updates_applied_;
-    return Status::OK();
-  }
-
-  /// State: derived chunking/modulus parameters (checked, since both sides
-  /// re-derive them from the config) plus every chunk's sketch vector, in
-  /// the estimator's chunk-major order.
-  Status SerializeState(wire::Writer& w) const override {
-    PutStateHeader(w);
-    const auto& p = est_.params();
-    const auto& state = est_.state();
-    w.Reserve(8 * (5 + state.size()));
-    w.U64(p.num_chunks);
-    w.U64(p.sketch_rows);
-    w.U64(p.q);
-    w.U64(est_.matrix().oracle().instance_id());
-    w.U64(updates_applied_);
-    w.U64s(state.data(), state.size());
-    return Status::OK();
-  }
-
-  Status DeserializeState(wire::Reader& r) override {
-    if (Status s = CheckStateHeader(r); !s.ok()) return s;
-    const auto& p = est_.params();
-    uint64_t chunks = 0, rows = 0, q = 0, oracle_id = 0, updates = 0;
-    if (Status s = r.U64(&chunks); !s.ok()) return s;
-    if (Status s = r.U64(&rows); !s.ok()) return s;
-    if (Status s = r.U64(&q); !s.ok()) return s;
-    if (chunks != p.num_chunks || rows != p.sketch_rows || q != p.q) {
-      return Status::InvalidArgument("sis_l0: derived parameter mismatch");
-    }
-    if (Status s = r.U64(&oracle_id); !s.ok()) return s;
-    if (oracle_id != est_.matrix().oracle().instance_id()) {
-      return Status::FailedPrecondition(
-          "sis_l0: oracle mismatch (different config seed)");
-    }
-    if (Status s = r.U64(&updates); !s.ok()) return s;
-    // The dimensions match the config, so the read is bounded by it. The
-    // words are range-checked and decoded once, into the estimator itself.
-    const size_t n = est_.state().size();
-    std::string_view words;
-    if (Status s = r.Bytes(8 * n, &words); !s.ok()) return s;
-    if (Status s = est_.RestoreState(words.data(), n); !s.ok()) return s;
-    updates_applied_ = updates;
-    return Status::OK();
-  }
-
-  uint64_t SpaceBits() const override { return est_.SpaceBits(); }
-
- private:
-  distinct::SisL0Estimator est_;
-};
-
-// ---------------------------------------------------------- rank_decision --
-
-class RankDecisionEngineSketch final : public SketchBase {
- public:
-  explicit RankDecisionEngineSketch(const SketchConfig& cfg)
-      : SketchBase("rank_decision"),
-        n_(cfg.rank.n),
-        sketch_(cfg.rank.n, cfg.rank.k, cfg.rank.q,
-                crypto::RandomOracle(cfg.seed), kRankOracleDomain) {}
-
-  /// Items index the n x n matrix row-major: item = row * n + col.
-  Status Update(const stream::TurnstileUpdate& u) override {
-    if (u.item >= uint64_t(n_) * n_) {
-      return Status::OutOfRange("rank_decision: item out of matrix");
-    }
-    if (u.delta == 0) return Status::OK();
-    Status s = sketch_.Update(
-        {size_t(u.item / n_), size_t(u.item % n_), u.delta});
-    if (s.ok()) ++updates_applied_;
-    return s;
-  }
-
-  Status ApplyBatch(const UpdateBatch& batch) override {
-    const AggregatedView agg = GetAggregated(batch);
-    for (size_t i = 0; i < agg.size; ++i) {
-      const auto& u = agg.data[i];
-      if (u.delta == 0) continue;
-      if (u.item >= uint64_t(n_) * n_) {
-        return Status::OutOfRange("rank_decision: item out of matrix");
-      }
-      Status s = sketch_.Update(
-          {size_t(u.item / n_), size_t(u.item % n_), u.delta});
-      if (!s.ok()) return s;
-    }
-    updates_applied_ += agg.effective;
-    return Status::OK();
-  }
-
-  SketchSummary Summary() const override {
-    SketchSummary s;
-    s.sketch = name_;
-    s.has_scalar = true;
-    s.scalar = sketch_.Query() ? 1.0 : 0.0;
-    s.updates = updates_applied_;
-    return s;
-  }
-
-  Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const RankDecisionEngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("rank_decision: merge type mismatch");
-    }
-    Status s = sketch_.MergeFrom(o->sketch_);
-    if (!s.ok()) return s;
-    updates_applied_ += o->updates_applied_;
-    return Status::OK();
-  }
-
-  Status UnmergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const RankDecisionEngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("rank_decision: unmerge type mismatch");
-    }
-    Status s = sketch_.UnmergeFrom(o->sketch_);
-    if (!s.ok()) return s;
-    updates_applied_ -= o->updates_applied_;
-    return Status::OK();
-  }
-
-  /// State: (n, k, q) and the oracle fingerprint (H must agree), then the
-  /// k x n sketch S row-major.
-  Status SerializeState(wire::Writer& w) const override {
-    PutStateHeader(w);
-    const auto& m = sketch_.sketch();
-    w.Reserve(8 * (5 + m.size()));
-    w.U64(sketch_.n());
-    w.U64(sketch_.k());
-    w.U64(m.q());
-    w.U64(sketch_.oracle().instance_id());
-    w.U64(updates_applied_);
-    w.U64s(m.data(), m.size());
-    return Status::OK();
-  }
-
-  Status DeserializeState(wire::Reader& r) override {
-    if (Status s = CheckStateHeader(r); !s.ok()) return s;
-    uint64_t n = 0, k = 0, q = 0, oracle_id = 0, updates = 0;
-    if (Status s = r.U64(&n); !s.ok()) return s;
-    if (Status s = r.U64(&k); !s.ok()) return s;
-    if (Status s = r.U64(&q); !s.ok()) return s;
-    if (n != sketch_.n() || k != sketch_.k() || q != sketch_.sketch().q()) {
-      return Status::InvalidArgument("rank_decision: dimension mismatch");
-    }
-    if (Status s = r.U64(&oracle_id); !s.ok()) return s;
-    if (oracle_id != sketch_.oracle().instance_id()) {
-      return Status::FailedPrecondition(
-          "rank_decision: oracle mismatch (different config seed)");
-    }
-    if (Status s = r.U64(&updates); !s.ok()) return s;
-    std::vector<uint64_t> entries(size_t(n) * size_t(k));
-    if (Status s = r.U64s(entries.data(), entries.size()); !s.ok()) return s;
-    if (Status s = sketch_.RestoreSketch(entries); !s.ok()) return s;
-    updates_applied_ = updates;
-    return Status::OK();
-  }
-
-  uint64_t SpaceBits() const override { return sketch_.SpaceBits(); }
-
- private:
-  size_t n_;
-  linalg::RankDecisionSketch sketch_;
-};
-
-// -------------------------------------------------- robust_hh / crhf_hh --
-//
-// Sampling-based heavy hitters: Bernoulli samples are not equivalent to
-// weighted adds, so batches are applied update-by-update (the batch still
-// amortizes queueing and dispatch). Merging is answer-level and requires a
-// fresh target, which the ingestor's merge path always provides.
-//
-// Shard handoff: sampler internals (tapes, Morris clocks) never cross the
-// wire, so a deserialized instance carries its prior substream as a FROZEN
-// answer-level accumulator — and keeps ingesting new updates with a fresh
-// sampler. Summary() folds the frozen prefix with the live suffix answer,
-// which is exactly the paper's mergeable-summary semantics: the retired
-// placement's contribution keeps answering forever while new traffic is
-// sampled independently. (Engine merge targets and snapshot clones are
-// accumulators that simply never receive updates.)
-
-class RobustHhEngineSketch final : public SketchBase {
- public:
-  explicit RobustHhEngineSketch(const SketchConfig& cfg)
-      : SketchBase("robust_hh"),
-        tape_(MixSeed(cfg.shard_seed, kRobustSalt)),
-        alg_(cfg.universe, cfg.hh.eps, cfg.hh.delta, &tape_) {
-    tape_.set_logging(false);
-  }
-
   Status Update(const stream::TurnstileUpdate& u) override {
     if (Status s = CheckSamplingDelta(name_, u.delta); !s.ok()) return s;
     for (int64_t i = 0; i < u.delta; ++i) {
@@ -690,26 +587,64 @@ class RobustHhEngineSketch final : public SketchBase {
     return Status::OK();
   }
 
+  /// The answer in every life stage: a pure live sampler (no accumulator),
+  /// a pure merge accumulator (fresh target / snapshot clone, no updates),
+  /// or the post-handoff hybrid — frozen prefix answer folded with the
+  /// live suffix sample.
   SketchSummary Summary() const override {
-    return SamplingSummary(name_, merged_, updates_applied_, alg_.Query());
+    SketchSummary s;
+    s.sketch = name_;
+    if (!merged_.active) {
+      s.items = alg_.Query();
+      s.updates = updates_applied_;
+    } else if (updates_applied_ == 0) {
+      s.items = merged_.Items();
+      s.updates = merged_.updates;
+    } else {
+      AnswerAccumulator combined = merged_;
+      SketchSummary live;
+      live.items = alg_.Query();
+      live.updates = updates_applied_;
+      combined.Fold(live);
+      s.items = combined.Items();
+      s.updates = combined.updates;
+    }
+    s.SortItems();
+    return s;
   }
 
   Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const RobustHhEngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("robust_hh: merge type mismatch");
-    }
+    const auto* o = dynamic_cast<const SamplingSketch*>(&other);
+    if (o == nullptr) return TypeMismatch("merge");
     if (updates_applied_ > 0) {
       return Status::FailedPrecondition(
-          "robust_hh: answer-level merge requires a fresh target");
+          name_ + ": answer-level merge requires a fresh target");
     }
     merged_.Fold(o->Summary());
     return Status::OK();
   }
 
+  /// A folded answer cannot be taken back out.
+  Status UnmergeFrom(const Sketch& other) override {
+    if (dynamic_cast<const SamplingSketch*>(&other) == nullptr) {
+      return TypeMismatch("unmerge");
+    }
+    return Sketch::UnmergeFrom(other);
+  }
+
+  /// State: the answer, not the sampler — the update count and the
+  /// candidate list with exact f64 estimates. Sampling state (tapes,
+  /// Morris clocks) never crosses the boundary: a snapshot is an answer,
+  /// exactly like the in-process clone's merge accumulator.
   Status SerializeState(wire::Writer& w) const override {
     PutStateHeader(w);
-    SerializeAnswerState(Summary(), w);
+    const SketchSummary summary = Summary();
+    w.U64(summary.updates);
+    w.U64(summary.items.size());
+    for (const auto& wi : summary.items) {
+      w.U64(wi.item);
+      w.F64(wi.estimate);
+    }
     return Status::OK();
   }
 
@@ -717,17 +652,53 @@ class RobustHhEngineSketch final : public SketchBase {
     if (Status s = CheckStateHeader(r); !s.ok()) return s;
     if (updates_applied_ > 0 || merged_.active) {
       return Status::FailedPrecondition(
-          "robust_hh: deserialize requires a fresh instance");
+          name_ + ": deserialize requires a fresh instance");
     }
-    return DeserializeAnswerState(name_, r, &merged_);
+    uint64_t updates = 0, count = 0;
+    if (Status s = r.U64(&updates); !s.ok()) return s;
+    if (Status s = r.U64(&count); !s.ok()) return s;
+    std::map<uint64_t, double> estimates;
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t item = 0;
+      double estimate = 0;
+      if (Status s = r.U64(&item); !s.ok()) return s;
+      if (Status s = r.F64(&estimate); !s.ok()) return s;
+      if (!estimates.emplace(item, estimate).second) {
+        return Status::InvalidArgument(name_ + ": duplicate candidate item");
+      }
+    }
+    merged_.active = true;
+    merged_.updates = updates;
+    merged_.estimates = std::move(estimates);
+    return Status::OK();
   }
 
   uint64_t SpaceBits() const override { return alg_.SpaceBits(); }
 
- private:
+ protected:
+  /// `alg_args` are Alg's constructor arguments up to its tape, which is
+  /// this sketch's own, seeded with `tape_seed`.
+  template <typename... AlgArgs>
+  SamplingSketch(std::string name, uint64_t tape_seed, AlgArgs... alg_args)
+      : SketchBase(std::move(name)),
+        tape_(tape_seed),
+        alg_(alg_args..., &tape_) {
+    tape_.set_logging(false);
+  }
+
   wbs::RandomTape tape_;
-  hh::RobustL1HeavyHitters alg_;
+  Alg alg_;
   AnswerAccumulator merged_;
+};
+
+class RobustHhEngineSketch final
+    : public SamplingSketch<hh::RobustL1HeavyHitters> {
+ public:
+  static constexpr char kName[] = "robust_hh";
+
+  explicit RobustHhEngineSketch(const SketchConfig& cfg)
+      : SamplingSketch(kName, MixSeed(cfg.shard_seed, kRobustSalt),
+                       cfg.universe, cfg.hh.eps, cfg.hh.delta) {}
 };
 
 /// The CRHF images of one batch's distinct items, keyed by item: built once
@@ -770,24 +741,14 @@ class CrhfImageTable {
   std::vector<uint64_t> images_;
 };
 
-class CrhfHhEngineSketch final : public SketchBase {
+class CrhfHhEngineSketch final : public SamplingSketch<hh::CrhfHeavyHitters> {
  public:
-  explicit CrhfHhEngineSketch(const SketchConfig& cfg)
-      : SketchBase("crhf_hh"),
-        tape_(MixSeed(cfg.shard_seed, kCrhfSalt)),
-        alg_(cfg.universe, cfg.hh.phi, cfg.hh.eps, cfg.hh.time_budget_t, &tape_) {
-    tape_.set_logging(false);
-  }
+  static constexpr char kName[] = "crhf_hh";
 
-  Status Update(const stream::TurnstileUpdate& u) override {
-    if (Status s = CheckSamplingDelta(name_, u.delta); !s.ok()) return s;
-    for (int64_t i = 0; i < u.delta; ++i) {
-      Status s = alg_.Update({u.item});
-      if (!s.ok()) return s;
-    }
-    if (u.delta != 0) ++updates_applied_;
-    return Status::OK();
-  }
+  explicit CrhfHhEngineSketch(const SketchConfig& cfg)
+      : SamplingSketch(kName, MixSeed(cfg.shard_seed, kCrhfSalt),
+                       cfg.universe, cfg.hh.phi, cfg.hh.eps,
+                       cfg.hh.time_budget_t) {}
 
   /// Batches hash each distinct item once: the items of the batch's
   /// pre-aggregation go through the multi-lane SHA-256 into an image
@@ -814,44 +775,7 @@ class CrhfHhEngineSketch final : public SketchBase {
     return Status::OK();
   }
 
-  SketchSummary Summary() const override {
-    return SamplingSummary(name_, merged_, updates_applied_, alg_.Query());
-  }
-
-  Status MergeFrom(const Sketch& other) override {
-    const auto* o = dynamic_cast<const CrhfHhEngineSketch*>(&other);
-    if (o == nullptr) {
-      return Status::InvalidArgument("crhf_hh: merge type mismatch");
-    }
-    if (updates_applied_ > 0) {
-      return Status::FailedPrecondition(
-          "crhf_hh: answer-level merge requires a fresh target");
-    }
-    merged_.Fold(o->Summary());
-    return Status::OK();
-  }
-
-  Status SerializeState(wire::Writer& w) const override {
-    PutStateHeader(w);
-    SerializeAnswerState(Summary(), w);
-    return Status::OK();
-  }
-
-  Status DeserializeState(wire::Reader& r) override {
-    if (Status s = CheckStateHeader(r); !s.ok()) return s;
-    if (updates_applied_ > 0 || merged_.active) {
-      return Status::FailedPrecondition(
-          "crhf_hh: deserialize requires a fresh instance");
-    }
-    return DeserializeAnswerState(name_, r, &merged_);
-  }
-
-  uint64_t SpaceBits() const override { return alg_.SpaceBits(); }
-
  private:
-  wbs::RandomTape tape_;
-  hh::CrhfHeavyHitters alg_;
-  AnswerAccumulator merged_;
   CrhfImageTable images_;  // per-batch table; derived from public state
 };
 
@@ -950,52 +874,36 @@ Status CheckCrhfHh(const SketchConfig& c) {
   return CheckHeavyHitter(c);
 }
 
+/// Registers T under T::kName; a builtin that cannot register is a bug.
+template <typename T>
+void RegisterBuiltin(SketchRegistry* registry, SketchFamily family,
+                     SketchRegistry::ConfigCheck check) {
+  const Status s = registry->Register(
+      T::kName,
+      [](const SketchConfig& cfg) { return std::make_unique<T>(cfg); },
+      family, check);
+  if (!s.ok()) {
+    std::fprintf(stderr, "builtin sketch registration failed: %s\n",
+                 s.ToString().c_str());
+    std::abort();
+  }
+}
+
 }  // namespace
 
 void RegisterBuiltinSketches(SketchRegistry* registry) {
-  auto must = [](Status s) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "builtin sketch registration failed: %s\n",
-                   s.ToString().c_str());
-      std::abort();
-    }
-  };
-  must(registry->Register(
-      "misra_gries",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<MisraGriesSketch>(cfg);
-      },
-      SketchFamily::kHeavyHitter, CheckMisraGries));
-  must(registry->Register(
-      "ams_f2",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<AmsF2EngineSketch>(cfg);
-      },
-      SketchFamily::kScalarEstimate, CheckAms));
-  must(registry->Register(
-      "sis_l0",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<SisL0EngineSketch>(cfg);
-      },
-      SketchFamily::kScalarEstimate, CheckSisL0));
-  must(registry->Register(
-      "rank_decision",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<RankDecisionEngineSketch>(cfg);
-      },
-      SketchFamily::kRankVerdict, CheckRank));
-  must(registry->Register(
-      "robust_hh",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<RobustHhEngineSketch>(cfg);
-      },
-      SketchFamily::kHeavyHitter, CheckHeavyHitter));
-  must(registry->Register(
-      "crhf_hh",
-      [](const SketchConfig& cfg) {
-        return std::make_unique<CrhfHhEngineSketch>(cfg);
-      },
-      SketchFamily::kHeavyHitter, CheckCrhfHh));
+  RegisterBuiltin<MisraGriesSketch>(registry, SketchFamily::kHeavyHitter,
+                                    CheckMisraGries);
+  RegisterBuiltin<AmsF2EngineSketch>(registry, SketchFamily::kScalarEstimate,
+                                     CheckAms);
+  RegisterBuiltin<SisL0EngineSketch>(registry, SketchFamily::kScalarEstimate,
+                                     CheckSisL0);
+  RegisterBuiltin<RankDecisionEngineSketch>(
+      registry, SketchFamily::kRankVerdict, CheckRank);
+  RegisterBuiltin<RobustHhEngineSketch>(registry, SketchFamily::kHeavyHitter,
+                                        CheckHeavyHitter);
+  RegisterBuiltin<CrhfHhEngineSketch>(registry, SketchFamily::kHeavyHitter,
+                                      CheckCrhfHh);
 }
 
 }  // namespace wbs::engine

@@ -27,12 +27,6 @@ constexpr uint64_t kBackoffMaxMultiplier = 8;
 /// its epoch alone.
 constexpr uint64_t kEpochOnly = std::numeric_limits<uint64_t>::max();
 
-uint64_t ElapsedUs(MonoClock::time_point t0) {
-  return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                      MonoClock::now() - t0)
-                      .count());
-}
-
 const char* FamilyName(SketchFamily family) {
   switch (family) {
     case SketchFamily::kHeavyHitter:

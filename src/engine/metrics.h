@@ -26,6 +26,7 @@
 #define WBS_ENGINE_METRICS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -113,6 +114,14 @@ class alignas(64) Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> buckets_[kBuckets] = {};
 };
+
+/// Whole microseconds on the steady clock since `t0`: what the engine's
+/// `*_us` histograms record.
+inline uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
+  return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+}
 
 /// One metric read out as plain values — what snapshots, the wire codec,
 /// and the dump formats all carry. For counters `value` holds the count;

@@ -220,12 +220,6 @@ class TcpRemoteBackend final : public ShardBackend {
   explicit TcpRemoteBackend(BackendOptions options)
       : options_(std::move(options)), token_(NewSessionToken()) {}
 
-  static uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
-    return uint64_t(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-  }
-
   /// Bytes one frame occupies on the wire for a payload of `n` bytes:
   /// u32 length + version + type + payload + u32 crc.
   static uint64_t FramedBytes(size_t n) { return uint64_t(n) + 10; }

@@ -2,10 +2,12 @@
 //
 // TcpRemoteBackend — a ShardBackend whose shard lives behind a TCP session
 // served by a TcpShardHost (tcp_transport.h), speaking the engine wire
-// format. Nothing engine-side touches shard memory: update batches are
-// encoded as kUpdateBatch payloads, snapshots come back as serialized
-// kSketchState frames and are reconstructed through the registry, and
-// epochs/summaries are request/response frames.
+// format. Nothing engine-side touches shard memory: an apply is one
+// kReqApplySeq request, a sequence number plus the encoded updates (so a
+// batch resent after a reconnect is applied once), and a query reads each
+// sketch with one kReqSnapshot request, which answers the cell's epoch plus,
+// when that epoch is newer than the reader's, the state as a kSketchState
+// frame that is reconstructed through the registry.
 //
 // This is the proof that the Client facade, merge cache, and snapshot/epoch
 // protocol survive a process boundary: for the state-mergeable families

@@ -382,7 +382,6 @@ Result<std::unique_ptr<TcpShardHost>> TcpShardHost::Start(
   std::unique_ptr<TcpShardHost> host(new TcpShardHost());
   host->bind_host_ =
       options.bind_host.empty() ? std::string("127.0.0.1") : options.bind_host;
-  host->shard_seed_override_ = options.shard_seed_override;
 
   sockaddr_in addr;
   Status s = FillAddr(host->bind_host_, options.port, &addr);
@@ -545,9 +544,6 @@ std::string TcpShardHost::HandleHello(std::string_view payload,
       BackendOptions bopts;
       bopts.sketches = hello.spec.sketches;
       bopts.config = hello.spec.config;
-      if (shard_seed_override_ != 0) {
-        bopts.config.shard_seed = shard_seed_override_;
-      }
       bopts.snapshot_min_updates = size_t(hello.spec.snapshot_min_updates);
       bopts.shard = size_t(hello.shard_id);
       auto cell = InProcessBackendFactory()(bopts);
@@ -668,17 +664,13 @@ void TcpShardHost::Stop() {
 
 int ShardDaemonMain(int argc, char** argv) {
   TcpShardHostOptions options;
-  uint64_t shard_seed_override = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
-    auto number_after = [&arg](std::string_view prefix, uint64_t* out) {
-      const std::string_view v = arg.substr(prefix.size());
-      auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), *out);
-      return ec == std::errc() && ptr == v.data() + v.size();
-    };
     if (arg.rfind("--port=", 0) == 0) {
+      const std::string_view v = arg.substr(7);
       uint64_t p = 0;
-      if (!number_after("--port=", &p) || p > 65535) {
+      auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), p);
+      if (ec != std::errc() || ptr != v.data() + v.size() || p > 65535) {
         std::fprintf(stderr, "engine_shardd: bad --port value\n");
         return 2;
       }
@@ -688,14 +680,6 @@ int ShardDaemonMain(int argc, char** argv) {
                                      &options.bind_host, &options.port);
       if (!s.ok()) {
         std::fprintf(stderr, "engine_shardd: %s\n", s.ToString().c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--shard-seed=", 0) == 0) {
-      if (!number_after("--shard-seed=", &shard_seed_override) ||
-          shard_seed_override == 0) {
-        std::fprintf(stderr,
-                     "engine_shardd: bad --shard-seed value (nonzero "
-                     "integer expected)\n");
         return 2;
       }
     } else if (arg == "--help" || arg == "-h") {
@@ -709,9 +693,6 @@ int ShardDaemonMain(int argc, char** argv) {
           "\n"
           "  --port=N           listen port on 127.0.0.1 (0 = ephemeral)\n"
           "  --listen=HOST:PORT bind address (IPv4 literal)\n"
-          "  --shard-seed=N     override the shard seed of every hosted\n"
-          "                     shard (standalone experimentation only —\n"
-          "                     breaks bit-identity with local shards)\n"
           "\n"
           "Prints \"LISTENING <port>\" on stdout once ready; serves until\n"
           "SIGTERM/SIGINT.\n");
@@ -732,7 +713,6 @@ int ShardDaemonMain(int argc, char** argv) {
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
 
-  options.shard_seed_override = shard_seed_override;
   auto host = TcpShardHost::Start(options);
   if (!host.ok()) {
     std::fprintf(stderr, "engine_shardd: %s\n",

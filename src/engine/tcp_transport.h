@@ -102,10 +102,6 @@ Result<int> TcpConnectFd(const std::string& host, uint16_t port,
 struct TcpShardHostOptions {
   std::string bind_host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral (read back via port())
-  /// Operator override (engine_shardd --shard-seed): forces the shard seed
-  /// of every session this host creates, 0 = use each spec's seed. Breaks
-  /// bit-identity with in-process by design; standalone experiments only.
-  uint64_t shard_seed_override = 0;
 };
 
 /// The serving half. Start() binds + listens and spawns an accept thread;
@@ -193,7 +189,6 @@ class TcpShardHost {
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
   std::list<Conn> conns_;
   bool stopped_ = false;
-  uint64_t shard_seed_override_ = 0;
 
   std::atomic<bool> crashed_{false};
 };

@@ -629,12 +629,73 @@ TEST(EngineBatchTest, FlatAggregationMatchesUnorderedMap) {
   EXPECT_EQ(got[2].delta, kMax);
 }
 
+// A builtin sketch of `cfg` after `updates` unit updates on 13 items.
+std::unique_ptr<Sketch> MakeFed(const std::string& name,
+                                const SketchConfig& cfg, uint64_t updates) {
+  auto created = SketchRegistry::Global().Create(name, cfg);
+  EXPECT_TRUE(created.ok()) << name;
+  if (!created.ok()) return nullptr;
+  std::unique_ptr<Sketch> sketch = std::move(created).value();
+  for (uint64_t i = 0; i < updates; ++i) {
+    EXPECT_TRUE(sketch->Update({i % 13, 1}).ok()) << name;
+  }
+  return sketch;
+}
+
+// The sketch's serialized frame, or "" when it does not serialize.
+std::string FrameOf(const Sketch& sketch) {
+  auto frame = SerializeSketch(sketch);
+  EXPECT_TRUE(frame.ok()) << sketch.name();
+  return frame.ok() ? frame.value() : std::string();
+}
+
+// Both merge templates check the other side's family before touching
+// state: each of the 30 cross-family pairs is InvalidArgument from MergeFrom
+// and from UnmergeFrom, and the target's frame is unchanged. A same-family
+// UnmergeFrom draws the line the merge cache relies on: the linear families
+// subtract the merged shard back out, the others are Unimplemented (the
+// cache then refolds from scratch).
 TEST(EngineBatchTest, MergeTypeMismatchRejected) {
-  SketchConfig cfg = TestConfig(1 << 10, 3);
-  auto mg = SketchRegistry::Global().Create("misra_gries", cfg);
-  auto ams = SketchRegistry::Global().Create("ams_f2", cfg);
-  ASSERT_TRUE(mg.ok() && ams.ok());
-  EXPECT_FALSE(mg.value()->MergeFrom(*ams.value()).ok());
+  const std::string names[] = {"misra_gries", "ams_f2",    "sis_l0",
+                               "rank_decision", "robust_hh", "crhf_hh"};
+  const SketchConfig cfg = TestConfig(1 << 10, 3);
+
+  size_t pairs = 0;
+  for (const std::string& target_name : names) {
+    auto target = MakeFed(target_name, cfg, 40);
+    ASSERT_NE(target, nullptr);
+    const std::string before = FrameOf(*target);
+    for (const std::string& other_name : names) {
+      if (other_name == target_name) continue;
+      ++pairs;
+      auto other = MakeFed(other_name, cfg, 40);
+      ASSERT_NE(other, nullptr);
+      const std::string pair = target_name + " <- " + other_name;
+      EXPECT_EQ(target->MergeFrom(*other).code(),
+                Status::Code::kInvalidArgument)
+          << pair;
+      EXPECT_EQ(target->UnmergeFrom(*other).code(),
+                Status::Code::kInvalidArgument)
+          << pair;
+      EXPECT_EQ(FrameOf(*target), before) << pair;
+    }
+  }
+  EXPECT_EQ(pairs, 30u);
+
+  for (const std::string& name : names) {
+    const bool linear =
+        name == "ams_f2" || name == "sis_l0" || name == "rank_decision";
+    auto target = MakeFed(name, cfg, 0);
+    auto other = MakeFed(name, cfg, 40);
+    ASSERT_TRUE(target != nullptr && other != nullptr);
+    const std::string fresh = FrameOf(*target);
+    ASSERT_TRUE(target->MergeFrom(*other).ok()) << name;
+    const std::string merged = FrameOf(*target);
+    EXPECT_EQ(target->UnmergeFrom(*other).code(),
+              linear ? Status::Code::kOk : Status::Code::kUnimplemented)
+        << name;
+    EXPECT_EQ(FrameOf(*target), linear ? fresh : merged) << name;
+  }
 }
 
 // ------------------------------------------------- shard merge vs reference --
